@@ -60,19 +60,11 @@ from .lattice import (
     total_order_reduce,
 )
 from .measures import (
-    cond_intersection_content,
-    cond_mutual_content,
-    cond_pointwise,
     cond_surprisal,
-    cond_synergy_content,
-    cond_unique_content,
-    cond_union_content,
     entropy,
     expected,
-    get_log_base,
     intersection_content,
     mutual_content,
-    set_log_base,
     surprisal,
     synergy_content,
     unique_content,

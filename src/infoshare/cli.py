@@ -2,7 +2,10 @@
 
 Subcommands: validate, pointwise, decompose, lattice, eval, check.
 Global flags select the log base, tolerance, seed, trial count, the n=5
-override, and text versus structured (JSON) output.
+override, and text versus structured (JSON) output; they are accepted
+before or after the subcommand.  The library works in bits; each
+reported figure is converted to the `--base` unit here, and `check`
+stays unit-free.
 """
 
 from __future__ import annotations
@@ -20,19 +23,14 @@ from .decomposition import (
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
-    expected_valuation,
-    lattice_valuation,
     mi_decompose,
 )
 from .distribution import InvalidDistribution, JointDistribution, ZeroMass, load_file
 from .lattice import enumerate_antichains, to_dot
 from .measures import (
-    cond_mutual_content,
-    cond_pointwise,
     cond_surprisal,
     intersection_content,
     mutual_content,
-    set_log_base,
     surprisal,
     synergy_content,
     unique_content,
@@ -58,6 +56,10 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
+
+    def unit(self, bits: float) -> float:
+        """A figure in bits expressed in the configured unit; bits pass unchanged."""
+        return bits if self.base == 2.0 else bits * (1.0 / math.log2(self.base))
 
 
 def _fmt(value: float) -> str:
@@ -129,50 +131,31 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     given = _parse_source(d, args.given) if args.given else None
     suffix = f"|{_source_label(d, given)}" if given else ""
 
-    rows: list[tuple[str, float]] = []
-    for s in sources:
+    def h(source) -> float:
         if given is None:
-            value = surprisal(d, s, r)
-        else:
-            value = cond_surprisal(d, s, given, r)
-        rows.append((f"h{_source_label(d, s)}{suffix}", value))
+            return surprisal(d, source, r)
+        return cond_surprisal(d, source, given, r)
+
+    rows = [(f"h{_source_label(d, s)}{suffix}", h(s)) for s in sources]
+    residual = None
     if len(sources) >= 2:
-        if given is None:
-            rows.append((f"union{suffix}", union_content(d, sources, r)))
-            rows.append((f"intersection{suffix}", intersection_content(d, sources, r)))
-            rows.append((f"synergy{suffix}", synergy_content(d, sources, r)))
-        else:
-            rows.append((f"union{suffix}", cond_pointwise(d, "union", sources, given, r)))
-            rows.append(
-                (f"intersection{suffix}", cond_pointwise(d, "intersection", sources, given, r))
-            )
-            rows.append((f"synergy{suffix}", cond_pointwise(d, "synergy", sources, given, r)))
+        union = union_content(d, sources, r, given=given)
+        synergy = synergy_content(d, sources, r, given=given)
+        rows.append((f"union{suffix}", union))
+        rows.append((f"intersection{suffix}", intersection_content(d, sources, r, given=given)))
+        rows.append((f"synergy{suffix}", synergy))
     if len(sources) == 2:
         a, b = sources
         la, lb = _source_label(d, a), _source_label(d, b)
-        if given is None:
-            rows.append((f"unique {la} over {lb}{suffix}", unique_content(d, a, b, r)))
-            rows.append((f"unique {lb} over {la}{suffix}", unique_content(d, b, a, r)))
-            rows.append((f"mutual{suffix}", mutual_content(d, a, b, r)))
-        else:
-            rows.append(
-                (f"unique {la} over {lb}{suffix}", cond_pointwise(d, "unique", [a, b], given, r))
-            )
-            rows.append(
-                (f"unique {lb} over {la}{suffix}", cond_pointwise(d, "unique", [b, a], given, r))
-            )
-            rows.append((f"mutual{suffix}", cond_mutual_content(d, a, b, given, r)))
-
-    values = dict(rows)
-    residual = None
+        rows.append((f"unique {la} over {lb}{suffix}", unique_content(d, a, b, r, given=given)))
+        rows.append((f"unique {lb} over {la}{suffix}", unique_content(d, b, a, r, given=given)))
+        rows.append((f"mutual{suffix}", mutual_content(d, a, b, r, given=given)))
     if len(sources) >= 2:
         whole: frozenset = frozenset().union(*sources)
-        if given is None:
-            joint = surprisal(d, whole, r)
-        else:
-            joint = cond_surprisal(d, whole, given, r)
+        joint = h(whole)
         rows.append((f"h{_source_label(d, whole)}{suffix}", joint))
-        residual = abs(joint - values[f"union{suffix}"] - values[f"synergy{suffix}"])
+        residual = config.unit(abs(joint - union - synergy))
+    rows = [(label, config.unit(value)) for label, value in rows]
 
     width = max(len(label) for label, _ in rows)
     lines = [f"pointwise measures at ({args.realization})"]
@@ -191,16 +174,8 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     return 0 if residual is None or residual <= config.tolerance else 1
 
 
-def _mi_rows(d, result) -> list[tuple[str, float]]:
-    return [
-        ("intersection", result.intersection),
-        ("unique_first", result.unique_first),
-        ("unique_second", result.unique_second),
-        ("synergy", result.synergy),
-        ("union", result.union),
-        ("joint", result.joint),
-        ("coinformation", result.coinformation),
-    ]
+_MI_ROWS = ("intersection", "unique_first", "unique_second", "synergy", "union", "joint",
+            "coinformation")
 
 
 def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
@@ -212,8 +187,9 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
         raise ValueError("pointwise mode needs --realization")
     realization = _parse_realization(args.realization) if args.realization else None
     result = mi_decompose(d, predictors[0], predictors[1], target, realization)
-    rows = _mi_rows(d, result)
-    residual = abs(result.joint - result.parts_sum())
+    rows = [(name, config.unit(getattr(result, name))) for name in _MI_ROWS]
+    parts_sum = config.unit(result.parts_sum())
+    residual = config.unit(abs(result.joint - result.parts_sum()))
 
     mode = "pointwise" if realization is not None else "expected"
     header = (
@@ -224,7 +200,7 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     width = max(len(label) for label, _ in rows)
     lines = [header]
     lines += [f"{label.ljust(width)}  {_fmt(value)}" for label, value in rows]
-    lines.append(f"{'sum of parts'.ljust(width)}  {_fmt(result.parts_sum())}")
+    lines.append(f"{'sum of parts'.ljust(width)}  {_fmt(parts_sum)}")
     lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
     _emit(
         config,
@@ -232,7 +208,7 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
         {
             "mode": mode,
             "rows": [{"name": n, "value": v} for n, v in rows],
-            "sum_of_parts": result.parts_sum(),
+            "sum_of_parts": parts_sum,
             "residual": residual,
         },
     )
@@ -251,24 +227,25 @@ def cmd_decompose(config: RunConfig, args) -> int:
         variables = [d.variables.index(n.strip()) for n in args.variables.split(",")]
     selected = variables if variables is not None else list(range(d.variables.n))
     names = tuple(d.variables.names[i] for i in selected)
-    lattice = enumerate_antichains(len(selected), config.allow_n5)
 
     if args.mode == "pointwise":
         if not args.realization:
             raise ValueError("pointwise mode needs --realization")
         r = _parse_realization(args.realization)
         partials = decompose_pointwise(d, r, variables=variables, allow_large=config.allow_n5)
-        valuation = lattice_valuation(d, lattice, r, variables=selected)
         header = f"pointwise decomposition at ({args.realization})"
     else:
         partials = decompose_expected(d, variables=variables, allow_large=config.allow_n5)
-        valuation = expected_valuation(d, variables=variables, allow_large=config.allow_n5)
         header = "expected decomposition"
 
-    rows = decomposition_rows(valuation, partials, names)
-    total = partials.total()
-    top_value = valuation.values[lattice.top]
-    residual = abs(total - top_value)
+    rows = [
+        (label, config.unit(value), config.unit(partial))
+        for label, value, partial in decomposition_rows(partials.valuation, partials, names)
+    ]
+    total_bits = partials.total()
+    top_bits = partials.valuation.values[partials.lattice.top]
+    total, top_value = config.unit(total_bits), config.unit(top_bits)
+    residual = config.unit(abs(total_bits - top_bits))
 
     label_width = max(len(label) for label, _, _ in rows)
     lines = [header, f"{'node'.ljust(label_width)}  {'value'.rjust(12)}  {'partial'.rjust(12)}"]
@@ -320,10 +297,10 @@ def cmd_eval(config: RunConfig, args) -> int:
 
     if args.realization:
         r = _parse_realization(args.realization)
-        value = at(r)
+        value = config.unit(at(r))
         mode = f"at ({args.realization})"
     else:
-        value = math.fsum(p * at(r) for r, p in d.support())
+        value = config.unit(math.fsum(p * at(r) for r, p in d.support()))
         mode = "expected"
     _emit(
         config,
@@ -342,6 +319,25 @@ def cmd_check(config: RunConfig, args) -> int:
     return 0 if report.passed else 1
 
 
+def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
+    """The global flags; without `defaults` an absent flag leaves its value alone."""
+
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
+    parser.add_argument("--base", choices=sorted(_BASES), default=default("2"),
+                        help="log base for information units (default: 2)")
+    parser.add_argument("--tol", type=float, default=default(1e-9),
+                        help="tolerance for identity checks (default: 1e-9)")
+    parser.add_argument("--seed", type=int, default=default(0), help="master RNG seed")
+    parser.add_argument("--trials", type=int, default=default(1000),
+                        help="trial count for randomized suites")
+    parser.add_argument("--allow-n5", action="store_true", default=default(False),
+                        help="permit five-variable lattices (7579 nodes)")
+    parser.add_argument("--format", choices=("text", "structured"), default=default("text"),
+                        dest="fmt", help="output format")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infoshare",
@@ -350,25 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
             "and partial-information decompositions of discrete joint distributions."
         ),
     )
-    parser.add_argument("--base", choices=sorted(_BASES), default="2",
-                        help="log base for information units (default: 2)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="tolerance for identity checks (default: 1e-9)")
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--trials", type=int, default=1000,
-                        help="trial count for randomized suites")
-    parser.add_argument("--allow-n5", action="store_true",
-                        help="permit five-variable lattices (7579 nodes)")
-    parser.add_argument("--format", choices=("text", "structured"), default="text",
-                        dest="fmt", help="output format")
-
+    _add_global_flags(parser, defaults=True)
+    # Subcommands accept the global flags too.  Their copies carry no
+    # defaults, so a flag given before the subcommand is not overwritten.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, defaults=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a distribution file")
+    p = sub.add_parser("validate", parents=[common], help="validate a distribution file")
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("pointwise", help="pointwise measures at one realization")
+    p = sub.add_parser("pointwise", parents=[common], help="pointwise measures at one realization")
     p.add_argument("file")
     p.add_argument("--realization", required=True, help="comma-separated categories")
     p.add_argument("--sources", nargs="+", required=True,
@@ -376,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--given", help="conditioning source")
     p.set_defaults(func=cmd_pointwise)
 
-    p = sub.add_parser("decompose", help="lattice or predictor/target decomposition")
+    p = sub.add_parser("decompose", parents=[common],
+                       help="lattice or predictor/target decomposition")
     p.add_argument("file")
     p.add_argument("--mode", choices=("pointwise", "expected"), default="expected")
     p.add_argument("--realization", help="required for pointwise mode")
@@ -385,13 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictors", help="two predictor sources, e.g. X,Y or X;Y,Z")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("lattice", help="export a lattice as DOT")
+    p = sub.add_parser("lattice", parents=[common], help="export a lattice as DOT")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("redundancy", "sharing"), default="redundancy")
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("eval", help="evaluate an information-sharing expression")
+    p = sub.add_parser("eval", parents=[common], help="evaluate an information-sharing expression")
     p.add_argument("file")
     p.add_argument("expression")
     p.add_argument("--realization", help="pointwise evaluation site; omit for expected")
@@ -399,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--about", help="target source for a mutual-information reading")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check", help="run a randomized verification suite")
+    p = sub.add_parser("check", parents=[common], help="run a randomized verification suite")
     p.add_argument("--suite", choices=checks.SUITES, required=True)
     p.set_defaults(func=cmd_check)
 
@@ -418,7 +408,6 @@ def main(argv=None) -> int:
             allow_n5=args.allow_n5,
             structured=args.fmt == "structured",
         )
-        set_log_base(config.base)
         return args.func(config, args)
     except (InvalidDistribution, ZeroMass, ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,6 +98,8 @@ class JointDistribution:
         for raw, mass in pmf.items():
             r = variables.check_realization(raw)
             p = float(mass)
+            if not math.isfinite(p):
+                raise InvalidDistribution(f"non-finite mass {p!r} for assignment {r}")
             if p < 0.0:
                 raise InvalidDistribution(f"negative mass {p!r} for assignment {r}")
             if r in support:
@@ -236,6 +238,8 @@ def _load_json(text: str) -> JointDistribution:
             p = float(entry["p"])
         except (TypeError, ValueError):
             raise InvalidDistribution(f"pmf entry {i}: mass is not a number") from None
+        if not math.isfinite(p):
+            raise InvalidDistribution(f"pmf entry {i}: non-finite mass {p!r}")
         if p < 0.0:
             raise InvalidDistribution(f"pmf entry {i}: negative mass {p!r}")
         pmf[assignment] = p
@@ -265,6 +269,8 @@ def _load_csv(text: str) -> JointDistribution:
             p = float(row[-1])
         except ValueError:
             raise InvalidDistribution(f"line {lineno}: mass is not a number") from None
+        if not math.isfinite(p):
+            raise InvalidDistribution(f"line {lineno}: non-finite mass {p!r}")
         if p < 0.0:
             raise InvalidDistribution(f"line {lineno}: negative mass {p!r}")
         assignments.append((values, p))

@@ -3,7 +3,12 @@
 Every function here evaluates at a single realization of a joint
 distribution; `expected` lifts any of them to the distribution level by
 weighting over the support.  Surprisal-like quantities are non-negative,
-mutual quantities are signed.
+mutual quantities are signed.  Values are in bits.
+
+Each content measure takes an optional `given` conditioner.  A
+conditional measure is the plain one with every surprisal replaced by
+its conditional counterpart, the joint surprisal of source and
+conditioner minus the conditioner's own.
 """
 
 from __future__ import annotations
@@ -13,36 +18,13 @@ from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass
 
-_LOG_BASE = 2.0
-
-
-def set_log_base(base: float) -> None:
-    """Select the information unit globally: 2 for bits, e for nats, 10 for hartleys."""
-    global _LOG_BASE
-    b = float(base)
-    if not b > 1.0:
-        raise ValueError("log base must be greater than 1")
-    _LOG_BASE = b
-
-
-def get_log_base() -> float:
-    return _LOG_BASE
-
-
-def _neg_log(p: float) -> float:
-    if _LOG_BASE == 2.0:
-        return -math.log2(p)
-    if _LOG_BASE == 10.0:
-        return -math.log10(p)
-    return -math.log(p) / math.log(_LOG_BASE)
-
 
 def surprisal(d: JointDistribution, source: Iterable[int], realization: Sequence[int]) -> float:
     """Negative log marginal mass of the source at the realization."""
     p = d.marginal_mass(source, realization)
     if p <= 0.0:
         raise ZeroMass("surprisal undefined: zero marginal mass")
-    return _neg_log(p)
+    return -math.log2(p)
 
 
 def cond_surprisal(
@@ -62,7 +44,14 @@ def cond_surprisal(
     p_joint = d.marginal_mass(s | g, realization)
     if p_joint <= 0.0:
         raise ZeroMass("surprisal undefined: zero joint mass")
-    return _neg_log(p_joint) - _neg_log(p_given)
+    return math.log2(p_given) - math.log2(p_joint)
+
+
+def _content(d: JointDistribution, given, realization) -> Callable[[Iterable[int]], float]:
+    """Surprisal of a source at the realization, conditioned on `given` if set."""
+    if given is None:
+        return lambda source: surprisal(d, source, realization)
+    return lambda source: cond_surprisal(d, source, given, realization)
 
 
 def _source_list(d: JointDistribution, sources) -> list[frozenset[int]]:
@@ -72,99 +61,40 @@ def _source_list(d: JointDistribution, sources) -> list[frozenset[int]]:
     return out
 
 
-def union_content(d: JointDistribution, sources, realization) -> float:
-    """Largest marginal surprisal over the given sources."""
-    return max(surprisal(d, s, realization) for s in _source_list(d, sources))
+def union_content(d: JointDistribution, sources, realization, given=None) -> float:
+    """Largest surprisal over the sources."""
+    h = _content(d, given, realization)
+    return max(h(s) for s in _source_list(d, sources))
 
 
-def intersection_content(d: JointDistribution, sources, realization) -> float:
-    """Smallest marginal surprisal over the given sources."""
-    return min(surprisal(d, s, realization) for s in _source_list(d, sources))
+def intersection_content(d: JointDistribution, sources, realization, given=None) -> float:
+    """Smallest surprisal over the sources."""
+    h = _content(d, given, realization)
+    return min(h(s) for s in _source_list(d, sources))
 
 
-def unique_content(d: JointDistribution, first, second, realization) -> float:
+def unique_content(d: JointDistribution, first, second, realization, given=None) -> float:
     """Surplus surprisal of the first source over the second, floored at zero."""
-    return max(surprisal(d, first, realization) - surprisal(d, second, realization), 0.0)
+    h = _content(d, given, realization)
+    return max(h(first) - h(second), 0.0)
 
 
-def synergy_content(d: JointDistribution, sources, realization) -> float:
+def synergy_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Joint surprisal of all involved variables minus the union content."""
+    h = _content(d, given, realization)
     parts = _source_list(d, sources)
     whole: frozenset[int] = frozenset().union(*parts)
-    return surprisal(d, whole, realization) - max(
-        surprisal(d, s, realization) for s in parts
-    )
+    return h(whole) - max(h(s) for s in parts)
 
 
-def mutual_content(d: JointDistribution, first, second, realization) -> float:
+def mutual_content(d: JointDistribution, first, second, realization, given=None) -> float:
     """Sum of the two marginal surprisals minus the joint surprisal; signed."""
     a = d.variables.check_source(first)
     b = d.variables.check_source(second)
     if a & b:
         raise ValueError("sources overlap")
-    return (
-        surprisal(d, a, realization)
-        + surprisal(d, b, realization)
-        - surprisal(d, a | b, realization)
-    )
-
-
-def cond_union_content(d, sources, given, realization) -> float:
-    return max(cond_surprisal(d, s, given, realization) for s in _source_list(d, sources))
-
-
-def cond_intersection_content(d, sources, given, realization) -> float:
-    return min(cond_surprisal(d, s, given, realization) for s in _source_list(d, sources))
-
-
-def cond_unique_content(d, first, second, given, realization) -> float:
-    return max(
-        cond_surprisal(d, first, given, realization)
-        - cond_surprisal(d, second, given, realization),
-        0.0,
-    )
-
-
-def cond_synergy_content(d, sources, given, realization) -> float:
-    parts = _source_list(d, sources)
-    whole: frozenset[int] = frozenset().union(*parts)
-    return cond_surprisal(d, whole, given, realization) - max(
-        cond_surprisal(d, s, given, realization) for s in parts
-    )
-
-
-def cond_mutual_content(d, first, second, given, realization) -> float:
-    a = d.variables.check_source(first)
-    b = d.variables.check_source(second)
-    if a & b:
-        raise ValueError("sources overlap")
-    return (
-        cond_surprisal(d, a, given, realization)
-        + cond_surprisal(d, b, given, realization)
-        - cond_surprisal(d, a | b, given, realization)
-    )
-
-
-def cond_pointwise(d, kind: str, sources, given, realization) -> float:
-    """Conditional variant of a named pointwise measure.
-
-    `kind` selects among union, intersection, unique, synergy and mutual;
-    unique and mutual expect exactly two sources.
-    """
-    if kind in ("union", "intersection", "synergy"):
-        fn = {
-            "union": cond_union_content,
-            "intersection": cond_intersection_content,
-            "synergy": cond_synergy_content,
-        }[kind]
-        return fn(d, sources, given, realization)
-    if kind in ("unique", "mutual"):
-        pair = list(sources)
-        if len(pair) != 2:
-            raise ValueError(f"{kind} needs exactly two sources")
-        fn = {"unique": cond_unique_content, "mutual": cond_mutual_content}[kind]
-        return fn(d, pair[0], pair[1], given, realization)
-    raise ValueError(f"unknown pointwise kind {kind!r}")
+    h = _content(d, given, realization)
+    return h(a) + h(b) - h(a | b)
 
 
 def expected(d: JointDistribution, fn: Callable[[tuple[int, ...]], float]) -> float:

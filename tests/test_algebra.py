@@ -250,16 +250,18 @@ def test_eval_conditional_expression():
 
 def test_eval_conditional_matches_direct_formulas():
     from infoshare import (
-        cond_pointwise,
         cond_surprisal,
-        cond_union_content,
+        intersection_content,
+        synergy_content,
+        unique_content,
+        union_content,
     )
 
     texts = {
-        "x cup y": lambda d, r: cond_union_content(d, [[0], [1]], [2], r),
-        "x cap y": lambda d, r: cond_pointwise(d, "intersection", [[0], [1]], [2], r),
-        "x minus y": lambda d, r: cond_pointwise(d, "unique", [[0], [1]], [2], r),
-        "x oplus y": lambda d, r: cond_pointwise(d, "synergy", [[0], [1]], [2], r),
+        "x cup y": lambda d, r: union_content(d, [[0], [1]], r, given=[2]),
+        "x cap y": lambda d, r: intersection_content(d, [[0], [1]], r, given=[2]),
+        "x minus y": lambda d, r: unique_content(d, [0], [1], r, given=[2]),
+        "x oplus y": lambda d, r: synergy_content(d, [[0], [1]], r, given=[2]),
         "(x,y)": lambda d, r: cond_surprisal(d, [0, 1], [2], r),
     }
     for trial in range(25):

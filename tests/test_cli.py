@@ -1,9 +1,13 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from infoshare.cli import main
+from infoshare.sampling import random_distribution, trial_rng
 
 from helpers import XOR3_JSON
 
@@ -215,6 +219,98 @@ def test_base_flag_changes_units(copy_file, capsys):
     out = capsys.readouterr().out
     value = float(out.splitlines()[1].rsplit(None, 1)[1])
     assert value == pytest.approx(math.log(2.0))
+
+
+def test_global_flags_after_the_subcommand(capsys):
+    assert main(["--seed", "7", "--trials", "50", "check", "--suite", "props"]) == 0
+    before = capsys.readouterr().out
+    assert main(["check", "--suite", "props", "--seed", "7", "--trials", "50"]) == 0
+    after = capsys.readouterr().out
+    assert before == after
+    assert before.startswith("suite: props  seed: 7  trials: 50")
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("infoshare ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # Every line of the README's CLI block, as written, against a dist.json
+    # over X, Y, Z; an optional "[...]" part runs both without and with it.
+    (tmp_path / "dist.json").write_text(XOR3_JSON)
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 9
+    for line in lines:
+        optional = re.search(r" \[(.*?)\]", line)
+        variants = [line]
+        if optional:
+            head, tail = line[: optional.start()], line[optional.end():]
+            variants = [head + tail, f"{head} {optional.group(1)}{tail}"]
+        for text in variants:
+            assert main(shlex.split(text)[1:]) == 0, text
+            capsys.readouterr()
+    assert (tmp_path / "lattice.dot").read_text().startswith("digraph")
+
+
+_UNIT_COMMANDS = (
+    ["pointwise", "{f}", "--realization", "0,1,1", "--sources", "X", "Y"],
+    ["pointwise", "{f}", "--realization", "0,1,1", "--sources", "X", "Y", "--given", "Z"],
+    ["decompose", "{f}", "--mode", "expected"],
+    ["decompose", "{f}", "--mode", "pointwise", "--realization", "0,1,1"],
+    ["decompose", "{f}", "--target", "Z", "--predictors", "X,Y"],
+    ["eval", "{f}", "X cap (Y oplus Z)", "--realization", "0,1,1"],
+    ["eval", "{f}", "X oplus Y", "--about", "Z"],
+)
+
+
+def _figures(doc) -> list[float]:
+    if isinstance(doc, float):
+        return [doc]
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _figures(item)]
+    return []
+
+
+def test_base_flag_scales_every_figure(tmp_path, capsys):
+    # The library works in bits; --base converts each reported figure.
+    d = random_distribution(trial_rng(2024, 0), [2, 3, 2], sparsity=0.0)
+    doc = {
+        "variables": [{"name": n, "cardinality": c}
+                      for n, c in zip(("X", "Y", "Z"), d.variables.cardinalities)],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+
+    def figures(base, command):
+        argv = ["--base", base, "--format", "structured"]
+        argv += [arg.format(f=path) for arg in command]
+        assert main(argv) == 0
+        return _figures(json.loads(capsys.readouterr().out))
+
+    nonzero = 0
+    for command in _UNIT_COMMANDS:
+        bits = figures("2", command)
+        assert bits
+        nonzero += sum(abs(b) > 0.01 for b in bits)
+        for base, factor in (("e", math.log(2.0)), ("10", math.log10(2.0))):
+            got = figures(base, command)
+            assert len(got) == len(bits)
+            for value, bit in zip(got, bits):
+                assert abs(value - bit * factor) <= 1e-12, (command, base)
+    assert nonzero > 20
+    # check is unit-free: its residuals are in bits whatever --base says.
+    check = ["--trials", "30", "check", "--suite", "mobius"]
+    assert main(check) == 0
+    bits_report = capsys.readouterr().out
+    assert main(["--base", "e", *check]) == 0
+    assert capsys.readouterr().out == bits_report
 
 
 def test_footer_tolerance_gate(tmp_path, capsys):

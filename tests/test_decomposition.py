@@ -5,7 +5,6 @@ import pytest
 from infoshare import (
     Antichain,
     ZeroMass,
-    cond_mutual_content,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
@@ -347,7 +346,7 @@ def test_mi_decompose_identities_randomized():
         assert abs(exp.coinformation - (exp.intersection - exp.synergy)) <= TOL
         # i(x;y;z) from the chain-rule side
         i_xy = expected(d, lambda r: mutual_content(d, [0], [1], r))
-        i_xy_given_z = expected(d, lambda r: cond_mutual_content(d, [0], [1], [2], r))
+        i_xy_given_z = expected(d, lambda r: mutual_content(d, [0], [1], r, given=[2]))
         assert abs(exp.coinformation - (i_xy - i_xy_given_z)) <= TOL
         for r, _ in d.support():
             point = mi_decompose(d, [0], [1], [2], r)

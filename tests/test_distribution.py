@@ -39,6 +39,29 @@ def test_negative_mass_rejected():
         load_distribution(bad)
 
 
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda: load_distribution("X,Y,p\n0,0,0.5\n1,1,0.5\n0,1,nan\n"), "line 4"),
+        (lambda: load_distribution("X,Y,p\n0,0,0.5\n1,1,inf\n"), "line 3"),
+        (lambda: load_distribution(XOR3_JSON.replace('"p": 0.25}]', '"p": NaN}]')), "entry 3"),
+        (
+            lambda: load_distribution(XOR3_JSON.replace('"p": 0.25}]', '"p": Infinity}]')),
+            "entry 3",
+        ),
+        (
+            lambda: JointDistribution(VariableSet(("X",), (2,)), {(0,): 1.0, (1,): math.nan}),
+            "(1,)",
+        ),
+    ],
+    ids=["csv-nan", "csv-inf", "json-NaN", "json-Infinity", "constructor"],
+)
+def test_non_finite_mass_rejected(build, where):
+    with pytest.raises(InvalidDistribution, match="non-finite") as err:
+        build()
+    assert where in str(err.value)
+
+
 def test_duplicate_assignment_rejected():
     bad = XOR3_JSON.replace("[1, 1, 0]", "[0, 0, 0]")
     with pytest.raises(InvalidDistribution, match="duplicate"):

@@ -4,14 +4,11 @@ import pytest
 
 from infoshare import (
     ZeroMass,
-    cond_mutual_content,
-    cond_pointwise,
     cond_surprisal,
     entropy,
     expected,
     intersection_content,
     mutual_content,
-    set_log_base,
     surprisal,
     synergy_content,
     unique_content,
@@ -111,17 +108,16 @@ def test_mutual_content_examples():
         mutual_content(u, [0], [0], (0, 0))
 
 
-def test_cond_pointwise_examples():
+def test_conditional_measure_examples():
     d = xor3()
     for r, _ in d.support():
-        assert cond_pointwise(d, "union", [[0], [1]], [2], r) == pytest.approx(1.0)
-        assert cond_pointwise(d, "synergy", [[0], [1]], [2], r) == pytest.approx(0.0)
-        assert cond_pointwise(d, "mutual", [[0], [1]], [2], r) == pytest.approx(1.0)
-        assert cond_mutual_content(d, [0], [1], [2], r) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="unknown"):
-        cond_pointwise(d, "nonsense", [[0], [1]], [2], (0, 0, 0))
-    with pytest.raises(ValueError, match="two sources"):
-        cond_pointwise(d, "unique", [[0]], [2], (0, 0, 0))
+        assert union_content(d, [[0], [1]], r, given=[2]) == pytest.approx(1.0)
+        assert synergy_content(d, [[0], [1]], r, given=[2]) == pytest.approx(0.0)
+        assert mutual_content(d, [0], [1], r, given=[2]) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="overlap"):
+        union_content(d, [[0], [1]], (0, 0, 0), given=[0, 2])
+    with pytest.raises(ZeroMass, match="conditioning"):
+        unique_content(point3(), [1], [2], (1, 0, 0), given=[0])
 
 
 def test_conditional_decomposition_identity():
@@ -132,13 +128,13 @@ def test_conditional_decomposition_identity():
         d = random_distribution(rng, [2, 2, 2])
         for r, _ in d.support():
             whole = cond_surprisal(d, [0, 1], [2], r)
-            union = cond_pointwise(d, "union", [[0], [1]], [2], r)
-            inter = cond_pointwise(d, "intersection", [[0], [1]], [2], r)
+            union = union_content(d, [[0], [1]], r, given=[2])
+            inter = intersection_content(d, [[0], [1]], r, given=[2])
             parts = (
                 inter
-                + cond_pointwise(d, "unique", [[0], [1]], [2], r)
-                + cond_pointwise(d, "unique", [[1], [0]], [2], r)
-                + cond_pointwise(d, "synergy", [[0], [1]], [2], r)
+                + unique_content(d, [0], [1], r, given=[2])
+                + unique_content(d, [1], [0], r, given=[2])
+                + synergy_content(d, [[0], [1]], r, given=[2])
             )
             assert abs(whole - parts) <= TOL
             assert whole >= union - TOL >= inter - 2 * TOL >= -3 * TOL
@@ -235,13 +231,11 @@ def test_conditional_content_splits_into_unique_and_synergy():
 def test_union_mutual_content_mixing_form():
     # i(union; target) mixes one source's content with the other's
     # conditional content: max of mins over the cross terms.
-    from infoshare import cond_union_content, union_content as uc
-
     for trial in range(40):
         rng = trial_rng(19, trial)
         d = random_distribution(rng, [2, 2, 2])
         for r, _ in d.support():
-            direct = uc(d, [[0], [1]], r) - cond_union_content(d, [[0], [1]], [2], r)
+            direct = union_content(d, [[0], [1]], r) - union_content(d, [[0], [1]], r, given=[2])
             hx, hy = surprisal(d, [0], r), surprisal(d, [1], r)
             hx_z = cond_surprisal(d, [0], [2], r)
             hy_z = cond_surprisal(d, [1], [2], r)
@@ -256,14 +250,3 @@ def test_point_mass_measures_vanish():
     assert synergy_content(p, [[0], [1], [2]], r) == 0.0
     assert mutual_content(p, [0], [1], r) == 0.0
 
-
-def test_log_base_selection():
-    d = copy2()
-    set_log_base(math.e)
-    assert surprisal(d, [0], (0, 0)) == pytest.approx(math.log(2.0))
-    set_log_base(10)
-    assert surprisal(d, [0], (0, 0)) == pytest.approx(math.log10(2.0))
-    set_log_base(2)
-    assert surprisal(d, [0], (0, 0)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        set_log_base(1.0)
