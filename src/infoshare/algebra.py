@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .distribution import JointDistribution
-from .decomposition import PartialValuation, lattice_valuation, mobius_closed_form
+from .decomposition import PartialValuation, chain_walk
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
 
 
@@ -251,10 +251,7 @@ def eval_expression(
     if lattice is None:
         lattice = enumerate_antichains(len(variables), allow_large)
     if partials is None:
-        valuation = lattice_valuation(
-            d, lattice, realization, variables=variables, given=given
-        )
-        partials = mobius_closed_form(valuation)
+        partials = chain_walk(d, lattice, realization, variables=variables, given=given)
     atoms = lower(expr, lattice)
     return math.fsum(
         partials.partials[a] for a in sorted(atoms, key=Antichain.sort_key)
@@ -367,7 +364,7 @@ def lemma_suite(
         raise ValueError("the lemma suite needs exactly three variables")
     lattice = enumerate_antichains(3)
     if partials is None:
-        partials = mobius_closed_form(lattice_valuation(d, lattice, realization))
+        partials = chain_walk(d, lattice, realization)
     values = partials.partials
     results = []
     for label, lhs_atoms, rhs_atom_lists in _compiled_lemmas(d.variables.names, lattice):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import lemma_suite
 from .decomposition import (
+    chain_walk,
     lattice_valuation,
     mobius_closed_form,
     mobius_recursive,
@@ -24,7 +25,7 @@ from .lattice import (
     sharing_meet,
 )
 from .measures import surprisal
-from .sampling import random_distribution, trial_rng
+from .sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 SUITES = ("props", "lemmas", "mobius", "pie")
 
@@ -168,12 +169,29 @@ def run_pie(seed: int, trials: int, tolerance: float) -> CheckReport:
 
 
 def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
-    """Closed-form inversion against the recursive oracle on random valuations."""
+    """Closed-form and chain-walk inversion against the recursive oracle.
+
+    Random valuations feed every law.  The chain law also runs on the
+    tie-heavy families for n = 2..4, where surprisals tie and the chain
+    walk merges levels.
+    """
     residuals = {
         "closed_equals_recursive": 0.0,
         "partials_nonnegative": 0.0,
         "partials_sum_to_top": 0.0,
+        "chain_equals_closed": 0.0,
     }
+
+    def bump(name: str, value: float) -> None:
+        if value > residuals[name]:
+            residuals[name] = value
+
+    def check_chain(d, lattice, r, closed, recursive) -> None:
+        chain = chain_walk(d, lattice, r).partials
+        for node in lattice.nodes:
+            bump("chain_equals_closed", abs(chain[node] - closed.partials[node]))
+            bump("chain_equals_closed", abs(chain[node] - recursive.partials[node]))
+
     for t in range(trials):
         rng = trial_rng(seed, t)
         n = rng.choice((2, 3))
@@ -183,21 +201,21 @@ def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
             valuation = lattice_valuation(d, lattice, r)
             closed = mobius_closed_form(valuation)
             recursive = mobius_recursive(valuation)
-            diff = max(
+            bump("closed_equals_recursive", max(
                 abs(closed.partials[node] - recursive.partials[node])
                 for node in lattice.nodes
-            )
-            residuals["closed_equals_recursive"] = max(
-                residuals["closed_equals_recursive"], diff
-            )
-            low = min(closed.partials.values())
-            residuals["partials_nonnegative"] = max(
-                residuals["partials_nonnegative"], max(0.0, -low)
-            )
-            gap = abs(closed.total() - valuation.values[lattice.top])
-            residuals["partials_sum_to_top"] = max(
-                residuals["partials_sum_to_top"], gap
-            )
+            ))
+            bump("partials_nonnegative", -min(closed.partials.values()))
+            bump("partials_sum_to_top", abs(closed.total() - valuation.values[lattice.top]))
+            check_chain(d, lattice, r, closed, recursive)
+    for n in (2, 3, 4):
+        lattice = enumerate_antichains(n)
+        for d in tie_heavy_distributions(n):
+            for r, _ in d.support():
+                valuation = lattice_valuation(d, lattice, r)
+                check_chain(
+                    d, lattice, r, mobius_closed_form(valuation), mobius_recursive(valuation)
+                )
     return _report("mobius", seed, trials, tolerance, residuals)
 
 
@@ -209,7 +227,7 @@ def run_lemmas(seed: int, trials: int, tolerance: float) -> CheckReport:
         rng = trial_rng(seed, t)
         d = random_distribution(rng, [2, 2, 2])
         for r, _ in d.support():
-            partials = mobius_closed_form(lattice_valuation(d, lattice, r))
+            partials = chain_walk(d, lattice, r)
             for result in lemma_suite(d, r, partials=partials):
                 if result.residual > residuals[result.name]:
                     residuals[result.name] = result.residual

@@ -193,6 +193,11 @@ def load_file(path: str | Path) -> JointDistribution:
     return load_distribution(p.read_text(encoding="utf-8"), fmt)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; `bool` is a subclass of `int` but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_json(text: str) -> JointDistribution:
     try:
         doc = json.loads(text)
@@ -213,13 +218,14 @@ def _load_json(text: str) -> JointDistribution:
             raise InvalidDistribution(
                 f'variable entry {i} must carry "name" and "cardinality"'
             )
-        names.append(str(entry["name"]))
-        try:
-            cards.append(int(entry["cardinality"]))
-        except (TypeError, ValueError):
+        if not isinstance(entry["name"], str):
+            raise InvalidDistribution(f"name of variable entry {i} is not a string")
+        names.append(entry["name"])
+        if not _is_int(entry["cardinality"]):
             raise InvalidDistribution(
                 f"cardinality of variable {entry['name']!r} is not an integer"
-            ) from None
+            )
+        cards.append(entry["cardinality"])
     variables = VariableSet(tuple(names), tuple(cards))
 
     if not isinstance(doc["pmf"], list):
@@ -228,16 +234,22 @@ def _load_json(text: str) -> JointDistribution:
     for i, entry in enumerate(doc["pmf"]):
         if not isinstance(entry, dict) or "assignment" not in entry or "p" not in entry:
             raise InvalidDistribution(f'pmf entry {i} must carry "assignment" and "p"')
+        raw = entry["assignment"]
+        if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
+            raise InvalidDistribution(f"pmf entry {i}: assignment must be an array of integers")
         try:
-            assignment = variables.check_realization(entry["assignment"])
-        except (TypeError, ValueError) as exc:
+            assignment = variables.check_realization(raw)
+        except ValueError as exc:
             raise InvalidDistribution(f"pmf entry {i}: {exc}") from None
         if assignment in pmf:
             raise InvalidDistribution(f"duplicate assignment {list(assignment)} (entry {i})")
+        mass = entry["p"]
+        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+            raise InvalidDistribution(f"pmf entry {i}: mass is not a number")
         try:
-            p = float(entry["p"])
-        except (TypeError, ValueError):
-            raise InvalidDistribution(f"pmf entry {i}: mass is not a number") from None
+            p = float(mass)
+        except OverflowError:
+            raise InvalidDistribution(f"pmf entry {i}: mass {mass} is out of range") from None
         if not math.isfinite(p):
             raise InvalidDistribution(f"pmf entry {i}: non-finite mass {p!r}")
         if p < 0.0:

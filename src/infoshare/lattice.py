@@ -73,9 +73,8 @@ class Antichain:
         return tuple((len(s), s) for s in self.sources)
 
     def label(self, names: Sequence[str]) -> str:
-        return "".join(
-            "{" + ",".join(names[i] for i in src) + "}" for src in self.sources
-        )
+        inner = "}{".join(",".join(map(names.__getitem__, src)) for src in self.sources)
+        return "{" + inner + "}"
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.label(default_names(max(max(s) for s in self.sources) + 1))
@@ -113,24 +112,6 @@ def sharing_meet(alpha: Antichain, beta: Antichain) -> Antichain:
     return join(alpha, beta)
 
 
-def _all_antichains(n: int) -> list[Antichain]:
-    sources = [frozenset(s) for s in enumerate_sources(n)]
-    found: list[Antichain] = []
-    current: list[frozenset[int]] = []
-
-    def extend(start: int) -> None:
-        for i in range(start, len(sources)):
-            s = sources[i]
-            if all(not (s <= t or t <= s) for t in current):
-                current.append(s)
-                found.append(Antichain.normalize(current))
-                extend(i + 1)
-                current.pop()
-
-    extend(0)
-    return found
-
-
 def _source_mask(source: tuple[int, ...]) -> int:
     mask = 0
     for i in source:
@@ -145,6 +126,37 @@ def _bit_ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _all_antichains(
+    sources: Sequence[tuple[int, ...]],
+) -> list[tuple[Antichain, tuple[int, ...], int]]:
+    """Every antichain with its member indices and up-set mask.
+
+    Sources are tried in canonical order, and one is taken only when no
+    member already taken is comparable to it.  So every member tuple is
+    already normalized, and the depth-first order is the `sort_key`
+    order.  Bit k of a mask stands for `sources[k]`.
+    """
+    smasks = [_source_mask(s) for s in sources]
+    # up[k]: the sources containing source k; comparable[k]: those and
+    # the sources contained in it
+    up = [sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sk) for sk in smasks]
+    comparable = [
+        u | sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sl)
+        for sk, u in zip(smasks, up)
+    ]
+    found: list[tuple[Antichain, tuple[int, ...], int]] = []
+
+    def extend(start: int, members: tuple, ids: tuple, blocked: int, upset: int) -> None:
+        for k in range(start, len(sources)):
+            if not blocked >> k & 1:
+                chosen, chosen_ids = members + (sources[k],), ids + (k,)
+                found.append((Antichain(chosen), chosen_ids, upset | up[k]))
+                extend(k + 1, chosen, chosen_ids, blocked | comparable[k], upset | up[k])
+
+    extend(0, (), (), 0, 0)
+    return found
+
+
 class RedundancyLattice:
     """Every antichain of non-empty subsets of n variables, with its order.
 
@@ -152,11 +164,13 @@ class RedundancyLattice:
     corresponding Dedekind numbers, which additionally count the empty
     antichain and the antichain of the empty set).
 
-    Internally each node is identified with the up-set of sources its
-    antichain generates; the node order is reversed inclusion of up-sets,
-    and covering pairs differ by exactly one source.  That keeps the cover
-    relation cheap for every supported n.  The full pairwise order is
-    additionally precomputed up to n = 4 and derived on demand for n = 5.
+    Each node is also identified with the up-set of sources its antichain
+    generates, kept as a bitmask over `sources` (bit k stands for
+    `sources[k]`): the node order is reversed inclusion of up-sets, and
+    covering pairs differ by exactly one source.  That keeps the cover
+    relation cheap for every supported n; it is built on first use.  The
+    full pairwise order is additionally precomputed up to n = 4 and
+    derived on demand for n = 5.
     """
 
     def __init__(self, n: int, allow_large: bool = False):
@@ -165,13 +179,18 @@ class RedundancyLattice:
             hint = "" if allow_large else " (n = 5 needs the explicit override)"
             raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
         self.n = n
-        self.nodes: tuple[Antichain, ...] = tuple(
-            sorted(_all_antichains(n), key=Antichain.sort_key)
-        )
-        self._index = {node: i for i, node in enumerate(self.nodes)}
-        self.bottom = Antichain.normalize([(i,) for i in range(n)])
-        self.top = Antichain.normalize([tuple(range(n))])
-        self._build_structure()
+        self.sources: tuple[tuple[int, ...], ...] = tuple(enumerate_sources(n))
+        nodes, members, upsets = zip(*_all_antichains(self.sources))
+        self.nodes: tuple[Antichain, ...] = nodes
+        # indices into `sources` of each node's members, in node order
+        self.members: tuple[tuple[int, ...], ...] = members
+        # up-set mask of each node, in node order
+        self.upsets: tuple[int, ...] = upsets
+        self._index = {node: i for i, node in enumerate(nodes)}
+        self._by_upset = {m: i for i, m in enumerate(upsets)}
+        self.bottom = Antichain(tuple((i,) for i in range(n)))
+        self.top = Antichain((tuple(range(n)),))
+        self._covers: list[tuple[int, ...]] | None = None
         self._below: list[int] | None = None
         self._topo: tuple[Antichain, ...] | None = None
         if n <= MAX_DEFAULT_N:
@@ -192,40 +211,31 @@ class RedundancyLattice:
         except KeyError:
             raise ValueError(f"{alpha!r} is not a node of this lattice") from None
 
-    def _build_structure(self) -> None:
-        sources = enumerate_sources(self.n)
-        smasks = [_source_mask(s) for s in sources]
-        count = len(sources)
-        # strict supersets of each source, as masks over source indices
-        sup = [0] * count
-        for k, sk in enumerate(smasks):
-            for l, sl in enumerate(smasks):
-                if l != k and sk & sl == sk:
-                    sup[k] |= 1 << l
-        # up-set of each node: sources containing one of its members
-        up = []
-        for node in self.nodes:
-            nmasks = [_source_mask(src) for src in node.sources]
-            m = 0
-            for k, sk in enumerate(smasks):
-                if any(a & sk == a for a in nmasks):
-                    m |= 1 << k
-            up.append(m)
-        up_index = {m: i for i, m in enumerate(up)}
-        # covered nodes: add one admissible source to the up-set
-        covers = []
-        for i in range(len(self.nodes)):
-            ids = []
-            free = ~up[i]
-            for k in range(count):
-                if free >> k & 1 and sup[k] & ~up[i] == 0:
-                    ids.append(up_index[up[i] | (1 << k)])
-            covers.append(tuple(sorted(ids)))
-        self._up = up
-        self._covers = covers
+    def node_at(self, upset: int) -> Antichain:
+        """The node whose up-set mask is `upset`."""
+        try:
+            return self.nodes[self._by_upset[upset]]
+        except KeyError:
+            raise ValueError(f"{upset:#x} is not the up-set of a node") from None
+
+    def _build_covers(self) -> list[tuple[int, ...]]:
+        # the up-set of a one-source node: the sources containing it
+        contain = [self.upsets[self._index[Antichain((s,))]] for s in self.sources]
+        full = (1 << len(contain)) - 1
+        by_upset = self._by_upset
+        # covered nodes: add one source, all of whose strict supersets are
+        # already in the up-set
+        return [
+            tuple(sorted(
+                by_upset[up | 1 << k]
+                for k in _bit_ids(full & ~up)
+                if contain[k] & ~up == 1 << k
+            ))
+            for up in self.upsets
+        ]
 
     def _build_order_table(self) -> None:
-        up = self._up
+        up = self.upsets
         size = len(self.nodes)
         # below[i] bit j set iff nodes[j] precedes nodes[i], i.e. the
         # up-set of j contains the up-set of i
@@ -239,24 +249,24 @@ class RedundancyLattice:
         i = self.index(alpha)
         if self._below is not None:
             return tuple(self.nodes[j] for j in _bit_ids(self._below[i]))
-        up = self._up
+        up = self.upsets
         return tuple(
             self.nodes[j] for j in range(len(self.nodes)) if up[i] & ~up[j] == 0
         )
 
     def covered_by(self, alpha: Antichain) -> tuple[Antichain, ...]:
         """Maximal strict predecessors of alpha."""
+        if self._covers is None:
+            self._covers = self._build_covers()
         return tuple(self.nodes[j] for j in self._covers[self.index(alpha)])
 
     def topo_order(self) -> tuple[Antichain, ...]:
         """Nodes sorted bottom-up; up-set size decreases strictly up the order."""
         if self._topo is None:
-            self._topo = tuple(
-                sorted(
-                    self.nodes,
-                    key=lambda a: (-self._up[self.index(a)].bit_count(), a.sort_key()),
-                )
-            )
+            # node order is `sort_key` order, so the index breaks ties alike
+            up = self.upsets
+            order = sorted(range(len(up)), key=lambda i: (-up[i].bit_count(), i))
+            self._topo = tuple(self.nodes[i] for i in order)
         return self._topo
 
 

@@ -1,4 +1,4 @@
-"""Seeded random joint distributions for the randomized suites."""
+"""Seeded random and fixed tie-heavy joint distributions for the suites."""
 
 from __future__ import annotations
 
@@ -49,3 +49,29 @@ def random_distribution(
     total = math.fsum(weights)
     pmf = {cell: w / total for cell, w in zip(chosen, weights)}
     return JointDistribution(variables, pmf)
+
+
+def tie_heavy_distributions(n: int) -> list[JointDistribution]:
+    """Fixed n-variable distributions whose surprisals tie at every point.
+
+    XOR and AND make the last bit a function of the other fair bits, COPY
+    repeats one fair bit, UNIFORM spreads over every binary outcome,
+    FUNCTION reads the bits of a four-valued first variable (the first
+    bit repeats from the fourth variable on), and POINT is a point mass.
+    Random masses almost never tie, so these cover what they miss.
+    """
+    names = default_names(n)
+    binary = VariableSet(names, (2,) * n)
+    inputs = list(product((0, 1), repeat=n - 1))
+    function = {
+        (x,) + tuple(x >> (i % 2) & 1 for i in range(n - 1)): p
+        for x, p in enumerate((0.5, 0.25, 0.125, 0.125))
+    }
+    return [
+        JointDistribution(binary, {a + (sum(a) % 2,): 1 / len(inputs) for a in inputs}),
+        JointDistribution(binary, {a + (int(all(a)),): 1 / len(inputs) for a in inputs}),
+        JointDistribution(binary, {(0,) * n: 0.5, (1,) * n: 0.5}),
+        JointDistribution(binary, dict.fromkeys(product((0, 1), repeat=n), 0.5 ** n)),
+        JointDistribution(VariableSet(names, (4,) + (2,) * (n - 1)), function),
+        JointDistribution(binary, {(0,) * n: 1.0}),
+    ]

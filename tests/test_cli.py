@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from infoshare import enumerate_antichains, lattice_valuation, mobius_closed_form
 from infoshare.cli import main
 from infoshare.sampling import random_distribution, trial_rng
 
@@ -189,6 +190,45 @@ def test_check_suites_pass(capsys):
         assert main(["--trials", "50", "--seed", "3", "check", "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
+
+
+def test_check_mobius_has_chain_law(capsys):
+    assert main(["--trials", "20", "--format", "structured", "check", "--suite", "mobius"]) == 0
+    laws = {law["name"]: law for law in json.loads(capsys.readouterr().out)["laws"]}
+    assert laws["chain_equals_closed"]["pass"] is True
+    assert laws["chain_equals_closed"]["max_residual"] <= 1e-9
+
+
+def test_n5_expected_rows_match_the_oracles(tmp_path, capsys):
+    # The production rows against the per-point oracles, summed alike.
+    d = random_distribution(trial_rng(71, 0), [2] * 5, sparsity=0.75)
+    doc = {
+        "variables": [{"name": n, "cardinality": 2} for n in d.variables.names],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--allow-n5", "--format", "structured", "decompose", str(path),
+                 "--mode", "expected"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+
+    lattice = enumerate_antichains(5, True)
+    values = {node: [] for node in lattice.nodes}
+    partials = {node: [] for node in lattice.nodes}
+    for r, p in d.support():
+        valuation = lattice_valuation(d, lattice, r)
+        for node, partial in mobius_closed_form(valuation).partials.items():
+            values[node].append(p * valuation.values[node])
+            partials[node].append(p * partial)
+    expected = [
+        {
+            "node": node.label(d.variables.names),
+            "value": math.fsum(values[node]),
+            "partial": math.fsum(partials[node]),
+        }
+        for node in lattice.topo_order()
+    ]
+    assert rows == expected
 
 
 def test_check_structured(capsys):

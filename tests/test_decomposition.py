@@ -5,6 +5,7 @@ import pytest
 from infoshare import (
     Antichain,
     ZeroMass,
+    chain_walk,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
@@ -25,9 +26,9 @@ from infoshare import (
     trivariate_report,
     unique_content,
 )
-from infoshare.sampling import random_distribution, trial_rng
+from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
-from helpers import copy2, copy3, indep3, point3, unif2, xor3
+from helpers import anti, biased1, biased2, copy2, copy3, indep3, point3, unif2, xor3
 
 A = Antichain.normalize
 TOL = 1e-9
@@ -371,3 +372,56 @@ def test_decomposition_rows_order_and_shape():
     assert rows[0][0] == "{X}{Y}{Z}"
     assert rows[-1][0] == "{X,Y,Z}"
     assert rows[0][1] == pytest.approx(1.0)
+
+
+def _differential_distributions():
+    """Tie-heavy fixtures and seeded random distributions for n = 1..4."""
+    fixtures = [biased1(), anti(), biased2(), copy2(), unif2(), copy3(), indep3(), point3(), xor3()]
+    for n in (2, 3, 4):
+        fixtures.extend(tie_heavy_distributions(n))
+    shapes = ([2], [4], [2, 3], [3, 3], [2, 2, 2], [3, 2, 2], [2, 2, 2, 2], [3, 2, 2, 2])
+    for i, shape in enumerate(shapes):
+        for trial in range(4):
+            fixtures.append(random_distribution(trial_rng(61 + i, trial), shape))
+    return fixtures
+
+
+def _bits(floats):
+    """Exact float bits per node, so that -0.0 and 0.0 differ."""
+    return {node: value.hex() for node, value in floats.items()}
+
+
+def test_chain_walk_matches_both_oracles():
+    # The chain walk against the closed form (bit for bit) and the recursive
+    # inversion (within TOL) at every support point, plain and conditioned.
+    for d in _differential_distributions():
+        n = d.variables.n
+        lattice = enumerate_antichains(n)
+        for r, _ in d.support():
+            valuation = lattice_valuation(d, lattice, r)
+            chain = chain_walk(d, lattice, r)
+            assert _bits(chain.valuation.values) == _bits(valuation.values)
+            assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
+            recursive = mobius_recursive(valuation).partials
+            for node in lattice.nodes:
+                assert abs(chain.partials[node] - recursive[node]) <= TOL
+            if n >= 2:
+                sub = enumerate_antichains(n - 1)
+                keep, given = tuple(range(n - 1)), (n - 1,)
+                conditioned = lattice_valuation(d, sub, r, variables=keep, given=given)
+                chain = chain_walk(d, sub, r, variables=keep, given=given)
+                assert _bits(chain.valuation.values) == _bits(conditioned.values)
+                assert _bits(chain.partials) == _bits(mobius_closed_form(conditioned).partials)
+
+
+def test_chain_walk_matches_closed_form_n5():
+    lattice = enumerate_antichains(5, True)
+    points = [(d, d.support()[-1][0]) for d in tie_heavy_distributions(5)]
+    d = random_distribution(trial_rng(67, 0), [2] * 5)
+    points += [(d, r) for r, _ in d.support()[:2]]
+    for d, r in points:
+        valuation = lattice_valuation(d, lattice, r)
+        chain = chain_walk(d, lattice, r)
+        assert _bits(chain.valuation.values) == _bits(valuation.values)
+        assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
+        assert sum(1 for v in chain.partials.values() if v != 0.0) <= 31

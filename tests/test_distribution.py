@@ -218,3 +218,38 @@ def test_random_distributions_normalized(trial):
     d = random_distribution(rng, [rng.randint(2, 4), rng.randint(2, 4)])
     assert abs(math.fsum(p for _, p in d.support()) - 1.0) <= 1e-12
     assert all(p > 0 for _, p in d.support())
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ('"assignment": [1, 1, 0]', '"assignment": [0.9, 1, 0]', "entry 3"),
+        ('"assignment": [1, 1, 0]', '"assignment": [true, 1, 0]', "entry 3"),
+        ('"assignment": [1, 1, 0]', '"assignment": "110"', "entry 3"),
+        ('"assignment": [1, 1, 0]', '"assignment": ["1", 1, 0]', "entry 3"),
+        ('"name": "Y", "cardinality": 2', '"name": "Y", "cardinality": 2.7', "'Y'"),
+        ('"name": "Y", "cardinality": 2', '"name": "Y", "cardinality": true', "'Y'"),
+        ('"name": "Y", "cardinality": 2', '"name": "Y", "cardinality": "2"', "'Y'"),
+        ('[1, 1, 0], "p": 0.25', '[1, 1, 0], "p": true', "entry 3"),
+        ('[1, 1, 0], "p": 0.25', '[1, 1, 0], "p": "0.25"', "entry 3"),
+        ('[1, 1, 0], "p": 0.25', '[1, 1, 0], "p": 1' + "0" * 400, "entry 3"),
+        ('"name": "Y"', '"name": null', "entry 1"),
+        ('"name": "Y"', '"name": 7', "entry 1"),
+    ],
+    ids=["assignment-float", "assignment-bool", "assignment-string", "assignment-str-item",
+         "cardinality-float", "cardinality-bool", "cardinality-string",
+         "mass-bool", "mass-string", "mass-huge-int", "name-null", "name-number"],
+)
+def test_json_rejects_non_integer_and_boolean_fields(old, new, where):
+    assert old in XOR3_JSON
+    with pytest.raises(InvalidDistribution) as err:
+        load_distribution(XOR3_JSON.replace(old, new))
+    assert where in str(err.value)
+
+
+def test_json_accepts_integer_masses():
+    d = load_distribution(
+        '{"variables": [{"name": "X", "cardinality": 2}],'
+        ' "pmf": [{"assignment": [0], "p": 1}, {"assignment": [1], "p": 0}]}'
+    )
+    assert d.support() == (((0,), 1.0),)

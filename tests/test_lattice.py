@@ -300,3 +300,23 @@ def test_dot_export_n3_both_kinds():
     assert flipped == shr_edges
     with pytest.raises(ValueError, match="kind"):
         to_dot(lattice, kind="other")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mask_built_nodes_are_normalized_with_their_upsets(n):
+    lattice = enumerate_antichains(n, True)
+    assert list(lattice.nodes) == sorted(lattice.nodes, key=Antichain.sort_key)
+    sets = [frozenset(s) for s in lattice.sources]
+    for i, node in enumerate(lattice.nodes):
+        assert node == A(node.sources)
+        assert tuple(lattice.sources[k] for k in lattice.members[i]) == node.sources
+        upset = sum(
+            1 << k for k, s in enumerate(sets) if any(frozenset(m) <= s for m in node.sources)
+        )
+        assert lattice.upsets[i] == upset
+        assert lattice.node_at(upset) is node
+    assert lattice.bottom == A([(i,) for i in range(n)])
+    assert lattice.top == A([tuple(range(n))])
+    assert len(set(lattice.upsets)) == len(lattice)
+    with pytest.raises(ValueError, match="not the up-set"):
+        lattice.node_at(0)
