@@ -23,6 +23,7 @@ from .decomposition import (
     LatticeValuation,
     MutualDecomposition,
     PartialValuation,
+    chain_levels,
     chain_walk,
     decompose_expected,
     decompose_pointwise,

@@ -1,4 +1,4 @@
-"""Expression grammar over sources, lowered to node sets on the lattice.
+"""Expression grammar over sources, lowered to sets of up-set masks.
 
 Surface syntax::
 
@@ -8,23 +8,27 @@ Surface syntax::
 Chains of one repeated operator are allowed; mixing operators requires
 parentheses because no precedence is defined among them.
 
-Lowering maps a source leaf to the down-set of its singleton antichain,
-`cap`/`cup`/`minus` to set intersection/union/difference of atom sets,
-and `oplus` to the down-set of the joint of all involved variables minus
-the union of the arguments' atom sets.  An expression's value at a
-realization is the sum of the pointwise increments over its atom set.
+A node is the up-set mask its antichain generates (bit k stands for
+`enumerate_sources(n)[k]`); it lies below a source S when it holds S.
+Lowering maps a leaf S to the masks holding bit S, `cup`/`cap`/`minus`
+to or/and/and-not, and `oplus` to the masks holding the bit of all
+involved variables minus its arguments.  An expression's value at a
+realization sums the increments of the nodes it covers; only the
+realization's chain carries any, so `eval_expression` needs no lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Sequence, Union
 
 from .distribution import JointDistribution
-from .decomposition import PartialValuation, chain_walk
-from .lattice import Antichain, RedundancyLattice, enumerate_antichains
+from .decomposition import chain_levels, source_surprisals
+from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
+                      enumerate_sources)
 
 
 class ExpressionError(ValueError):
@@ -176,33 +180,40 @@ def expression_variables(expr: Expr) -> frozenset[int]:
     return frozenset().union(*(expression_variables(a) for a in expr.args))
 
 
+def _compile(expr: Expr, masks: Sequence[int], n: int) -> int:
+    """Bitset over `masks`, up-sets over n variables: bit i marks masks[i] as covered."""
+    bits = {src: k for k, src in enumerate(enumerate_sources(n))}
+
+    def holding(source: tuple[int, ...]) -> int:
+        k = bits[source]
+        return sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+
+    def walk(e: Expr) -> int:
+        if isinstance(e, SourceLeaf):
+            source = canonical_source(e.members)
+            if source not in bits:
+                raise ExpressionError(
+                    f"source {e.members} exceeds the lattice's {n} variables"
+                )
+            return holding(source)
+        parts = [walk(arg) for arg in e.args]
+        if e.op == "cup":
+            return reduce(or_, parts)
+        if e.op == "cap":
+            return reduce(and_, parts)
+        if e.op == "minus":
+            return parts[0] & ~reduce(or_, parts[1:], 0)
+        if e.op == "oplus":
+            return holding(tuple(sorted(expression_variables(e)))) & ~reduce(or_, parts)
+        raise ExpressionError(f"unknown operator {e.op!r}")
+
+    return walk(expr)
+
+
 def lower(expr: Expr, lattice: RedundancyLattice) -> frozenset[Antichain]:
     """Atom set of an expression: the lattice nodes whose increments it sums."""
-    if isinstance(expr, SourceLeaf):
-        if any(i >= lattice.n for i in expr.members):
-            raise ExpressionError(
-                f"source {expr.members} exceeds the lattice's {lattice.n} variables"
-            )
-        node = Antichain.normalize([expr.members])
-        return frozenset(lattice.down_set(node))
-    parts = [lower(arg, lattice) for arg in expr.args]
-    if expr.op == "cup":
-        return frozenset().union(*parts)
-    if expr.op == "cap":
-        atoms = parts[0]
-        for p in parts[1:]:
-            atoms &= p
-        return atoms
-    if expr.op == "minus":
-        atoms = parts[0]
-        for p in parts[1:]:
-            atoms -= p
-        return atoms
-    if expr.op == "oplus":
-        span = sorted(frozenset().union(*(expression_variables(a) for a in expr.args)))
-        whole = frozenset(lattice.down_set(Antichain.normalize([tuple(span)])))
-        return whole - frozenset().union(*parts)
-    raise ExpressionError(f"unknown operator {expr.op!r}")
+    covered = _compile(expr, lattice.upsets, lattice.n)
+    return frozenset(node for i, node in enumerate(lattice.nodes) if covered >> i & 1)
 
 
 def _ensure_expr(expr_or_text, names: Sequence[str]) -> Expr:
@@ -222,17 +233,15 @@ def eval_expression(
     expr_or_text,
     realization: Sequence[int],
     given: Iterable[int] | None = None,
-    lattice: RedundancyLattice | None = None,
-    partials: PartialValuation | None = None,
-    allow_large: bool = False,
 ) -> float:
     """Value of an expression at a support realization.
 
-    With `given`, the expression is lowered against the lattice of the
-    remaining variables and summed over a conditioned valuation, so it
-    must not mention any conditioning variable.  Pass a precomputed
-    `partials` (with its matching `lattice`) to amortize the inversion
-    across many expressions at the same realization.
+    The expression is lowered over the chain of the realization (see
+    `chain_levels`); every node off the chain has increment 0.0 and
+    `fsum` is exact, so this is the sum over its whole atom set, and no
+    lattice is built.  With `given`, the chain spans the remaining
+    variables with conditioned surprisals, so the expression must not
+    mention any conditioning variable.
     """
     expr = _ensure_expr(expr_or_text, d.variables.names)
     if given is not None:
@@ -248,14 +257,11 @@ def eval_expression(
         variables: tuple[int, ...] = keep
     else:
         variables = tuple(range(d.variables.n))
-    if lattice is None:
-        lattice = enumerate_antichains(len(variables), allow_large)
-    if partials is None:
-        partials = chain_walk(d, lattice, realization, variables=variables, given=given)
-    atoms = lower(expr, lattice)
-    return math.fsum(
-        partials.partials[a] for a in sorted(atoms, key=Antichain.sort_key)
-    )
+    n = len(variables)
+    h = source_surprisals(d, enumerate_sources(n), realization, variables, given)
+    chain = chain_levels(h)
+    covered = _compile(expr, [mask for mask, _ in chain], n)
+    return math.fsum(inc for i, (_, inc) in enumerate(chain) if covered >> i & 1)
 
 
 def eval_mutual(
@@ -263,14 +269,11 @@ def eval_mutual(
     expr_or_text,
     target: Iterable[int],
     realization: Sequence[int],
-    allow_large: bool = False,
 ) -> float:
     """What the expression says about the target: plain minus conditioned value."""
     expr = _ensure_expr(expr_or_text, d.variables.names)
-    plain = eval_expression(d, expr, realization, allow_large=allow_large)
-    conditioned = eval_expression(
-        d, expr, realization, given=target, allow_large=allow_large
-    )
+    plain = eval_expression(d, expr, realization)
+    conditioned = eval_expression(d, expr, realization, given=target)
     return plain - conditioned
 
 
@@ -331,44 +334,31 @@ class LemmaResult:
 
 @lru_cache(maxsize=None)
 def _compiled_lemmas(
-    names: tuple[str, ...], lattice: RedundancyLattice
-) -> tuple[tuple[str, tuple[Antichain, ...], tuple[tuple[Antichain, ...], ...]], ...]:
+    names: tuple[str, ...],
+) -> tuple[tuple[str, frozenset[int], tuple[frozenset[int], ...]], ...]:
+    """Each lemma's two sides lowered once on the three-variable lattice, as up-set masks."""
+    lattice = enumerate_antichains(3)
     x, y, z = names
-    compiled = []
-    for label, lhs_text, rhs_texts in _LEMMAS:
-        lhs_atoms = lower(
-            parse_expression(lhs_text.format(x=x, y=y, z=z), names), lattice
-        )
-        rhs_atoms = tuple(
-            tuple(
-                sorted(
-                    lower(parse_expression(t.format(x=x, y=y, z=z), names), lattice),
-                    key=Antichain.sort_key,
-                )
-            )
-            for t in rhs_texts
-        )
-        compiled.append(
-            (label, tuple(sorted(lhs_atoms, key=Antichain.sort_key)), rhs_atoms)
-        )
-    return tuple(compiled)
+
+    def masks(text: str) -> frozenset[int]:
+        atoms = lower(parse_expression(text.format(x=x, y=y, z=z), names), lattice)
+        return frozenset(lattice.upsets[lattice.index(a)] for a in atoms)
+
+    return tuple((label, masks(lhs), tuple(map(masks, rhs))) for label, lhs, rhs in _LEMMAS)
 
 
-def lemma_suite(
-    d: JointDistribution,
-    realization: Sequence[int],
-    partials: PartialValuation | None = None,
-) -> list[LemmaResult]:
+def lemma_suite(d: JointDistribution, realization: Sequence[int]) -> list[LemmaResult]:
     """Evaluate both sides of the nine sharing identities at a realization."""
     if d.variables.n != 3:
         raise ValueError("the lemma suite needs exactly three variables")
-    lattice = enumerate_antichains(3)
-    if partials is None:
-        partials = chain_walk(d, lattice, realization)
-    values = partials.partials
+    chain = chain_levels(source_surprisals(d, enumerate_sources(3), realization, range(3)))
+
+    def total(masks: frozenset[int]) -> float:
+        return math.fsum(inc for mask, inc in chain if mask in masks)
+
     results = []
-    for label, lhs_atoms, rhs_atom_lists in _compiled_lemmas(d.variables.names, lattice):
-        lhs = math.fsum(values[a] for a in lhs_atoms)
-        rhs = math.fsum(math.fsum(values[a] for a in atoms) for atoms in rhs_atom_lists)
+    for label, lhs_masks, rhs_masks in _compiled_lemmas(d.variables.names):
+        lhs = total(lhs_masks)
+        rhs = math.fsum(map(total, rhs_masks))
         results.append(LemmaResult(label, lhs, rhs, abs(lhs - rhs)))
     return results

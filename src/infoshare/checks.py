@@ -222,13 +222,11 @@ def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
 def run_lemmas(seed: int, trials: int, tolerance: float) -> CheckReport:
     """The nine three-variable sharing identities on random distributions."""
     residuals = {f"L{i}": 0.0 for i in range(1, 10)}
-    lattice = enumerate_antichains(3)
     for t in range(trials):
         rng = trial_rng(seed, t)
         d = random_distribution(rng, [2, 2, 2])
         for r, _ in d.support():
-            partials = chain_walk(d, lattice, r)
-            for result in lemma_suite(d, r, partials=partials):
+            for result in lemma_suite(d, r):
                 if result.residual > residuals[result.name]:
                     residuals[result.name] = result.residual
     return _report("lemmas", seed, trials, tolerance, residuals)

@@ -111,6 +111,9 @@ def cmd_validate(config: RunConfig, args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.file}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InvalidDistribution as exc:
         print(f"invalid distribution: {exc}", file=sys.stderr)
         return 1
@@ -292,8 +295,8 @@ def cmd_eval(config: RunConfig, args) -> int:
 
     def at(r) -> float:
         if about is not None:
-            return eval_mutual(d, expr, about, r, allow_large=config.allow_n5)
-        return eval_expression(d, expr, r, given=given, allow_large=config.allow_n5)
+            return eval_mutual(d, expr, about, r)
+        return eval_expression(d, expr, r, given=given)
 
     if args.realization:
         r = _parse_realization(args.realization)
@@ -409,10 +412,7 @@ def main(argv=None) -> int:
             structured=args.fmt == "structured",
         )
         return args.func(config, args)
-    except (InvalidDistribution, ZeroMass, ExpressionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidDistribution, ZeroMass, ExpressionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,11 +4,12 @@ A valuation assigns each lattice node the least surprisal among its
 sources at one realization (or an expectation of that).  Inversion turns
 node values into per-node increments.
 
-The production path is the chain walk (`chain_walk`).  At one
-realization the source surprisals are totally ordered, so only the
-up-sets {s : h(s) >= t} can carry a non-zero increment, and they form
-one chain: each gets the gap t - t' to the next lower surprisal, and
-every other node gets 0.0.  Two oracles are kept for the tests and the
+The production path is the chain walk (`chain_levels`, laid onto a
+lattice by `chain_walk`).  At one realization the source surprisals are
+totally ordered, so only the up-sets {s : h(s) >= t} can carry a
+non-zero increment, and they form one chain: each gets the gap t - t'
+to the next lower surprisal, and every other node gets 0.0.  It needs
+no lattice.  Two oracles are kept for the tests and the
 `check` suite: the recursive form subtracts the increments of everything
 strictly below a node, and the closed form subtracts the largest value
 among the covered nodes.  The chain walk makes the same float
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
-from .measures import cond_surprisal, intersection_content, surprisal
+from .measures import cond_surprisal, content, intersection_content, surprisal
 
 
 @dataclass
@@ -90,21 +91,46 @@ def lattice_valuation(
     by default the lattice spans all variables in order.
     """
     variables = _lattice_variables(d, lattice, variables)
-    cache: dict[tuple[int, ...], float] = {}
-
-    def h(src: tuple[int, ...]) -> float:
-        got = cache.get(src)
-        if got is None:
-            mapped = [variables[i] for i in src]
-            if given is None:
-                got = surprisal(d, mapped, realization)
-            else:
-                got = cond_surprisal(d, mapped, given, realization)
-            cache[src] = got
-        return got
-
-    values = {node: min(h(src) for src in node.sources) for node in lattice.nodes}
+    h = dict(zip(lattice.sources,
+                 source_surprisals(d, lattice.sources, realization, variables, given)))
+    values = {node: min(h[src] for src in node.sources) for node in lattice.nodes}
     return LatticeValuation(lattice, values)
+
+
+def source_surprisals(
+    d: JointDistribution,
+    sources: Sequence[tuple[int, ...]],
+    realization: Sequence[int],
+    variables: Sequence[int],
+    given: Iterable[int] | None = None,
+) -> list[float]:
+    """Surprisal of each source at the realization, conditioned on `given` if set.
+
+    Source members are positions in `variables`, which maps them to
+    distribution variable indices.
+    """
+    h = content(d, given, realization)
+    return [h([variables[i] for i in src]) for src in sources]
+
+
+def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
+    """The chain of one realization: (up-set mask, increment) per distinct surprisal.
+
+    `h` holds the surprisal of each source, and bit k of a mask stands
+    for source k.  Surprisals never fall as a source grows, so the set
+    {s : h(s) >= t} is an up-set, hence a node, for every level t.  Its
+    increment is t minus the next lower level (t itself after the last);
+    every up-set off the chain has increment 0.0.
+    """
+    levels: list[tuple[float, int]] = []
+    upset = 0
+    ranked = sorted(range(len(h)), key=h.__getitem__, reverse=True)
+    for t, group in groupby(ranked, key=h.__getitem__):
+        for k in group:
+            upset |= 1 << k
+        levels.append((t, upset))
+    lower = [t for t, _ in levels[1:]] + [0.0]
+    return [(mask, t - t_next) for (t, mask), t_next in zip(levels, lower)]
 
 
 def _chain_point(
@@ -115,25 +141,9 @@ def _chain_point(
     given: Iterable[int] | None,
 ) -> tuple[list[float], list[tuple[Antichain, float]]]:
     """Node values in node order, and the chain nodes with their increments."""
-    if given is None:
-        h = [surprisal(d, [variables[i] for i in src], realization)
-             for src in lattice.sources]
-    else:
-        h = [cond_surprisal(d, [variables[i] for i in src], given, realization)
-             for src in lattice.sources]
+    h = source_surprisals(d, lattice.sources, realization, variables, given)
     values = [min(map(h.__getitem__, ids)) for ids in lattice.members]
-    # Surprisals never fall as a source grows, so {s : h(s) >= t} is an
-    # up-set, hence a node, for every level t.
-    levels: list[tuple[float, int]] = []
-    upset = 0
-    ranked = sorted(range(len(h)), key=h.__getitem__, reverse=True)
-    for t, group in groupby(ranked, key=h.__getitem__):
-        for k in group:
-            upset |= 1 << k
-        levels.append((t, upset))
-    lower = [t for t, _ in levels[1:]] + [0.0]
-    chain = [(lattice.node_at(mask), t - t_next) for (t, mask), t_next in zip(levels, lower)]
-    return values, chain
+    return values, [(lattice.node_at(mask), inc) for mask, inc in chain_levels(h)]
 
 
 def chain_walk(
@@ -146,9 +156,7 @@ def chain_walk(
     """Node values and increments at one realization, by the chain walk.
 
     The 2^n - 1 source surprisals (conditioned on `given` if set) are
-    computed once.  Walking their distinct values t downwards, the node
-    whose up-set is {s : h(s) >= t} gets t minus the next lower value (or
-    t itself after the last); every other node gets 0.0.  `variables`
+    computed once, and `chain_levels` gives the increments.  `variables`
     maps lattice positions to distribution variable indices, as in
     `lattice_valuation`.
     """

@@ -259,16 +259,21 @@ def _load_json(text: str) -> JointDistribution:
 
 
 def _load_csv(text: str) -> JointDistribution:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    reader = csv.reader(io.StringIO(text))
+    # (physical line number, row) of every non-blank row
+    try:
+        rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise InvalidDistribution(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise InvalidDistribution("empty CSV document")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if len(header) < 2 or header[-1] != "p":
         raise InvalidDistribution('CSV header must list the variables and end with column "p"')
     names = header[:-1]
 
-    assignments: list[tuple[tuple[int, ...], float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    assignments: list[tuple[int, tuple[int, ...], float]] = []
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise InvalidDistribution(f"line {lineno}: expected {len(header)} columns")
         try:
@@ -285,20 +290,20 @@ def _load_csv(text: str) -> JointDistribution:
             raise InvalidDistribution(f"line {lineno}: non-finite mass {p!r}")
         if p < 0.0:
             raise InvalidDistribution(f"line {lineno}: negative mass {p!r}")
-        assignments.append((values, p))
+        assignments.append((lineno, values, p))
     if not assignments:
         raise InvalidDistribution("CSV document lists no assignments")
 
     # Cardinalities are not declared in CSV; infer them from the observed
     # categories, with the usual floor of two.
     cards = [2] * len(names)
-    for values, _ in assignments:
+    for _, values, _ in assignments:
         for i, v in enumerate(values):
             cards[i] = max(cards[i], v + 1)
     variables = VariableSet(tuple(names), tuple(cards))
 
     pmf: dict[tuple[int, ...], float] = {}
-    for lineno, (values, p) in enumerate(assignments, start=2):
+    for lineno, values, p in assignments:
         if values in pmf:
             raise InvalidDistribution(f"line {lineno}: duplicate assignment {list(values)}")
         pmf[values] = p

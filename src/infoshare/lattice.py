@@ -61,12 +61,12 @@ class Antichain:
         if not candidates:
             raise ValueError("an antichain needs at least one source")
         kept: list[tuple[int, ...]] = []
-        kept_sets: list[frozenset[int]] = []
+        kept_masks: list[int] = []
         for src in candidates:
-            fs = frozenset(src)
-            if not any(k <= fs for k in kept_sets):
+            mask = _source_mask(src)
+            if not any(k & ~mask == 0 for k in kept_masks):
                 kept.append(src)
-                kept_sets.append(fs)
+                kept_masks.append(mask)
         return Antichain(tuple(kept))
 
     def sort_key(self) -> tuple:
@@ -82,8 +82,10 @@ class Antichain:
 
 def precedes(alpha: Antichain, beta: Antichain) -> bool:
     """True when every source of beta contains some source of alpha."""
-    alpha_sets = [frozenset(a) for a in alpha.sources]
-    return all(any(a <= frozenset(b) for a in alpha_sets) for b in beta.sources)
+    alpha_masks = [_source_mask(a) for a in alpha.sources]
+    return all(
+        any(a & ~b == 0 for a in alpha_masks) for b in map(_source_mask, beta.sources)
+    )
 
 
 def sharing_precedes(alpha: Antichain, beta: Antichain) -> bool:
@@ -168,9 +170,7 @@ class RedundancyLattice:
     generates, kept as a bitmask over `sources` (bit k stands for
     `sources[k]`): the node order is reversed inclusion of up-sets, and
     covering pairs differ by exactly one source.  That keeps the cover
-    relation cheap for every supported n; it is built on first use.  The
-    full pairwise order is additionally precomputed up to n = 4 and
-    derived on demand for n = 5.
+    relation cheap for every supported n; it is built on first use.
     """
 
     def __init__(self, n: int, allow_large: bool = False):
@@ -191,10 +191,7 @@ class RedundancyLattice:
         self.bottom = Antichain(tuple((i,) for i in range(n)))
         self.top = Antichain((tuple(range(n)),))
         self._covers: list[tuple[int, ...]] | None = None
-        self._below: list[int] | None = None
         self._topo: tuple[Antichain, ...] | None = None
-        if n <= MAX_DEFAULT_N:
-            self._build_order_table()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -234,25 +231,10 @@ class RedundancyLattice:
             for up in self.upsets
         ]
 
-    def _build_order_table(self) -> None:
-        up = self.upsets
-        size = len(self.nodes)
-        # below[i] bit j set iff nodes[j] precedes nodes[i], i.e. the
-        # up-set of j contains the up-set of i
-        self._below = [
-            sum(1 << j for j in range(size) if up[i] & ~up[j] == 0)
-            for i in range(size)
-        ]
-
     def down_set(self, alpha: Antichain) -> tuple[Antichain, ...]:
         """All nodes below or equal to alpha, in node order."""
-        i = self.index(alpha)
-        if self._below is not None:
-            return tuple(self.nodes[j] for j in _bit_ids(self._below[i]))
-        up = self.upsets
-        return tuple(
-            self.nodes[j] for j in range(len(self.nodes)) if up[i] & ~up[j] == 0
-        )
+        up = self.upsets[self.index(alpha)]
+        return tuple(node for node, m in zip(self.nodes, self.upsets) if up & ~m == 0)
 
     def covered_by(self, alpha: Antichain) -> tuple[Antichain, ...]:
         """Maximal strict predecessors of alpha."""

@@ -47,7 +47,7 @@ def cond_surprisal(
     return math.log2(p_given) - math.log2(p_joint)
 
 
-def _content(d: JointDistribution, given, realization) -> Callable[[Iterable[int]], float]:
+def content(d: JointDistribution, given, realization) -> Callable[[Iterable[int]], float]:
     """Surprisal of a source at the realization, conditioned on `given` if set."""
     if given is None:
         return lambda source: surprisal(d, source, realization)
@@ -63,25 +63,25 @@ def _source_list(d: JointDistribution, sources) -> list[frozenset[int]]:
 
 def union_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Largest surprisal over the sources."""
-    h = _content(d, given, realization)
+    h = content(d, given, realization)
     return max(h(s) for s in _source_list(d, sources))
 
 
 def intersection_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Smallest surprisal over the sources."""
-    h = _content(d, given, realization)
+    h = content(d, given, realization)
     return min(h(s) for s in _source_list(d, sources))
 
 
 def unique_content(d: JointDistribution, first, second, realization, given=None) -> float:
     """Surplus surprisal of the first source over the second, floored at zero."""
-    h = _content(d, given, realization)
+    h = content(d, given, realization)
     return max(h(first) - h(second), 0.0)
 
 
 def synergy_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Joint surprisal of all involved variables minus the union content."""
-    h = _content(d, given, realization)
+    h = content(d, given, realization)
     parts = _source_list(d, sources)
     whole: frozenset[int] = frozenset().union(*parts)
     return h(whole) - max(h(s) for s in parts)
@@ -93,7 +93,7 @@ def mutual_content(d: JointDistribution, first, second, realization, given=None)
     b = d.variables.check_source(second)
     if a & b:
         raise ValueError("sources overlap")
-    h = _content(d, given, realization)
+    h = content(d, given, realization)
     return h(a) + h(b) - h(a | b)
 
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,25 +9,29 @@ from infoshare import (
     Antichain,
     ExpressionError,
     OpNode,
+    RedundancyLattice,
     SourceLeaf,
     enumerate_antichains,
     eval_expression,
     eval_mutual,
     eval_sharing,
+    expression_variables,
     lattice_valuation,
     lemma_suite,
     lower,
     mobius_closed_form,
     parse_expression,
+    precedes,
     redundancy_value,
     sharing_join,
     sharing_meet,
     surprisal,
     union_content,
 )
-from infoshare.sampling import random_distribution, trial_rng
+from infoshare.cli import main
+from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
-from helpers import biased2, xor3
+from helpers import XOR3_JSON, biased2, xor3
 
 A = Antichain.normalize
 NAMES3 = ("x", "y", "z")
@@ -188,11 +195,9 @@ def test_random_sharing_trees_match_eval_sharing(tree):
     d = random_distribution(trial_rng(151, 0), [2, 2, 2])
     text = _render(tree)
     antichain = _fold(tree)
-    lattice = enumerate_antichains(3)
     for r, _ in d.support():
         h = [surprisal(d, [i], r) for i in range(3)]
-        partials = mobius_closed_form(lattice_valuation(d, lattice, r))
-        got = eval_expression(d, text, r, lattice=lattice, partials=partials)
+        got = eval_expression(d, text, r)
         assert abs(got - eval_sharing(antichain, h)) <= TOL
 
 
@@ -210,10 +215,8 @@ def test_pure_sharing_expressions_match_eval_sharing():
         d = random_distribution(rng, [2, 2, 2])
         for r, _ in d.support():
             h = [surprisal(d, [i], r) for i in range(3)]
-            lattice = enumerate_antichains(3)
-            partials = mobius_closed_form(lattice_valuation(d, lattice, r))
             for text, antichain in cases:
-                got = eval_expression(d, text, r, lattice=lattice, partials=partials)
+                got = eval_expression(d, text, r)
                 assert abs(got - eval_sharing(antichain, h)) <= TOL
 
 
@@ -312,3 +315,92 @@ def test_expression_uses_distribution_names():
     assert value == pytest.approx(1.0)
     with pytest.raises(ExpressionError):
         eval_expression(d, "x cap y", (0, 0, 0))
+
+
+def _random_tree(rng, n, depth=0):
+    """An expression over n variables with every operator and multi-member leaves."""
+    if depth >= 3 or rng.random() < 0.3:
+        return SourceLeaf(tuple(sorted(rng.sample(range(n), rng.randint(1, n)))))
+    op = rng.choice(("cup", "cap", "minus", "oplus"))
+    return OpNode(op, tuple(_random_tree(rng, n, depth + 1) for _ in range(rng.randint(2, 3))))
+
+
+def _render_tree(expr, names):
+    if isinstance(expr, SourceLeaf):
+        members = [names[i] for i in expr.members]
+        return members[0] if len(members) == 1 else "(" + ",".join(members) + ")"
+    return "(" + f" {expr.op} ".join(_render_tree(a, names) for a in expr.args) + ")"
+
+
+def _lower_by_precedes(expr, lattice):
+    """Atom sets built from the order alone: a leaf S gives the nodes below {S}."""
+
+    def below(source):
+        return frozenset(a for a in lattice.nodes if precedes(a, Antichain((source,))))
+
+    if isinstance(expr, SourceLeaf):
+        return below(expr.members)
+    parts = [_lower_by_precedes(a, lattice) for a in expr.args]
+    if expr.op == "cup":
+        return frozenset().union(*parts)
+    if expr.op == "cap":
+        return frozenset.intersection(*parts)
+    if expr.op == "minus":
+        return parts[0].difference(*parts[1:])
+    return below(tuple(sorted(expression_variables(expr)))) - frozenset().union(*parts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lower_matches_the_order_on_random_trees(n):
+    lattice = enumerate_antichains(n)
+    rng = random.Random(f"lower-{n}")
+    for _ in range(60):
+        expr = _random_tree(rng, n)
+        assert lower(expr, lattice) == _lower_by_precedes(expr, lattice)
+
+
+def _eval_by_closed_form(d, text, r, cond=None):
+    # lower on the lattice of the kept variables, summed over closed-form partials
+    keep = [i for i in range(d.variables.n) if cond is None or i not in cond]
+    lattice = enumerate_antichains(len(keep))
+    atoms = lower(parse_expression(text, [d.variables.names[i] for i in keep]), lattice)
+    valuation = lattice_valuation(d, lattice, r, variables=keep, given=cond)
+    partials = mobius_closed_form(valuation).partials
+    return math.fsum(partials[a] for a in atoms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eval_equals_the_sum_of_closed_form_partials(n):
+    rng = random.Random(f"eval-{n}")
+    dists = tie_heavy_distributions(n) + [
+        random_distribution(trial_rng(161, 10 * n + t), [2] * n) for t in range(4)
+    ]
+    for d in dists:
+        names = d.variables.names
+        plain = [_render_tree(_random_tree(rng, n), names) for _ in range(4)]
+        conditioned = [_render_tree(_random_tree(rng, n - 1), names) for _ in range(4)]
+        for r, _ in d.support():
+            for text in plain:
+                assert eval_expression(d, text, r) == _eval_by_closed_form(d, text, r)
+            for text in conditioned:
+                got = eval_expression(d, text, r, given=[n - 1])
+                assert got == _eval_by_closed_form(d, text, r, cond=[n - 1])
+
+
+def test_eval_builds_no_lattice(monkeypatch, tmp_path, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    enumerate_antichains.cache_clear()  # a cached lattice would hide a build
+    monkeypatch.setattr(RedundancyLattice, "__init__", refuse)
+    d = xor3()
+    for r, _ in d.support():
+        eval_expression(d, "X cap (Y oplus Z)", r)
+        eval_expression(d, "X oplus Y", r, given=[2])
+        eval_mutual(d, "X oplus Y", [2], r)
+    five = random_distribution(trial_rng(171, 0), [2] * 5, sparsity=0.8)
+    eval_expression(five, "(x,y) oplus (z cup w cup v)", five.support()[0][0])
+    path = tmp_path / "xor3.json"
+    path.write_text(XOR3_JSON)
+    assert main(["eval", str(path), "X oplus Y", "--about", "Z"]) == 0
+    assert capsys.readouterr().out.strip().endswith("1.000000000")

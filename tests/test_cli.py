@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from infoshare import enumerate_antichains, lattice_valuation, mobius_closed_form
+from infoshare import (
+    enumerate_antichains,
+    lattice_valuation,
+    lower,
+    mobius_closed_form,
+    parse_expression,
+)
 from infoshare.cli import main
 from infoshare.sampling import random_distribution, trial_rng
 
@@ -53,6 +59,23 @@ def test_validate_negative_mass(tmp_path, capsys):
 
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/nowhere.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "{dir}"], 1),
+        (["pointwise", "{dir}", "--realization", "0,0", "--sources", "X", "Y"], 2),
+        (["decompose", "{dir}"], 2),
+        (["eval", "{dir}", "X cup Y"], 2),
+        (["lattice", "--n", "2", "--out", "{dir}"], 2),
+    ],
+    ids=["validate", "pointwise", "decompose", "eval", "lattice-out"],
+)
+def test_directory_path_is_one_error_line(tmp_path, capsys, argv, code):
+    assert main([a.format(dir=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_validate_csv(tmp_path, capsys):
@@ -229,6 +252,34 @@ def test_n5_expected_rows_match_the_oracles(tmp_path, capsys):
         for node in lattice.topo_order()
     ]
     assert rows == expected
+
+
+def test_n5_eval_needs_no_override(tmp_path, capsys):
+    # eval builds no lattice, so five variables run without --allow-n5 and
+    # agree with the increments of the built lattice.
+    d = random_distribution(trial_rng(72, 0), [2] * 5, sparsity=0.8)
+    doc = {
+        "variables": [{"name": n, "cardinality": 2} for n in d.variables.names],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps(doc))
+    text = "(x cup y) minus (z oplus (w,v))"
+    lattice = enumerate_antichains(5, True)
+    atoms = lower(parse_expression(text, d.variables.names), lattice)
+
+    def oracle(r):
+        partials = mobius_closed_form(lattice_valuation(d, lattice, r)).partials
+        return math.fsum(partials[a] for a in atoms)
+
+    r = d.support()[0][0]
+    realization = ",".join(map(str, r))
+    assert main(["--format", "structured", "eval", str(path), text,
+                 "--realization", realization]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == oracle(r)
+    assert main(["--format", "structured", "eval", str(path), text]) == 0
+    expected = math.fsum(p * oracle(r) for r, p in d.support())
+    assert json.loads(capsys.readouterr().out)["value"] == expected
 
 
 def test_check_structured(capsys):

@@ -111,6 +111,21 @@ def test_load_csv_errors_carry_line_numbers():
         load_distribution("X,Y\n0,0\n")
 
 
+def test_load_csv_line_numbers_count_blank_lines():
+    with pytest.raises(InvalidDistribution, match="line 4: mass is not a number"):
+        load_distribution("x,y,p\n\n\n0,0,abc")
+    with pytest.raises(InvalidDistribution, match="line 4: duplicate assignment"):
+        load_distribution("x,y,p\n0,0,0.5\n\n0,0,0.5\n")
+    with pytest.raises(InvalidDistribution, match="line 5: negative mass"):
+        load_distribution("\nx,y,p\n0,0,1\n\n1,1,-1\n")
+
+
+def test_load_csv_reader_errors_are_invalid_distributions():
+    # a lone carriage return ends a line the reader cannot split
+    with pytest.raises(InvalidDistribution, match="line 1"):
+        load_distribution("x,y,p\r0,0,1\r", "csv")
+
+
 def test_sparse_input_fills_zero_mass():
     d = xor3()
     assert d.mass((0, 0, 1)) == 0.0
