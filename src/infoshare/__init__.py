@@ -12,6 +12,7 @@ from .algebra import (
     LemmaResult,
     OpNode,
     SourceLeaf,
+    compile_expression,
     eval_expression,
     eval_mutual,
     expression_variables,

@@ -10,20 +10,20 @@ parentheses because no precedence is defined among them.
 
 A node is the up-set mask its antichain generates (bit k stands for
 `enumerate_sources(n)[k]`); it lies below a source S when it holds S.
-Lowering maps a leaf S to the masks holding bit S, `cup`/`cap`/`minus`
-to or/and/and-not, and `oplus` to the masks holding the bit of all
-involved variables minus its arguments.  An expression's value at a
-realization sums the increments of the nodes it covers; only the
-realization's chain carries any, so `eval_expression` needs no lattice.
+Lowering turns an expression into a test on masks, once per command: a
+leaf S holds bit S, `cup`/`cap`/`minus` are or/and/and-not, and `oplus`
+holds the bit of all involved variables and none of its arguments.  An
+expression's value at a realization sums the increments of the nodes it
+covers; only the realization's chain carries any, so `compile_expression`
+needs no lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_, or_
-from typing import Iterable, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence, Union
 
 from .distribution import JointDistribution
 from .decomposition import chain_levels, source_surprisals
@@ -180,31 +180,43 @@ def expression_variables(expr: Expr) -> frozenset[int]:
     return frozenset().union(*(expression_variables(a) for a in expr.args))
 
 
-def _compile(expr: Expr, masks: Sequence[int], n: int) -> int:
-    """Bitset over `masks`, up-sets over n variables: bit i marks masks[i] as covered."""
-    bits = {src: k for k, src in enumerate(enumerate_sources(n))}
+def _compile(expr: Expr, variables: Sequence[int]) -> Callable[[int], bool]:
+    """Test on up-set masks whose bit k stands for `enumerate_sources(n)[k]`,
+    read through the sorted `variables`, so leaves keep their own indices.
+    """
+    n = len(variables)
+    bits = {tuple(variables[i] for i in src): k for k, src in enumerate(enumerate_sources(n))}
 
-    def holding(source: tuple[int, ...]) -> int:
-        k = bits[source]
-        return sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+    def holding(members: tuple[int, ...]) -> Callable[[int], bool]:
+        k = bits.get(canonical_source(members))
+        if k is None:
+            raise ExpressionError(f"source {members} exceeds the lattice's {n} variables")
+        return lambda mask: mask >> k & 1 == 1
 
-    def walk(e: Expr) -> int:
+    def test(checks, negate=False) -> Callable[[int], bool]:
+        # True when every part gives the wanted answer, flipped by `negate`.  A loop,
+        # unlike any() over a generator, costs one frame per level: nests as deep as parsing.
+        def covers(mask: int) -> bool:
+            for part, want in checks:
+                if part(mask) != want:
+                    return negate
+            return not negate
+
+        return covers
+
+    def walk(e: Expr) -> Callable[[int], bool]:
         if isinstance(e, SourceLeaf):
-            source = canonical_source(e.members)
-            if source not in bits:
-                raise ExpressionError(
-                    f"source {e.members} exceeds the lattice's {n} variables"
-                )
-            return holding(source)
+            return holding(e.members)
         parts = [walk(arg) for arg in e.args]
-        if e.op == "cup":
-            return reduce(or_, parts)
+        if e.op == "cup":  # some part holds: not all of them fail
+            return test([(p, False) for p in parts], negate=True)
         if e.op == "cap":
-            return reduce(and_, parts)
+            return test([(p, True) for p in parts])
         if e.op == "minus":
-            return parts[0] & ~reduce(or_, parts[1:], 0)
+            return test([(parts[0], True)] + [(p, False) for p in parts[1:]])
         if e.op == "oplus":
-            return holding(tuple(sorted(expression_variables(e)))) & ~reduce(or_, parts)
+            whole = holding(tuple(sorted(expression_variables(e))))
+            return test([(whole, True)] + [(p, False) for p in parts])
         raise ExpressionError(f"unknown operator {e.op!r}")
 
     return walk(expr)
@@ -212,20 +224,48 @@ def _compile(expr: Expr, masks: Sequence[int], n: int) -> int:
 
 def lower(expr: Expr, lattice: RedundancyLattice) -> frozenset[Antichain]:
     """Atom set of an expression: the lattice nodes whose increments it sums."""
-    covered = _compile(expr, lattice.upsets, lattice.n)
-    return frozenset(node for i, node in enumerate(lattice.nodes) if covered >> i & 1)
+    covers = _compile(expr, range(lattice.n))
+    return frozenset(node for node, mask in zip(lattice.nodes, lattice.upsets) if covers(mask))
 
 
-def _ensure_expr(expr_or_text, names: Sequence[str]) -> Expr:
-    if isinstance(expr_or_text, str):
-        return parse_expression(expr_or_text, names)
-    return expr_or_text
+def compile_expression(
+    d: JointDistribution,
+    expr_or_text,
+    given: Iterable[int] | None = None,
+    about: Iterable[int] | None = None,
+) -> Callable[[Sequence[int]], float]:
+    """The expression's value as a function of a support realization.
 
+    Parsed and lowered once; each call sums the covered increments on the
+    realization's chain (`chain_levels`).  With `given`, the chain spans
+    the other variables with conditioned surprisals, and the expression
+    must not mention a conditioning variable.  With `about`, the value is
+    the plain one minus the one given `about`.
+    """
+    if given is not None and about is not None:
+        raise ValueError("given and about are mutually exclusive")
+    expr = expr_or_text
+    if isinstance(expr, str):
+        expr = parse_expression(expr, d.variables.names)
+    if about is not None:
+        plain, conditioned = compile_expression(d, expr), compile_expression(d, expr, given=about)
+        return lambda realization: plain(realization) - conditioned(realization)
+    g = frozenset() if given is None else d.variables.check_source(given)
+    variables = tuple(i for i in range(d.variables.n) if i not in g)
+    if not variables:
+        raise ValueError("conditioning on every variable leaves nothing to evaluate")
+    used = expression_variables(expr) & g
+    if used:
+        names = ", ".join(d.variables.names[i] for i in sorted(used))
+        raise ExpressionError(f"expression mentions conditioning variable(s) {names}")
+    covers = _compile(expr, variables)
+    sources = enumerate_sources(len(variables))
 
-def _remap_expression(expr: Expr, mapping: dict[int, int]) -> Expr:
-    if isinstance(expr, SourceLeaf):
-        return SourceLeaf(tuple(sorted(mapping[i] for i in expr.members)))
-    return OpNode(expr.op, tuple(_remap_expression(a, mapping) for a in expr.args))
+    def value(realization: Sequence[int]) -> float:
+        chain = chain_levels(source_surprisals(d, sources, realization, variables, given))
+        return math.fsum(inc for mask, inc in chain if covers(mask))
+
+    return value
 
 
 def eval_expression(
@@ -234,34 +274,8 @@ def eval_expression(
     realization: Sequence[int],
     given: Iterable[int] | None = None,
 ) -> float:
-    """Value of an expression at a support realization.
-
-    The expression is lowered over the chain of the realization (see
-    `chain_levels`); every node off the chain has increment 0.0 and
-    `fsum` is exact, so this is the sum over its whole atom set, and no
-    lattice is built.  With `given`, the chain spans the remaining
-    variables with conditioned surprisals, so the expression must not
-    mention any conditioning variable.
-    """
-    expr = _ensure_expr(expr_or_text, d.variables.names)
-    if given is not None:
-        g = d.variables.check_source(given)
-        keep = tuple(i for i in range(d.variables.n) if i not in g)
-        if not keep:
-            raise ValueError("conditioning on every variable leaves nothing to evaluate")
-        used = expression_variables(expr) & g
-        if used:
-            names = ", ".join(d.variables.names[i] for i in sorted(used))
-            raise ExpressionError(f"expression mentions conditioning variable(s) {names}")
-        expr = _remap_expression(expr, {full: pos for pos, full in enumerate(keep)})
-        variables: tuple[int, ...] = keep
-    else:
-        variables = tuple(range(d.variables.n))
-    n = len(variables)
-    h = source_surprisals(d, enumerate_sources(n), realization, variables, given)
-    chain = chain_levels(h)
-    covered = _compile(expr, [mask for mask, _ in chain], n)
-    return math.fsum(inc for i, (_, inc) in enumerate(chain) if covered >> i & 1)
+    """Value of an expression at a support realization (see `compile_expression`)."""
+    return compile_expression(d, expr_or_text, given=given)(realization)
 
 
 def eval_mutual(
@@ -271,10 +285,7 @@ def eval_mutual(
     realization: Sequence[int],
 ) -> float:
     """What the expression says about the target: plain minus conditioned value."""
-    expr = _ensure_expr(expr_or_text, d.variables.names)
-    plain = eval_expression(d, expr, realization)
-    conditioned = eval_expression(d, expr, realization, given=target)
-    return plain - conditioned
+    return compile_expression(d, expr_or_text, about=target)(realization)
 
 
 # Identities among the three-variable sharing expressions.  Each right-hand
@@ -336,13 +347,13 @@ class LemmaResult:
 def _compiled_lemmas(
     names: tuple[str, ...],
 ) -> tuple[tuple[str, frozenset[int], tuple[frozenset[int], ...]], ...]:
-    """Each lemma's two sides lowered once on the three-variable lattice, as up-set masks."""
-    lattice = enumerate_antichains(3)
+    """Each lemma's two sides lowered once to the three-variable up-set masks they cover."""
+    upsets = enumerate_antichains(3).upsets
     x, y, z = names
 
     def masks(text: str) -> frozenset[int]:
-        atoms = lower(parse_expression(text.format(x=x, y=y, z=z), names), lattice)
-        return frozenset(lattice.upsets[lattice.index(a)] for a in atoms)
+        covers = _compile(parse_expression(text.format(x=x, y=y, z=z), names), range(3))
+        return frozenset(filter(covers, upsets))
 
     return tuple((label, masks(lhs), tuple(map(masks, rhs))) for label, lhs, rhs in _LEMMAS)
 

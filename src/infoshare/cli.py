@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import checks
-from .algebra import ExpressionError, eval_expression, eval_mutual, parse_expression
+from .algebra import ExpressionError, compile_expression, parse_expression
 from .decomposition import (
     decompose_expected,
     decompose_pointwise,
@@ -28,10 +28,10 @@ from .decomposition import (
 from .distribution import InvalidDistribution, JointDistribution, ZeroMass, load_file
 from .lattice import enumerate_antichains, to_dot
 from .measures import (
-    cond_surprisal,
+    content,
+    expected,
     intersection_content,
     mutual_content,
-    surprisal,
     synergy_content,
     unique_content,
     union_content,
@@ -133,12 +133,7 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     sources = [_parse_source(d, s) for s in args.sources]
     given = _parse_source(d, args.given) if args.given else None
     suffix = f"|{_source_label(d, given)}" if given else ""
-
-    def h(source) -> float:
-        if given is None:
-            return surprisal(d, source, r)
-        return cond_surprisal(d, source, given, r)
-
+    h = content(d, given, r)
     rows = [(f"h{_source_label(d, s)}{suffix}", h(s)) for s in sources]
     residual = None
     if len(sources) >= 2:
@@ -292,18 +287,13 @@ def cmd_eval(config: RunConfig, args) -> int:
     about = _parse_source(d, args.about) if args.about else None
     if given is not None and about is not None:
         raise ValueError("--given and --about are mutually exclusive")
-
-    def at(r) -> float:
-        if about is not None:
-            return eval_mutual(d, expr, about, r)
-        return eval_expression(d, expr, r, given=given)
-
-    if args.realization:
-        r = _parse_realization(args.realization)
-        value = config.unit(at(r))
+    r = _parse_realization(args.realization) if args.realization else None
+    value_at = compile_expression(d, expr, given=given, about=about)
+    if r is not None:
+        value = config.unit(value_at(r))
         mode = f"at ({args.realization})"
     else:
-        value = config.unit(math.fsum(p * at(r) for r, p in d.support()))
+        value = config.unit(expected(d, value_at))
         mode = "expected"
     _emit(
         config,

@@ -64,18 +64,18 @@ def redundancy_value(
     return intersection_content(d, alpha.sources, realization, given=given)
 
 
-def _lattice_variables(
-    d: JointDistribution, lattice: RedundancyLattice, variables: Sequence[int] | None
+def _selected(
+    d: JointDistribution,
+    variables: Sequence[int] | None,
+    lattice: RedundancyLattice | None = None,
 ) -> tuple[int, ...]:
-    if variables is None:
-        variables = tuple(range(d.variables.n))
-    else:
-        variables = tuple(variables)
-    if len(variables) != lattice.n:
-        raise ValueError(
-            f"lattice spans {lattice.n} variables but {len(variables)} were selected"
-        )
-    return variables
+    """Distinct distribution variable indices, as many as `lattice` spans if set."""
+    sel = tuple(range(d.variables.n)) if variables is None else tuple(map(int, variables))
+    if len(sel) != len(d.variables.check_source(sel)):
+        raise ValueError("selected variables must be distinct")
+    if lattice is not None and len(sel) != lattice.n:
+        raise ValueError(f"lattice spans {lattice.n} variables but {len(sel)} were selected")
+    return sel
 
 
 def lattice_valuation(
@@ -90,7 +90,7 @@ def lattice_valuation(
     `variables` maps lattice positions to distribution variable indices;
     by default the lattice spans all variables in order.
     """
-    variables = _lattice_variables(d, lattice, variables)
+    variables = _selected(d, variables, lattice)
     h = dict(zip(lattice.sources,
                  source_surprisals(d, lattice.sources, realization, variables, given)))
     values = {node: min(h[src] for src in node.sources) for node in lattice.nodes}
@@ -160,7 +160,7 @@ def chain_walk(
     maps lattice positions to distribution variable indices, as in
     `lattice_valuation`.
     """
-    variables = _lattice_variables(d, lattice, variables)
+    variables = _selected(d, variables, lattice)
     values, chain = _chain_point(d, lattice, realization, variables, given)
     partials = dict.fromkeys(lattice.nodes, 0.0)
     partials.update(chain)
@@ -196,16 +196,6 @@ def mobius_closed_form(valuation: LatticeValuation) -> PartialValuation:
         else:
             partials[node] = value
     return PartialValuation(lattice, partials, valuation)
-
-
-def _selected(d: JointDistribution, variables: Sequence[int] | None) -> tuple[int, ...]:
-    if variables is None:
-        return tuple(range(d.variables.n))
-    sel = tuple(int(i) for i in variables)
-    seen = d.variables.check_source(sel)
-    if len(sel) != len(seen):
-        raise ValueError("selected variables must be distinct")
-    return sel
 
 
 def decompose_pointwise(

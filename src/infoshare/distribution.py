@@ -42,6 +42,8 @@ class VariableSet:
             raise InvalidDistribution("at least one variable is required")
         if len(self.names) != len(self.cardinalities):
             raise InvalidDistribution("names and cardinalities must have equal length")
+        if not all(self.names):
+            raise InvalidDistribution("variable names must be non-empty")
         if len(set(self.names)) != len(self.names):
             raise InvalidDistribution("variable names must be unique")
         for name, card in zip(self.names, self.cardinalities):
@@ -190,7 +192,11 @@ def load_distribution(text: str, fmt: str | None = None) -> JointDistribution:
 def load_file(path: str | Path) -> JointDistribution:
     p = Path(path)
     fmt = {".json": "json", ".csv": "csv"}.get(p.suffix.lower())
-    return load_distribution(p.read_text(encoding="utf-8"), fmt)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidDistribution(f"file is not UTF-8 text: {exc}") from None
+    return load_distribution(text, fmt)
 
 
 def _is_int(value: object) -> bool:
@@ -201,7 +207,7 @@ def _is_int(value: object) -> bool:
 def _load_json(text: str) -> JointDistribution:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise InvalidDistribution(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidDistribution("top-level JSON value must be an object")

@@ -11,6 +11,7 @@ from infoshare import (
     OpNode,
     RedundancyLattice,
     SourceLeaf,
+    compile_expression,
     enumerate_antichains,
     eval_expression,
     eval_mutual,
@@ -282,6 +283,18 @@ def test_eval_conditional_rejects_conditioning_variable():
         eval_expression(d, "X cup Z", (0, 0, 0), given=[2])
 
 
+def test_compile_expression_rejects_given_with_about():
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        compile_expression(xor3(), "X cup Y", given=[2], about=[2])
+
+
+@pytest.mark.parametrize("flag", ["given", "about"])
+def test_compile_expression_rejects_a_conditioning_variable_up_front(flag):
+    # no realization is passed, so none can have been evaluated
+    with pytest.raises(ExpressionError, match="conditioning variable"):
+        compile_expression(xor3(), "X cup Z", **{flag: [2]})
+
+
 def test_lemma_suite_xor3():
     d = xor3()
     for r, _ in d.support():
@@ -385,6 +398,8 @@ def test_eval_equals_the_sum_of_closed_form_partials(n):
             for text in conditioned:
                 got = eval_expression(d, text, r, given=[n - 1])
                 assert got == _eval_by_closed_form(d, text, r, cond=[n - 1])
+                mutual = _eval_by_closed_form(d, text, r) - got
+                assert eval_mutual(d, text, [n - 1], r) == mutual
 
 
 def test_eval_builds_no_lattice(monkeypatch, tmp_path, capsys):

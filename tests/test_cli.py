@@ -78,6 +78,29 @@ def test_directory_path_is_one_error_line(tmp_path, capsys, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, code, prefix",
+    [("validate", 1, "invalid distribution: "), ("decompose", 2, "error: ")],
+    ids=["validate", "decompose"],
+)
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("dist.json", b"[" * 100_000),
+        ("dist.json", b'{"variables": ' + b"[" * 100_000),
+        ("dist.json", b"\xff\xfe{}"),
+        ("dist.csv", b",p\n0,1.0\n"),
+    ],
+    ids=["nested-array", "nested-object", "not-utf8", "empty-name"],
+)
+def test_malformed_file_is_one_error_line(tmp_path, capsys, command, code, prefix, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main([command, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_validate_csv(tmp_path, capsys):
     path = tmp_path / "copy.csv"
     path.write_text("X,Y,p\n0,0,0.5\n1,1,0.5\n")
@@ -201,6 +224,18 @@ def test_eval_about_target(xor3_file, capsys):
         "eval", xor3_file, "X oplus Y", "--realization", "0,1,1", "--about", "Z",
     ]) == 0
     assert capsys.readouterr().out.strip().endswith("1.000000000")
+
+
+def test_eval_about_compiles_once_per_command(xor3_file, monkeypatch, capsys):
+    # plain and conditioned: two lowerings for the four support points
+    from infoshare import algebra
+
+    calls = []
+    compile_ = algebra._compile
+    monkeypatch.setattr(algebra, "_compile", lambda *a: calls.append(a) or compile_(*a))
+    assert main(["eval", xor3_file, "X oplus Y", "--about", "Z"]) == 0
+    assert capsys.readouterr().out.strip().endswith("1.000000000")
+    assert len(calls) <= 2
 
 
 def test_eval_bad_expression(xor3_file, capsys):

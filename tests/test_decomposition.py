@@ -177,6 +177,22 @@ def test_decompose_pointwise_variable_subset():
     assert pv.total() == pytest.approx(surprisal(d, [0, 1], (0, 1, 1)))
 
 
+def test_every_entry_point_rejects_repeated_variables():
+    d = xor3()
+    r = (0, 1, 1)
+    two = enumerate_antichains(2)
+    for call in (
+        lambda: chain_walk(d, two, r, variables=(0, 0)),
+        lambda: lattice_valuation(d, two, r, variables=(0, 0)),
+        lambda: decompose_pointwise(d, r, variables=[0, 0]),
+        lambda: decompose_expected(d, variables=[0, 0]),
+    ):
+        with pytest.raises(ValueError, match="distinct"):
+            call()
+    with pytest.raises(ValueError, match="lattice spans 2 variables but 3 were selected"):
+        chain_walk(d, two, r)
+
+
 def test_decompose_expected_variable_subset():
     for trial in range(10):
         rng = trial_rng(45, trial)

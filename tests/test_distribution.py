@@ -8,6 +8,7 @@ from infoshare import (
     VariableSet,
     ZeroMass,
     load_distribution,
+    load_file,
 )
 from infoshare.sampling import random_distribution, trial_rng
 
@@ -77,6 +78,28 @@ def test_cardinality_violation_rejected():
 def test_malformed_json_rejected():
     with pytest.raises(InvalidDistribution, match="malformed"):
         load_distribution("{not json", fmt="json")
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"variables": ' + "[" * 100_000], ids=["array", "object"]
+)
+def test_deeply_nested_json_is_malformed(text):
+    with pytest.raises(InvalidDistribution, match="malformed JSON"):
+        load_distribution(text, fmt="json")
+
+
+def test_empty_variable_name_rejected():
+    with pytest.raises(InvalidDistribution, match="non-empty"):
+        VariableSet(("X", ""), (2, 2))
+    with pytest.raises(InvalidDistribution, match="non-empty"):
+        load_distribution(",p\n0,1.0\n")
+
+
+def test_load_file_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("Ä,p\n0,1.0\n".encode("latin-1"))
+    with pytest.raises(InvalidDistribution, match="not UTF-8"):
+        load_file(path)
 
 
 def test_variable_set_invariants():
