@@ -34,7 +34,6 @@ from .decomposition import (
     mi_decompose,
     mobius_closed_form,
     mobius_recursive,
-    redundancy_value,
     trivariate_report,
 )
 from .distribution import (
@@ -48,6 +47,7 @@ from .distribution import (
 from .lattice import (
     Antichain,
     RedundancyLattice,
+    antichain_of,
     default_names,
     enumerate_antichains,
     enumerate_sources,
@@ -58,9 +58,8 @@ from .lattice import (
     precedes,
     sharing_join,
     sharing_meet,
-    sharing_precedes,
     to_dot,
-    total_order_reduce,
+    upset_of,
 )
 from .measures import (
     cond_surprisal,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .distribution import JointDistribution
+from .distribution import OPERATORS, JointDistribution, identifier_end
 from .decomposition import chain_levels, source_surprisals
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources)
@@ -48,7 +48,6 @@ class OpNode:
 
 Expr = Union[SourceLeaf, OpNode]
 
-_OPS = ("cup", "cap", "minus", "oplus")
 _PUNCT = "(),"
 
 
@@ -64,10 +63,8 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(c)
             i += 1
             continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = identifier_end(text, i)
+        if j > i:
             tokens.append(text[i:j])
             i = j
             continue
@@ -98,7 +95,7 @@ class _Parser:
             raise ExpressionError(f"expected {tok!r}, got {got!r}")
 
     def variable(self, name: str) -> int:
-        if name in _OPS:
+        if name in OPERATORS:
             raise ExpressionError(f"{name!r} is a reserved operator, not a variable")
         if name in _PUNCT or name in ("(", ")", ","):
             raise ExpressionError(f"expected a variable name, got {name!r}")
@@ -115,7 +112,7 @@ class _Parser:
     def chain(self) -> Expr:
         args = [self.atom()]
         op: str | None = None
-        while self.peek() in _OPS:
+        while self.peek() in OPERATORS:
             nxt = self.take()
             if op is None:
                 op = nxt
@@ -141,7 +138,7 @@ class _Parser:
             return inner
         if tok in (")", ","):
             raise ExpressionError(f"unexpected token {tok!r}")
-        if tok in _OPS:
+        if tok in OPERATORS:
             raise ExpressionError(f"operator {tok!r} is missing a left operand")
         self.take()
         return SourceLeaf((self.variable(tok),))
@@ -151,7 +148,7 @@ class _Parser:
         first = self.peek(1)
         return (
             first is not None
-            and first not in _OPS
+            and first not in OPERATORS
             and first not in _PUNCT
             and self.peek(2) == ","
         )
@@ -171,7 +168,10 @@ def parse_expression(text: str, names: Sequence[str]) -> Expr:
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
-    return _Parser(tokens, names).parse()
+    try:
+        return _Parser(tokens, names).parse()
+    except RecursionError:  # two frames per parenthesis level
+        raise ExpressionError("expression nested too deeply") from None
 
 
 def expression_variables(expr: Expr) -> frozenset[int]:

@@ -117,40 +117,14 @@ def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
         def ev(alpha):
             return eval_sharing(alpha, h)
 
-        bump("idempotence", abs(ev(sharing_join(a, a)) - ev(a)))
-        bump("idempotence", abs(ev(sharing_meet(a, a)) - ev(a)))
-        bump("commutativity", abs(ev(sharing_join(a, b)) - ev(sharing_join(b, a))))
-        bump("commutativity", abs(ev(sharing_meet(a, b)) - ev(sharing_meet(b, a))))
-        bump(
-            "associativity",
-            abs(
-                ev(sharing_join(sharing_join(a, b), c))
-                - ev(sharing_join(a, sharing_join(b, c)))
-            ),
-        )
-        bump(
-            "associativity",
-            abs(
-                ev(sharing_meet(sharing_meet(a, b), c))
-                - ev(sharing_meet(a, sharing_meet(b, c)))
-            ),
-        )
-        bump("absorption", abs(ev(sharing_join(a, sharing_meet(a, b))) - ev(a)))
-        bump("absorption", abs(ev(sharing_meet(a, sharing_join(a, b))) - ev(a)))
-        bump(
-            "distributivity",
-            abs(
-                ev(sharing_join(a, sharing_meet(b, c)))
-                - ev(sharing_meet(sharing_join(a, b), sharing_join(a, c)))
-            ),
-        )
-        bump(
-            "distributivity",
-            abs(
-                ev(sharing_meet(a, sharing_join(b, c)))
-                - ev(sharing_join(sharing_meet(a, b), sharing_meet(a, c)))
-            ),
-        )
+        # each law for sharing_join against sharing_meet, then the other way round
+        for op, dual in ((sharing_join, sharing_meet), (sharing_meet, sharing_join)):
+            bump("idempotence", abs(ev(op(a, a)) - ev(a)))
+            bump("commutativity", abs(ev(op(a, b)) - ev(op(b, a))))
+            bump("associativity", abs(ev(op(op(a, b), c)) - ev(op(a, op(b, c)))))
+            bump("absorption", abs(ev(op(a, dual(a, b))) - ev(a)))
+            bump("distributivity",
+                 abs(ev(op(a, dual(b, c))) - ev(dual(op(a, b), op(a, c)))))
         for node in lattice.nodes:
             value = ev(node)
             bump("connexity", min(abs(value - hi) for hi in h))

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
-from .measures import cond_surprisal, content, intersection_content, surprisal
+from .measures import cond_surprisal, content, surprisal
 
 
 @dataclass
@@ -52,16 +52,6 @@ class PartialValuation:
 
     def total(self) -> float:
         return math.fsum(self.partials[node] for node in self.lattice.topo_order())
-
-
-def redundancy_value(
-    d: JointDistribution,
-    alpha: Antichain,
-    realization: Sequence[int],
-    given: Iterable[int] | None = None,
-) -> float:
-    """Least (conditional) surprisal among the antichain's sources."""
-    return intersection_content(d, alpha.sources, realization, given=given)
 
 
 def _selected(
@@ -251,8 +241,8 @@ def expected_valuation(
     return decompose_expected(d, variables, allow_large).valuation
 
 
-# The 18 nodes of the three-variable lattice, bottom-up, each with the
-# expression (in the surface grammar) that its increment computes.
+# The 18 nodes of the three-variable lattice, bottom-up and already canonical,
+# each with the expression (in the surface grammar) that its increment computes.
 _TRIVARIATE_TERMS: tuple[tuple[tuple[tuple[int, ...], ...], str], ...] = (
     (((0,), (1,), (2,)), "{x} cap {y} cap {z}"),
     (((0,), (1,)), "({x} cap {y}) minus {z}"),
@@ -286,11 +276,8 @@ def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[
         raise ValueError("trivariate report needs exactly three variables")
     partials = decompose_pointwise(d, realization).partials
     x, y, z = d.variables.names
-    report: dict[str, float] = {}
-    for sources, template in _TRIVARIATE_TERMS:
-        node = Antichain.normalize(sources)
-        report[template.format(x=x, y=y, z=z)] = partials[node]
-    return report
+    return {template.format(x=x, y=y, z=z): partials[Antichain(sources)]
+            for sources, template in _TRIVARIATE_TERMS}
 
 
 @dataclass(frozen=True)

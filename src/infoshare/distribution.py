@@ -19,6 +19,21 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # Absolute tolerance for the total-mass check.
 MASS_SUM_TOLERANCE = 1e-12
 
+# The operator words of the expression grammar; no variable may take one as its name.
+OPERATORS = ("cup", "cap", "minus", "oplus")
+
+
+def identifier_end(text: str, start: int) -> int:
+    """End of the identifier (a letter or _, then letters, digits or _) at
+    text[start], or `start`: the expression tokenizer reads names with this
+    rule, and `VariableSet` accepts only names it reads whole."""
+    if not (text[start].isalpha() or text[start] == "_"):
+        return start
+    end = start + 1
+    while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+        end += 1
+    return end
+
 
 class InvalidDistribution(ValueError):
     """A distribution document or pmf failed validation."""
@@ -44,6 +59,10 @@ class VariableSet:
             raise InvalidDistribution("names and cardinalities must have equal length")
         if not all(self.names):
             raise InvalidDistribution("variable names must be non-empty")
+        for name in self.names:
+            if identifier_end(name, 0) != len(name) or name in OPERATORS:
+                raise InvalidDistribution(f"variable name {name!r} must be an identifier "
+                                          f"other than {', '.join(OPERATORS)}")
         if len(set(self.names)) != len(self.names):
             raise InvalidDistribution("variable names must be unique")
         for name, card in zip(self.names, self.cardinalities):

@@ -1,10 +1,13 @@
-"""Antichain lattices over variable subsets.
+"""Antichain lattices over variable subsets, and their node algebra.
 
-Two readings of the same node set are supported.  Under the bottom-up
-order (`precedes`) a node is valued by the least surprisal among its
-sources, which is how the decomposition engine uses it.  Under the dual
-order (`sharing_precedes`) a node is a max-of-mins expression over
-single-variable surprisals, evaluated by `eval_sharing`.
+A node is an antichain of sources (non-empty variable subsets) and, by
+Birkhoff's representation, the up-set of sources it generates: a bitmask
+whose bit k stands for `enumerate_sources(n)[k]` (`upset_of`,
+`antichain_of`).  `meet` and `join` are the OR and AND of those masks and
+need no lattice.  Under the bottom-up order (`precedes`) a node is valued
+by the least surprisal among its sources, as the decomposition engine
+uses it; under the dual order it is a max-of-mins expression over
+single-variable surprisals (`eval_sharing`, `sharing_join`, `sharing_meet`).
 """
 
 from __future__ import annotations
@@ -88,30 +91,20 @@ def precedes(alpha: Antichain, beta: Antichain) -> bool:
     )
 
 
-def sharing_precedes(alpha: Antichain, beta: Antichain) -> bool:
-    """Order of the max-of-mins reading; the dual of `precedes`."""
-    return precedes(beta, alpha)
-
-
 def meet(alpha: Antichain, beta: Antichain) -> Antichain:
-    """Greatest lower bound: minimal sources of the pooled collection."""
-    return Antichain.normalize(alpha.sources + beta.sources)
+    """Greatest lower bound: the union of the two up-sets."""
+    n = _span(alpha, beta)
+    return antichain_of(upset_of(alpha, n) | upset_of(beta, n), n)
 
 
 def join(alpha: Antichain, beta: Antichain) -> Antichain:
-    """Least upper bound: minimal pairwise unions of sources."""
-    return Antichain.normalize(
-        tuple(set(a) | set(b)) for a in alpha.sources for b in beta.sources
-    )
+    """Least upper bound: the intersection of the two up-sets."""
+    n = _span(alpha, beta)
+    return antichain_of(upset_of(alpha, n) & upset_of(beta, n), n)
 
 
 # The same two operations read in the dual (max-of-mins) order.
-def sharing_join(alpha: Antichain, beta: Antichain) -> Antichain:
-    return meet(alpha, beta)
-
-
-def sharing_meet(alpha: Antichain, beta: Antichain) -> Antichain:
-    return join(alpha, beta)
+sharing_join, sharing_meet = meet, join
 
 
 def _source_mask(source: tuple[int, ...]) -> int:
@@ -128,24 +121,58 @@ def _bit_ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _all_antichains(
-    sources: Sequence[tuple[int, ...]],
-) -> list[tuple[Antichain, tuple[int, ...], int]]:
+def _span(*nodes: Antichain) -> int:
+    # the variable count the nodes reach: one past their largest member
+    return 1 + max((i for node in nodes for src in node.sources for i in src), default=0)
+
+
+@lru_cache(maxsize=None)
+def _source_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int], tuple[int, ...]]:
+    """The sources of n variables, the bit of each source's variable mask,
+    and each source's up mask (the bits of the sources containing it)."""
+    sources = tuple(enumerate_sources(n))
+    smasks = [_source_mask(s) for s in sources]
+    up = tuple(sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sk) for sk in smasks)
+    return sources, {m: k for k, m in enumerate(smasks)}, up
+
+
+def upset_of(alpha: Antichain, n: int) -> int:
+    """Mask of the sources of n variables that contain some source of alpha
+    (members may be unsorted, repeated or comparable)."""
+    _, bit, up = _source_table(n)
+    mask = 0
+    for src in alpha.sources:
+        k = bit.get(_source_mask(src))
+        if k is None:
+            raise ValueError(f"{src!r} is not a source of {n} variables")
+        mask |= up[k]
+    return mask
+
+
+def antichain_of(mask: int, n: int) -> Antichain:
+    """The minimal sources in a mask, in bit order, which is canonical order:
+    for an up-set, the node that generates it."""
+    sources, _, up = _source_table(n)
+    if not 0 < mask < 1 << len(sources):
+        raise ValueError(f"{mask:#x} is not a non-empty set of sources of {n} variables")
+    strict = 0
+    for k in _bit_ids(mask):
+        strict |= up[k] & ~(1 << k)
+    return Antichain(tuple(map(sources.__getitem__, _bit_ids(mask & ~strict))))
+
+
+def _all_antichains(n: int) -> list[tuple[Antichain, tuple[int, ...], int]]:
     """Every antichain with its member indices and up-set mask.
 
     Sources are tried in canonical order, and one is taken only when no
     member already taken is comparable to it.  So every member tuple is
     already normalized, and the depth-first order is the `sort_key`
-    order.  Bit k of a mask stands for `sources[k]`.
+    order.  Bit k of a mask stands for source k.
     """
-    smasks = [_source_mask(s) for s in sources]
-    # up[k]: the sources containing source k; comparable[k]: those and
-    # the sources contained in it
-    up = [sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sk) for sk in smasks]
-    comparable = [
-        u | sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sl)
-        for sk, u in zip(smasks, up)
-    ]
+    sources, _, up = _source_table(n)
+    # comparable[k]: the sources containing source k and those contained in it
+    comparable = [u | sum(1 << l for l, ul in enumerate(up) if ul >> k & 1)
+                  for k, u in enumerate(up)]
     found: list[tuple[Antichain, tuple[int, ...], int]] = []
 
     def extend(start: int, members: tuple, ids: tuple, blocked: int, upset: int) -> None:
@@ -179,19 +206,20 @@ class RedundancyLattice:
             hint = "" if allow_large else " (n = 5 needs the explicit override)"
             raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
         self.n = n
-        self.sources: tuple[tuple[int, ...], ...] = tuple(enumerate_sources(n))
-        nodes, members, upsets = zip(*_all_antichains(self.sources))
+        self.sources: tuple[tuple[int, ...], ...] = _source_table(n)[0]
+        nodes, members, upsets = zip(*_all_antichains(n))
         self.nodes: tuple[Antichain, ...] = nodes
         # indices into `sources` of each node's members, in node order
         self.members: tuple[tuple[int, ...], ...] = members
         # up-set mask of each node, in node order
         self.upsets: tuple[int, ...] = upsets
-        self._index = {node: i for i, node in enumerate(nodes)}
         self._by_upset = {m: i for i, m in enumerate(upsets)}
         self.bottom = Antichain(tuple((i,) for i in range(n)))
         self.top = Antichain((tuple(range(n)),))
         self._covers: list[tuple[int, ...]] | None = None
-        self._topo: tuple[Antichain, ...] | None = None
+        # bottom-up: up-set size decreases strictly up the order, and node
+        # order is `sort_key` order, so the index breaks ties alike
+        self._topo = tuple(sorted(range(len(upsets)), key=lambda i: (-upsets[i].bit_count(), i)))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -199,14 +227,22 @@ class RedundancyLattice:
     def __iter__(self) -> Iterator[Antichain]:
         return iter(self.nodes)
 
+    def _find(self, alpha: object) -> int | None:
+        # by up-set, then by equality: a non-canonical antichain is no node
+        try:
+            i = self._by_upset.get(upset_of(alpha, self.n))
+        except (AttributeError, TypeError, ValueError):
+            return None
+        return i if i is not None and self.nodes[i] == alpha else None
+
     def __contains__(self, alpha: object) -> bool:
-        return alpha in self._index
+        return self._find(alpha) is not None
 
     def index(self, alpha: Antichain) -> int:
-        try:
-            return self._index[alpha]
-        except KeyError:
-            raise ValueError(f"{alpha!r} is not a node of this lattice") from None
+        i = self._find(alpha)
+        if i is None:
+            raise ValueError(f"{alpha!r} is not a node of this lattice")
+        return i
 
     def node_at(self, upset: int) -> Antichain:
         """The node whose up-set mask is `upset`."""
@@ -215,21 +251,22 @@ class RedundancyLattice:
         except KeyError:
             raise ValueError(f"{upset:#x} is not the up-set of a node") from None
 
-    def _build_covers(self) -> list[tuple[int, ...]]:
-        # the up-set of a one-source node: the sources containing it
-        contain = [self.upsets[self._index[Antichain((s,))]] for s in self.sources]
-        full = (1 << len(contain)) - 1
-        by_upset = self._by_upset
-        # covered nodes: add one source, all of whose strict supersets are
-        # already in the up-set
-        return [
-            tuple(sorted(
-                by_upset[up | 1 << k]
-                for k in _bit_ids(full & ~up)
-                if contain[k] & ~up == 1 << k
-            ))
-            for up in self.upsets
-        ]
+    def _cover_ids(self) -> list[tuple[int, ...]]:
+        if self._covers is None:
+            contain = _source_table(self.n)[2]  # the sources containing each source
+            full = (1 << len(contain)) - 1
+            by_upset = self._by_upset
+            # the nodes each node covers: add one source, all of whose
+            # strict supersets are already in the up-set
+            self._covers = [
+                tuple(sorted(
+                    by_upset[up | 1 << k]
+                    for k in _bit_ids(full & ~up)
+                    if contain[k] & ~up == 1 << k
+                ))
+                for up in self.upsets
+            ]
+        return self._covers
 
     def down_set(self, alpha: Antichain) -> tuple[Antichain, ...]:
         """All nodes below or equal to alpha, in node order."""
@@ -238,18 +275,11 @@ class RedundancyLattice:
 
     def covered_by(self, alpha: Antichain) -> tuple[Antichain, ...]:
         """Maximal strict predecessors of alpha."""
-        if self._covers is None:
-            self._covers = self._build_covers()
-        return tuple(self.nodes[j] for j in self._covers[self.index(alpha)])
+        return tuple(self.nodes[j] for j in self._cover_ids()[self.index(alpha)])
 
     def topo_order(self) -> tuple[Antichain, ...]:
         """Nodes sorted bottom-up; up-set size decreases strictly up the order."""
-        if self._topo is None:
-            # node order is `sort_key` order, so the index breaks ties alike
-            up = self.upsets
-            order = sorted(range(len(up)), key=lambda i: (-up[i].bit_count(), i))
-            self._topo = tuple(self.nodes[i] for i in order)
-        return self._topo
+        return tuple(map(self.nodes.__getitem__, self._topo))
 
 
 @lru_cache(maxsize=None)
@@ -261,15 +291,6 @@ def enumerate_antichains(n: int, allow_large: bool = False) -> RedundancyLattice
 def eval_sharing(alpha: Antichain, values: Sequence[float]) -> float:
     """Max over the antichain's sources of the min of the member values."""
     return max(min(values[i] for i in src) for src in alpha.sources)
-
-
-def total_order_reduce(values: Sequence[float]) -> tuple[int, ...]:
-    """Variable indices by descending value; ties broken by ascending index.
-
-    Every antichain evaluated against `values` yields the value at one of
-    these indices, so the whole sharing lattice collapses onto this chain.
-    """
-    return tuple(sorted(range(len(values)), key=lambda i: (-values[i], i)))
 
 
 def max_via_min_expansion(values: Sequence[float]) -> float:
@@ -304,13 +325,11 @@ def to_dot(
         "  rankdir=BT;",
         "  node [shape=box, fontsize=11];",
     ]
-    order = {node: i for i, node in enumerate(lattice.nodes)}
-    for node in lattice.topo_order():
-        lines.append(f'  n{order[node]} [label="{node.label(names)}"];')
-    for node in lattice.topo_order():
-        i = order[node]
-        for covered in lattice.covered_by(node):
-            j = order[covered]
+    topo, covers = lattice._topo, lattice._cover_ids()
+    for i in topo:
+        lines.append(f'  n{i} [label="{lattice.nodes[i].label(names)}"];')
+    for i in topo:
+        for j in covers[i]:
             if kind == "redundancy":
                 lines.append(f"  n{j} -> n{i};")
             else:

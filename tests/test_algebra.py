@@ -17,13 +17,13 @@ from infoshare import (
     eval_mutual,
     eval_sharing,
     expression_variables,
+    intersection_content,
     lattice_valuation,
     lemma_suite,
     lower,
     mobius_closed_form,
     parse_expression,
     precedes,
-    redundancy_value,
     sharing_join,
     sharing_meet,
     surprisal,
@@ -74,6 +74,12 @@ def test_parse_rejects_malformed_text():
     for bad in ("", "x cap", "cap x", "(x", "x )", "x ! y", "(x,)", "x cap ()"):
         with pytest.raises(ExpressionError):
             parse_expression(bad, NAMES3)
+
+
+def test_parse_rejects_too_deep_nesting():
+    for text in ("(" * 5000 + "x" + ")" * 5000, "(x cap " * 5000 + "y" + ")" * 5000):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            parse_expression(text, NAMES3)
 
 
 def test_parse_grouped_single_name():
@@ -133,7 +139,7 @@ def test_eval_mixed_synergy_identity():
         d = random_distribution(rng, [2, 2, 2])
         for r, _ in d.support():
             lhs = eval_expression(d, "x cap (y oplus z)", r)
-            h_x_yz = redundancy_value(d, A([(0,), (1, 2)]), r)
+            h_x_yz = intersection_content(d, [(0,), (1, 2)], r)
             h_x_y_cup_z = min(
                 surprisal(d, [0], r),
                 max(surprisal(d, [1], r), surprisal(d, [2], r)),

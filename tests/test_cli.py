@@ -1,22 +1,30 @@
+import ast
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from infoshare import (
+    Antichain,
     enumerate_antichains,
     lattice_valuation,
     lower,
     mobius_closed_form,
     parse_expression,
+    trivariate_report,
 )
 from infoshare.cli import main
 from infoshare.sampling import random_distribution, trial_rng
 
-from helpers import XOR3_JSON
+from helpers import XOR3_JSON, xor3
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 COPY_JSON = """
 {"variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 2}],
@@ -90,8 +98,11 @@ def test_directory_path_is_one_error_line(tmp_path, capsys, argv, code):
         ("dist.json", b'{"variables": ' + b"[" * 100_000),
         ("dist.json", b"\xff\xfe{}"),
         ("dist.csv", b",p\n0,1.0\n"),
+        ("dist.json", XOR3_JSON.replace('"X"', '" X"').encode()),
+        ("dist.csv", b"cup,p\n0,1.0\n"),
     ],
-    ids=["nested-array", "nested-object", "not-utf8", "empty-name"],
+    ids=["nested-array", "nested-object", "not-utf8", "empty-name", "spaced-name",
+         "operator-name"],
 )
 def test_malformed_file_is_one_error_line(tmp_path, capsys, command, code, prefix, name, content):
     path = tmp_path / name
@@ -243,6 +254,25 @@ def test_eval_bad_expression(xor3_file, capsys):
     assert "ambiguous" in capsys.readouterr().err
 
 
+def test_eval_nesting_depth(xor3_file, capsys):
+    deep = "(" * 5000 + "X" + ")" * 5000
+    assert main(["eval", xor3_file, deep]) == 2
+    assert capsys.readouterr().err == "error: expression nested too deeply\n"
+    # 493 nested operators still evaluate, in a fresh process as from the shell
+    text = "X"
+    for _ in range(493):
+        text = f"({text} cup Y)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "infoshare.cli", "--format", "structured", "eval", xor3_file, text],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["--format", "structured", "eval", xor3_file, "X cup Y"]) == 0
+    assert json.loads(proc.stdout)["value"] == json.loads(capsys.readouterr().out)["value"]
+
+
 def test_check_suites_pass(capsys):
     for suite in ("props", "lemmas", "mobius", "pie"):
         assert main(["--trials", "50", "--seed", "3", "check", "--suite", suite]) == 0
@@ -356,9 +386,64 @@ def test_global_flags_after_the_subcommand(capsys):
     assert before.startswith("suite: props  seed: 7  trials: 50")
 
 
+def test_production_paths_never_normalize(tmp_path, monkeypatch, capsys):
+    # The node algebra and the lattice run on up-set masks; `normalize` is
+    # only the public canonicalizer and the tests' oracle.
+    def refuse(sources):
+        raise AssertionError("Antichain.normalize called")
+
+    monkeypatch.setattr(Antichain, "normalize", staticmethod(refuse))
+    x3 = tmp_path / "x3.json"
+    x3.write_text(XOR3_JSON)
+    d = random_distribution(trial_rng(73, 0), [2] * 5, sparsity=0.75)
+    n5 = tmp_path / "n5.json"
+    n5.write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": 2} for n in d.variables.names],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }))
+    r5 = ",".join(map(str, d.support()[0][0]))
+    for argv in (
+        ["--trials", "100", "check", "--suite", "props"],
+        ["decompose", str(x3), "--mode", "expected"],
+        ["decompose", str(x3), "--mode", "pointwise", "--realization", "0,1,1"],
+        ["--allow-n5", "decompose", str(n5), "--mode", "expected"],
+        ["--allow-n5", "decompose", str(n5), "--mode", "pointwise", "--realization", r5],
+        ["lattice", "--n", "4"],
+    ):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    report = trivariate_report(xor3(), (0, 1, 1))
+    assert len(report) == 18 and math.fsum(report.values()) == pytest.approx(2.0)
+
+
+def test_readme_python_block_runs():
+    # Run the quickstart as written and check each value its comments state.
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    tree = ast.parse(block)
+    values: dict[int, object] = {}
+    # record the value of every top-level expression by its line
+    tree.body = [
+        ast.Assign(
+            targets=[ast.Subscript(ast.Name("values", ast.Load()), ast.Constant(stmt.lineno),
+                                   ast.Store())],
+            value=stmt.value,
+        ) if isinstance(stmt, ast.Expr) else stmt
+        for stmt in tree.body
+    ]
+    exec(compile(ast.fix_missing_locations(tree), "README.md", "exec"), {"values": values})
+    claimed = {}
+    for lineno, line in enumerate(block.splitlines(), 1):
+        stated = re.search(r"#(?:[^:\d]*:)?\s*(-?\d+\.\d+)", line)
+        if stated:
+            claimed[lineno] = float(stated.group(1))
+    assert list(claimed.values()) == [1.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+    assert "expected(" in block.splitlines()[max(claimed) - 1]
+    for lineno, value in claimed.items():
+        assert values[lineno] == pytest.approx(value, abs=1e-12), block.splitlines()[lineno - 1]
+
+
 def _readme_cli_lines() -> list[str]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     return [line for block in blocks for line in block.splitlines()
             if line.startswith("infoshare ")]
 

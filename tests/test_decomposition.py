@@ -20,7 +20,6 @@ from infoshare import (
     mobius_recursive,
     mutual_content,
     precedes,
-    redundancy_value,
     surprisal,
     synergy_content,
     trivariate_report,
@@ -34,19 +33,20 @@ A = Antichain.normalize
 TOL = 1e-9
 
 
-def test_redundancy_value_examples():
+def test_node_value_is_the_intersection_of_its_sources():
     d = xor3()
     for r, _ in d.support():
-        assert redundancy_value(d, A([(0,), (1,)]), r) == pytest.approx(1.0)
-        assert redundancy_value(d, A([(0, 1), (0, 2), (1, 2)]), r) == pytest.approx(2.0)
+        assert intersection_content(d, A([(0,), (1,)]).sources, r) == pytest.approx(1.0)
+        node = A([(0, 1), (0, 2), (1, 2)])
+        assert intersection_content(d, node.sources, r) == pytest.approx(2.0)
         top = A([(0, 1, 2)])
-        assert redundancy_value(d, top, r) == surprisal(d, [0, 1, 2], r)
+        assert intersection_content(d, top.sources, r) == surprisal(d, [0, 1, 2], r)
 
 
-def test_redundancy_value_zero_mass():
+def test_node_value_zero_mass():
     d = copy2()
     with pytest.raises(ZeroMass):
-        redundancy_value(d, A([(0, 1)]), (0, 1))
+        intersection_content(d, A([(0, 1)]).sources, (0, 1))
 
 
 def _partials_by_label(pv, names):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -93,6 +94,29 @@ def test_empty_variable_name_rejected():
         VariableSet(("X", ""), (2, 2))
     with pytest.raises(InvalidDistribution, match="non-empty"):
         load_distribution(",p\n0,1.0\n")
+
+
+_UNNAMEABLE = (" X", "X ", "1x", "x-y", "a b", "x,y", "(x)", "cup", "cap", "minus", "oplus")
+
+
+@pytest.mark.parametrize("name", _UNNAMEABLE)
+def test_variable_names_must_be_expression_identifiers(name):
+    # A name is one identifier of the expression grammar and no operator word,
+    # so every variable can be named in --sources, --variables and expressions.
+    with pytest.raises(InvalidDistribution, match="must be an identifier"):
+        VariableSet((name, "Y"), (2, 2))
+    doc = {"variables": [{"name": name, "cardinality": 2}], "pmf": [{"assignment": [0], "p": 1.0}]}
+    with pytest.raises(InvalidDistribution, match="must be an identifier"):
+        load_distribution(json.dumps(doc))
+    if name == name.strip():  # the CSV header is stripped
+        quoted = '"' + name + '"'
+        with pytest.raises(InvalidDistribution, match="must be an identifier"):
+            load_distribution(f"{quoted},p\n0,1.0\n")
+
+
+def test_identifier_names_are_accepted():
+    names = ("x", "_", "_x1", "X_2", "Äb", "capx", "cups", "oplus_")
+    assert VariableSet(names, (2,) * len(names)).names == names
 
 
 def test_load_file_rejects_text_that_is_not_utf8(tmp_path):

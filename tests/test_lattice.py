@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from infoshare import (
     Antichain,
+    antichain_of,
     enumerate_antichains,
     enumerate_sources,
     eval_sharing,
@@ -15,9 +17,8 @@ from infoshare import (
     precedes,
     sharing_join,
     sharing_meet,
-    sharing_precedes,
     to_dot,
-    total_order_reduce,
+    upset_of,
 )
 
 A = Antichain.normalize
@@ -188,17 +189,25 @@ def test_eval_sharing_examples():
     assert eval_sharing(A([(0,), (1,)]), h) == 2.0
 
 
-def test_sharing_precedes_examples():
-    assert sharing_precedes(A([(0, 1)]), A([(0,)]))
-    assert sharing_precedes(A([(0,)]), A([(0,), (1,)]))
-    assert not sharing_precedes(A([(0,)]), A([(1,)]))
+def test_dual_order_examples():
+    # The sharing order is `precedes` read backwards.
+    assert precedes(A([(0,)]), A([(0, 1)]))
+    assert precedes(A([(0,), (1,)]), A([(0,)]))
+    assert not precedes(A([(1,)]), A([(0,)]))
 
 
 def test_sharing_order_is_dual():
-    lattice = enumerate_antichains(3)
-    for a in lattice.nodes:
-        for b in lattice.nodes:
-            assert sharing_precedes(a, b) == precedes(b, a)
+    # Under the dual order, sharing_join is the least upper bound and
+    # sharing_meet the greatest lower bound.
+    nodes = enumerate_antichains(3).nodes
+    for a in nodes:
+        for b in nodes:
+            upper = [c for c in nodes if precedes(c, a) and precedes(c, b)]
+            assert sharing_join(a, b) in upper
+            assert all(precedes(c, sharing_join(a, b)) for c in upper)
+            lower = [c for c in nodes if precedes(a, c) and precedes(b, c)]
+            assert sharing_meet(a, b) in lower
+            assert all(precedes(sharing_meet(a, b), c) for c in lower)
 
 
 @st.composite
@@ -247,19 +256,19 @@ def test_lattice_laws_on_eval(data):
 @given(vector_and_antichains(2))
 def test_sharing_monotone(data):
     h, (a, b) = data
-    if sharing_precedes(a, b):
+    if precedes(b, a):  # a below b in the sharing order
         assert eval_sharing(a, h) <= eval_sharing(b, h) + 1e-12
 
 
-def test_total_order_reduce_examples():
-    assert total_order_reduce((1.0, 2.0, 3.0)) == (2, 1, 0)
-    assert total_order_reduce((1.0, 1.0)) == (0, 1)
-    h = (0.2, 0.9, 0.5)
+def test_eval_sharing_takes_one_of_the_values():
+    # Every node's max-of-mins is one of the single-variable values, and
+    # every value is some node's.
     lattice = enumerate_antichains(3)
-    for node in lattice.nodes:
-        assert eval_sharing(node, h) in set(h)
-    order = total_order_reduce(h)
-    assert [h[i] for i in order] == sorted(h, reverse=True)
+    for h in ((0.2, 0.9, 0.5), (1.0, 1.0, 3.0), (2.0, 2.0, 2.0)):
+        values = {eval_sharing(node, h) for node in lattice.nodes}
+        assert values == set(h)
+    assert eval_sharing(lattice.bottom, (0.2, 0.9, 0.5)) == 0.9
+    assert eval_sharing(lattice.top, (0.2, 0.9, 0.5)) == 0.2
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,8 +324,85 @@ def test_mask_built_nodes_are_normalized_with_their_upsets(n):
         )
         assert lattice.upsets[i] == upset
         assert lattice.node_at(upset) is node
+        assert upset_of(node, n) == upset
+        assert antichain_of(upset, n) == node
     assert lattice.bottom == A([(i,) for i in range(n)])
     assert lattice.top == A([tuple(range(n))])
     assert len(set(lattice.upsets)) == len(lattice)
     with pytest.raises(ValueError, match="not the up-set"):
         lattice.node_at(0)
+
+
+def _meet_oracle(a, b):
+    return A(a.sources + b.sources)
+
+
+def _join_oracle(a, b):
+    return A(tuple(set(x) | set(y)) for x in a.sources for y in b.sources)
+
+
+def test_mask_meet_join_match_the_normalize_oracle():
+    # OR/AND of up-set masks against minimal sources of pooled members and
+    # of pairwise unions: every pair for n <= 4, a seeded sample for n = 5.
+    for n in (1, 2, 3, 4):
+        nodes = enumerate_antichains(n).nodes
+        for a in nodes:
+            for b in nodes:
+                assert meet(a, b) == _meet_oracle(a, b)
+                assert join(a, b) == _join_oracle(a, b)
+    rng = random.Random(5)
+    nodes = enumerate_antichains(5, True).nodes
+    for _ in range(2000):
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        assert meet(a, b) == _meet_oracle(a, b)
+        assert join(a, b) == _join_oracle(a, b)
+
+
+def test_meet_join_accept_unnormalized_members():
+    # Unsorted, repeated and comparable members read as `normalize` reads them.
+    messy = Antichain(((2, 0), (0, 2, 2), (1,), (1, 2)))
+    other = Antichain(((3, 1), (0,), (0, 1)))
+    assert meet(messy, other) == _meet_oracle(messy, other) == A([(0,), (1,)])
+    assert join(messy, other) == _join_oracle(messy, other) == A([(0, 1), (0, 2), (1, 3)])
+    assert meet(messy, messy) == join(messy, messy) == A(messy.sources)
+    with pytest.raises(ValueError):
+        meet(Antichain(()), Antichain(()))
+    with pytest.raises(ValueError):  # the empty set is no source
+        join(messy, Antichain(((),)))
+    # the node algebra spans the sources of at most five variables
+    with pytest.raises(ValueError, match="outside supported range"):
+        meet(A([(5,)]), A([(0,)]))
+    with pytest.raises(ValueError, match="outside supported range"):
+        join(A([(0, 5)]), A([(0,)]))
+
+
+def test_upset_of_and_antichain_of_reject_what_is_no_node():
+    with pytest.raises(ValueError, match="not a source"):
+        upset_of(A([(0, 3)]), 3)
+    with pytest.raises(ValueError):
+        antichain_of(0, 3)
+    with pytest.raises(ValueError):
+        antichain_of(1 << 7, 3)
+    # a mask that is not an up-set still names its minimal sources
+    assert antichain_of(0b1000001, 3) == A([(0,)])
+
+
+def test_index_rejects_non_canonical_and_oversized_antichains():
+    three = enumerate_antichains(3)
+    for alpha in (
+        Antichain(((1,), (0,))),        # unsorted
+        Antichain(((0,), (0,))),        # repeated
+        Antichain(((0,), (0, 1))),      # comparable
+        Antichain(((1, 0),)),           # unsorted member
+        Antichain(((0,), (3,))),        # a variable beyond the lattice
+        Antichain(((0, 1, 2, 3),)),
+        Antichain(()),
+    ):
+        assert alpha not in three
+        with pytest.raises(ValueError, match="not a node"):
+            three.index(alpha)
+        with pytest.raises(ValueError, match="not a node"):
+            three.covered_by(alpha)
+    assert "not an antichain" not in three
+    for i, node in enumerate(three.nodes):
+        assert node in three and three.index(node) == i
