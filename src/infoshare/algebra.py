@@ -26,9 +26,10 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .distribution import OPERATORS, JointDistribution, identifier_end
-from .decomposition import chain_levels, source_surprisals
+from .decomposition import chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources)
+from .measures import cond_surprisals, surprisal_table, surprisals
 
 
 class ExpressionError(ValueError):
@@ -222,6 +223,13 @@ def _compile(expr: Expr, variables: Sequence[int]) -> Callable[[int], bool]:
     return walk(expr)
 
 
+def _chain_total(expr: Expr, variables: Sequence[int]) -> Callable[[list[float]], float]:
+    """Sum of the increments the expression covers on the chain of a surprisal
+    vector over `enumerate_sources(len(variables))`, read through `variables`."""
+    covers = _compile(expr, variables)
+    return lambda h: math.fsum(inc for mask, inc in chain_levels(h) if covers(mask))
+
+
 def lower(expr: Expr, lattice: RedundancyLattice) -> frozenset[Antichain]:
     """Atom set of an expression: the lattice nodes whose increments it sums."""
     covers = _compile(expr, range(lattice.n))
@@ -236,11 +244,12 @@ def compile_expression(
 ) -> Callable[[Sequence[int]], float]:
     """The expression's value as a function of a support realization.
 
-    Parsed and lowered once; each call sums the covered increments on the
-    realization's chain (`chain_levels`).  With `given`, the chain spans
-    the other variables with conditioned surprisals, and the expression
-    must not mention a conditioning variable.  With `about`, the value is
-    the plain one minus the one given `about`.
+    Parsed, lowered and its surprisal table resolved once; each call sums
+    the covered increments on the realization's chain (`chain_levels`).
+    With `given`, the chain spans the other variables with conditioned
+    surprisals, and the expression must not mention a conditioning
+    variable.  With `about`, the value is the plain one minus the one
+    given `about`, both read from one log-mass vector over every source.
     """
     if given is not None and about is not None:
         raise ValueError("given and about are mutually exclusive")
@@ -248,8 +257,7 @@ def compile_expression(
     if isinstance(expr, str):
         expr = parse_expression(expr, d.variables.names)
     if about is not None:
-        plain, conditioned = compile_expression(d, expr), compile_expression(d, expr, given=about)
-        return lambda realization: plain(realization) - conditioned(realization)
+        given = about
     g = frozenset() if given is None else d.variables.check_source(given)
     variables = tuple(i for i in range(d.variables.n) if i not in g)
     if not variables:
@@ -258,12 +266,24 @@ def compile_expression(
     if used:
         names = ", ".join(d.variables.names[i] for i in sorted(used))
         raise ExpressionError(f"expression mentions conditioning variable(s) {names}")
-    covers = _compile(expr, variables)
-    sources = enumerate_sources(len(variables))
+    total = _chain_total(expr, variables)
+    sources = [tuple(variables[i] for i in src) for src in enumerate_sources(len(variables))]
+    if about is None:
+        table = surprisal_table(d, sources, given)
+        return lambda realization: total(table(realization))
+    # Every source of all variables: the plain chain's, each conditioned joint
+    # source and `about` itself.
+    every = enumerate_sources(d.variables.n)
+    logs = d.log_mass_table(every)
+    at = {src: k for k, src in enumerate(every)}
+    ids = [at[tuple(sorted(g.union(src)))] for src in sources]
+    about_id = at[tuple(sorted(g))]
+    plain_total, plain_ids = _chain_total(expr, range(d.variables.n)), range(len(every))
 
     def value(realization: Sequence[int]) -> float:
-        chain = chain_levels(source_surprisals(d, sources, realization, variables, given))
-        return math.fsum(inc for mask, inc in chain if covers(mask))
+        log_masses = logs(realization)
+        return (plain_total(surprisals(log_masses, plain_ids))
+                - total(cond_surprisals(log_masses, ids, about_id)))
 
     return value
 
@@ -362,7 +382,7 @@ def lemma_suite(d: JointDistribution, realization: Sequence[int]) -> list[LemmaR
     """Evaluate both sides of the nine sharing identities at a realization."""
     if d.variables.n != 3:
         raise ValueError("the lemma suite needs exactly three variables")
-    chain = chain_levels(source_surprisals(d, enumerate_sources(3), realization, range(3)))
+    chain = chain_levels(surprisal_table(d, enumerate_sources(3))(realization))
 
     def total(masks: frozenset[int]) -> float:
         return math.fsum(inc for mask, inc in chain if mask in masks)

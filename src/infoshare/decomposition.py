@@ -24,11 +24,11 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
-from .measures import cond_surprisal, content, surprisal
+from .measures import cond_surprisals, surprisal_table, surprisals
 
 
 @dataclass
@@ -81,26 +81,20 @@ def lattice_valuation(
     by default the lattice spans all variables in order.
     """
     variables = _selected(d, variables, lattice)
-    h = dict(zip(lattice.sources,
-                 source_surprisals(d, lattice.sources, realization, variables, given)))
+    h = dict(zip(lattice.sources, _lattice_table(d, lattice, variables, given)(realization)))
     values = {node: min(h[src] for src in node.sources) for node in lattice.nodes}
     return LatticeValuation(lattice, values)
 
 
-def source_surprisals(
+def _lattice_table(
     d: JointDistribution,
-    sources: Sequence[tuple[int, ...]],
-    realization: Sequence[int],
+    lattice: RedundancyLattice,
     variables: Sequence[int],
-    given: Iterable[int] | None = None,
-) -> list[float]:
-    """Surprisal of each source at the realization, conditioned on `given` if set.
-
-    Source members are positions in `variables`, which maps them to
-    distribution variable indices.
-    """
-    h = content(d, given, realization)
-    return [h([variables[i] for i in src]) for src in sources]
+    given: Iterable[int] | None,
+) -> Callable[[Sequence[int]], list[float]]:
+    """`surprisal_table` of the lattice's sources, whose members are positions
+    in `variables`, the distribution variable indices they stand for."""
+    return surprisal_table(d, [[variables[i] for i in src] for src in lattice.sources], given)
 
 
 def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
@@ -124,14 +118,10 @@ def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
 
 
 def _chain_point(
-    d: JointDistribution,
-    lattice: RedundancyLattice,
-    realization: Sequence[int],
-    variables: tuple[int, ...],
-    given: Iterable[int] | None,
+    lattice: RedundancyLattice, h: list[float]
 ) -> tuple[list[float], list[tuple[Antichain, float]]]:
-    """Node values in node order, and the chain nodes with their increments."""
-    h = source_surprisals(d, lattice.sources, realization, variables, given)
+    """Node values in node order, and the chain nodes with their increments,
+    from the surprisal `h` of each lattice source."""
     values = [min(map(h.__getitem__, ids)) for ids in lattice.members]
     return values, [(lattice.node_at(mask), inc) for mask, inc in chain_levels(h)]
 
@@ -151,7 +141,8 @@ def chain_walk(
     `lattice_valuation`.
     """
     variables = _selected(d, variables, lattice)
-    values, chain = _chain_point(d, lattice, realization, variables, given)
+    h = _lattice_table(d, lattice, variables, given)(realization)
+    values, chain = _chain_point(lattice, h)
     partials = dict.fromkeys(lattice.nodes, 0.0)
     partials.update(chain)
     return PartialValuation(
@@ -218,8 +209,9 @@ def decompose_expected(
     # float objects per node raises the peak memory of an n = 5 run.
     values: list[array] = []
     increments: dict[Antichain, list[float]] = defaultdict(list)
+    table = _lattice_table(d, lattice, sel, None)
     for r, p in d.support():
-        point_values, chain = _chain_point(d, lattice, r, sel, None)
+        point_values, chain = _chain_point(lattice, table(r))
         values.append(array("d", [p * v for v in point_values]))
         for node, increment in chain:
             increments[node].append(p * increment)
@@ -315,15 +307,15 @@ class MutualDecomposition:
         }
 
 
-def _mi_point(d, first, second, target, realization) -> MutualDecomposition:
-    # Plain minus conditioned-on-target readings of the pair measures,
-    # built from three plain and three conditioned surprisals.
-    ha = surprisal(d, first, realization)
-    hb = surprisal(d, second, realization)
-    ca = cond_surprisal(d, first, target, realization)
-    cb = cond_surprisal(d, second, target, realization)
-    hab = surprisal(d, first | second, realization)
-    cab = cond_surprisal(d, first | second, target, realization)
+def _mi_point(log_masses: list[float]) -> MutualDecomposition:
+    # Plain minus conditioned-on-target readings of the pair measures, built
+    # from three plain and three conditioned surprisals, read in the order (and
+    # so with the errors) of one `surprisal`/`cond_surprisal` call each.  The
+    # log masses are of a, b, a|b, t, a|t, b|t and a|b|t (see `mi_decompose`).
+    ha, hb = surprisals(log_masses, (0, 1))
+    ca, cb = cond_surprisals(log_masses, (4, 5), 3)
+    (hab,) = surprisals(log_masses, (2,))
+    (cab,) = cond_surprisals(log_masses, (6,), 3)
     return MutualDecomposition(
         union=max(ha, hb) - max(ca, cb),
         unique_first=max(ha - hb, 0.0) - max(ca - cb, 0.0),
@@ -352,13 +344,14 @@ def mi_decompose(
     t = d.variables.check_source(target)
     if a & b or a & t or b & t:
         raise ValueError("predictor and target sources must be pairwise disjoint")
+    logs = d.log_mass_table([a, b, a | b, t, a | t, b | t, a | b | t])
     if realization is not None:
-        return _mi_point(d, a, b, t, realization)
+        return _mi_point(logs(realization))
     fields = ("union", "unique_first", "unique_second", "intersection",
               "synergy", "joint", "coinformation")
     acc: dict[str, list[float]] = {name: [] for name in fields}
     for r, p in d.support():
-        point = _mi_point(d, a, b, t, r)
+        point = _mi_point(logs(r))
         for name in fields:
             acc[name].append(p * getattr(point, name))
     return MutualDecomposition(**{name: math.fsum(acc[name]) for name in fields})

@@ -13,8 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # Absolute tolerance for the total-mass check.
 MASS_SUM_TOLERANCE = 1e-12
@@ -175,21 +176,34 @@ class JointDistribution:
         key = tuple(r[i] for i in sorted(s))
         return self._table(s).get(key, 0.0)
 
-    def conditional_mass(
-        self,
-        source: Iterable[int],
-        given: Iterable[int],
-        realization: Sequence[int],
-    ) -> float:
-        """P(source values | given values) at the realization."""
-        s = self._variables.check_source(source)
-        g = self._variables.check_source(given)
-        if s & g:
-            raise ValueError("source and conditioning variables overlap")
-        p_given = self.marginal_mass(g, realization)
-        if p_given <= 0.0:
-            raise ZeroMass("conditioning event has zero mass")
-        return self.marginal_mass(s | g, realization) / p_given
+    def log_mass_table(
+        self, sources: Sequence[Iterable[int]]
+    ) -> Callable[[Sequence[int]], list[float]]:
+        """log2 of each source's marginal mass, as a function of the realization.
+
+        Each source is validated and resolved to its marginal table once,
+        here.  Each call validates the realization once and then costs one
+        key, one lookup and one log2 per source; a zero mass reads -inf.
+        """
+        resolved = []
+        for source in sources:
+            s = self._variables.check_source(source)
+            indices = sorted(s)
+            # itemgetter of one index returns the bare value; a slice keeps the 1-tuple key
+            key = itemgetter(*indices) if len(indices) > 1 else itemgetter(
+                slice(indices[0], indices[0] + 1))
+            resolved.append((key, self._table(s).get))
+        check, log2 = self._variables.check_realization, math.log2
+
+        def at(realization: Sequence[int]) -> list[float]:
+            r = check(realization)
+            try:
+                return [log2(get(key(r), 0.0)) for key, get in resolved]
+            except ValueError:  # log2(0.0): the only failure left once r is valid
+                return [log2(p) if p > 0.0 else -math.inf
+                        for p in (get(key(r), 0.0) for key, get in resolved)]
+
+        return at
 
 
 def load_distribution(text: str, fmt: str | None = None) -> JointDistribution:

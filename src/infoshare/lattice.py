@@ -63,6 +63,8 @@ class Antichain:
         )
         if not candidates:
             raise ValueError("an antichain needs at least one source")
+        if not candidates[0]:  # sorted by size, so an empty source comes first
+            raise ValueError("a source must contain at least one variable")
         kept: list[tuple[int, ...]] = []
         kept_masks: list[int] = []
         for src in candidates:

@@ -9,6 +9,10 @@ Each content measure takes an optional `given` conditioner.  A
 conditional measure is the plain one with every surprisal replaced by
 its conditional counterpart, the joint surprisal of source and
 conditioner minus the conditioner's own.
+
+`surprisal` and `cond_surprisal` answer one query each.  A command that
+reads many sources at many realizations builds a `surprisal_table` once
+and pays one lookup and one log2 per source at each realization.
 """
 
 from __future__ import annotations
@@ -45,6 +49,55 @@ def cond_surprisal(
     if p_joint <= 0.0:
         raise ZeroMass("surprisal undefined: zero joint mass")
     return math.log2(p_given) - math.log2(p_joint)
+
+
+def surprisals(log_masses: Sequence[float], ids: Iterable[int]) -> list[float]:
+    """The surprisal -log2 p of each listed entry of a log-mass vector
+    (`JointDistribution.log_mass_table`); `surprisal` at every entry."""
+    h = [-log_masses[k] for k in ids]
+    if math.inf in h:
+        raise ZeroMass("surprisal undefined: zero marginal mass")
+    return h
+
+
+def cond_surprisals(log_masses: Sequence[float], ids: Iterable[int], given_id: int) -> list[float]:
+    """log2 p(given) - log2 p(joint) for each listed joint entry of a
+    log-mass vector, `given_id` being the conditioner's; `cond_surprisal`
+    at every entry, with its errors in its order."""
+    log_given = log_masses[given_id]
+    if log_given == -math.inf:
+        raise ZeroMass("conditioning event has zero mass")
+    h = [log_given - log_masses[k] for k in ids]
+    if math.inf in h:
+        raise ZeroMass("surprisal undefined: zero joint mass")
+    return h
+
+
+def surprisal_table(
+    d: JointDistribution,
+    sources: Sequence[Iterable[int]],
+    given: Iterable[int] | None = None,
+) -> Callable[[Sequence[int]], list[float]]:
+    """Surprisal of each source, conditioned on `given` if set, as a function
+    of the realization: the per-command form of `surprisal`/`cond_surprisal`.
+
+    Sources and conditioner are resolved once, here (see
+    `JointDistribution.log_mass_table`); each call reads one log-mass vector.
+    """
+    if given is None:
+        logs = d.log_mass_table(sources)
+        every = range(len(sources))
+        return lambda realization: surprisals(logs(realization), every)
+    g = d.variables.check_source(given)
+    joint = []
+    for source in sources:
+        s = d.variables.check_source(source)
+        if s & g:
+            raise ValueError("source and conditioning variables overlap")
+        joint.append(s | g)
+    logs = d.log_mass_table([g, *joint])
+    ids = range(1, len(joint) + 1)
+    return lambda realization: cond_surprisals(logs(realization), ids, 0)
 
 
 def content(d: JointDistribution, given, realization) -> Callable[[Iterable[int]], float]:
@@ -104,4 +157,5 @@ def expected(d: JointDistribution, fn: Callable[[tuple[int, ...]], float]) -> fl
 
 def entropy(d: JointDistribution, source) -> float:
     """Expected surprisal of a source."""
-    return expected(d, lambda r: surprisal(d, source, r))
+    table = surprisal_table(d, [source])
+    return expected(d, lambda r: table(r)[0])

@@ -549,3 +549,21 @@ def test_footer_tolerance_gate(tmp_path, capsys):
     if residual == 0.0:
         pytest.skip("residual is exactly zero for this fixture")
     assert code == 1
+
+
+def test_cli_imports_only_the_standard_library():
+    # The runtime is pure stdlib: a fresh isolated interpreter that imports the
+    # CLI loads no module beyond the standard library and infoshare itself.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import infoshare.cli; "
+        "print('\\n'.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "infoshare" in loaded
+    assert loaded - {"infoshare"} <= set(sys.stdlib_module_names), \
+        sorted(loaded - {"infoshare"} - set(sys.stdlib_module_names))

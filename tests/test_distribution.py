@@ -8,6 +8,7 @@ from infoshare import (
     JointDistribution,
     VariableSet,
     ZeroMass,
+    cond_surprisal,
     load_distribution,
     load_file,
 )
@@ -205,25 +206,31 @@ def test_marginal_invalid_source_rejected():
 
 
 def test_conditional_mass_examples():
+    # A conditional mass is the ratio of two marginal masses, and
+    # 2 ** -cond_surprisal is that ratio.
     d = xor3()
     for r, _ in d.support():
         ratio = marginal_oracle(d, [0, 2], r) / marginal_oracle(d, [2], r)
-        assert d.conditional_mass([0], [2], r) == pytest.approx(ratio)
-        assert d.conditional_mass([0], [2], r) == pytest.approx(0.5)
+        assert d.marginal_mass([0, 2], r) / d.marginal_mass([2], r) == pytest.approx(ratio)
+        assert 2 ** -cond_surprisal(d, [0], [2], r) == pytest.approx(ratio)
+        assert 2 ** -cond_surprisal(d, [0], [2], r) == pytest.approx(0.5)
     c = copy2()
-    assert c.conditional_mass([1], [0], (0, 0)) == pytest.approx(1.0)
-    assert c.conditional_mass([1], [0], (0, 1)) == pytest.approx(0.0)
+    assert 2 ** -cond_surprisal(c, [1], [0], (0, 0)) == pytest.approx(1.0)
+    assert c.marginal_mass([0, 1], (0, 1)) / c.marginal_mass([0], (0, 1)) == pytest.approx(0.0)
+    with pytest.raises(ZeroMass, match="zero joint mass"):  # a conditional mass of 0
+        cond_surprisal(c, [1], [0], (0, 1))
 
 
 def test_conditional_mass_errors():
     c = copy2()
     with pytest.raises(ValueError, match="overlap"):
-        c.conditional_mass([0], [0], (0, 0))
+        cond_surprisal(c, [0], [0], (0, 0))
     bad = JointDistribution(
         VariableSet(("X", "Y"), (3, 2)), {(0, 0): 0.5, (1, 1): 0.5}
     )
-    with pytest.raises(ZeroMass):
-        bad.conditional_mass([1], [0], (2, 0))
+    assert bad.marginal_mass([0], (2, 0)) == 0.0
+    with pytest.raises(ZeroMass, match="conditioning event has zero mass"):
+        cond_surprisal(bad, [1], [0], (2, 0))
 
 
 def test_support_enumeration():
@@ -270,7 +277,7 @@ def test_conditional_times_marginal_recovers_joint(trial):
     rng = trial_rng(202, trial)
     d = random_distribution(rng, [2, 2, 3])
     for r, _ in d.support():
-        left = d.conditional_mass([0], [1, 2], r) * d.marginal_mass([1, 2], r)
+        left = 2 ** -cond_surprisal(d, [0], [1, 2], r) * d.marginal_mass([1, 2], r)
         assert abs(left - d.marginal_mass([0, 1, 2], r)) <= 1e-12
 
 

@@ -376,6 +376,15 @@ def test_meet_join_accept_unnormalized_members():
         join(A([(0, 5)]), A([(0,)]))
 
 
+def test_normalize_rejects_the_empty_source():
+    # The empty set is no source: normalizing it once returned Antichain(((),)),
+    # which is no node of any lattice and whose str() failed.
+    for sources in ([(), (0,)], [()], [(1, 2), [], (0,)]):
+        with pytest.raises(ValueError, match="a source must contain at least one variable"):
+            A(sources)
+    assert str(A([(0,), (0, 1)])) == "{x}"
+
+
 def test_upset_of_and_antichain_of_reject_what_is_no_node():
     with pytest.raises(ValueError, match="not a source"):
         upset_of(A([(0, 3)]), 3)

@@ -1,0 +1,165 @@
+"""The per-command surprisal table against the per-call measures.
+
+`surprisal_table` and `compile_expression` resolve their sources once
+and read one log-mass vector per realization; every value must equal,
+bit for bit, the one built from per-call `surprisal`/`cond_surprisal`,
+and every error must keep its message and its order.
+"""
+
+import math
+
+import pytest
+
+from infoshare import (
+    JointDistribution,
+    VariableSet,
+    ZeroMass,
+    chain_levels,
+    compile_expression,
+    cond_surprisal,
+    enumerate_antichains,
+    enumerate_sources,
+    lower,
+    mi_decompose,
+    parse_expression,
+    surprisal,
+)
+from infoshare.cli import main
+from infoshare.measures import surprisal_table
+from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
+
+
+def _inputs(n):
+    rng = trial_rng(707, n)
+    randoms = [random_distribution(rng, [rng.randint(2, 3) for _ in range(n)]) for _ in range(4)]
+    return tie_heavy_distributions(n) + randoms
+
+
+CASES = [(n, k, d) for n in (3, 4) for k, d in enumerate(_inputs(n))]
+IDS = [f"n{n}-{k}" for n, k, _ in CASES]
+
+
+@pytest.mark.parametrize("n, k, d", CASES, ids=IDS)
+def test_plain_and_given_tables_equal_the_per_call_values(n, k, d):
+    sources = enumerate_sources(n)
+    plain = surprisal_table(d, sources)
+    last = n - 1
+    rest = enumerate_sources(n - 1)  # sources of the first n - 1 variables
+    given = surprisal_table(d, rest, given=[last])
+    pair = surprisal_table(d, enumerate_sources(n - 2), given=[n - 2, last])
+    for r, _ in d.support():
+        assert plain(r) == [surprisal(d, s, r) for s in sources]
+        assert given(r) == [cond_surprisal(d, s, [last], r) for s in rest]
+        assert pair(r) == [cond_surprisal(d, s, [n - 2, last], r)
+                           for s in enumerate_sources(n - 2)]
+
+
+def _oracle(d, text, realization, given=None):
+    # Chain of per-call surprisals over the first variables, summed where the
+    # expression's atoms (lowered on a built lattice) lie.
+    m = d.variables.n - (0 if given is None else 1)
+    lattice = enumerate_antichains(m)
+    atoms = lower(parse_expression(text, d.variables.names), lattice)
+    if given is None:
+        h = [surprisal(d, s, realization) for s in lattice.sources]
+    else:
+        h = [cond_surprisal(d, s, given, realization) for s in lattice.sources]
+    return math.fsum(inc for mask, inc in chain_levels(h) if lattice.node_at(mask) in atoms)
+
+
+EXPRESSIONS = {3: ("x oplus y", "x cap (y,x)", "(x minus y) cup y"),
+               4: ("x oplus y oplus z", "(x,y) minus z", "x cap (y oplus z)")}
+
+
+@pytest.mark.parametrize("n, k, d", CASES, ids=IDS)
+def test_compiled_expressions_equal_the_per_call_chains(n, k, d):
+    last = n - 1
+    for text in EXPRESSIONS[n]:
+        plain = compile_expression(d, text)
+        given = compile_expression(d, text, given=[last])
+        about = compile_expression(d, text, about=[last])
+        for r, _ in d.support():
+            p, g = _oracle(d, text, r), _oracle(d, text, r, given=[last])
+            assert plain(r) == p
+            assert given(r) == g
+            assert about(r) == p - g
+
+
+@pytest.mark.parametrize("n, k, d", CASES, ids=IDS)
+def test_mi_decompose_equals_the_per_call_arithmetic(n, k, d):
+    a, b, t = frozenset({0}), frozenset({1}), frozenset(range(2, n))
+    for r, _ in d.support():
+        ha, hb = surprisal(d, a, r), surprisal(d, b, r)
+        ca, cb = cond_surprisal(d, a, t, r), cond_surprisal(d, b, t, r)
+        hab, cab = surprisal(d, a | b, r), cond_surprisal(d, a | b, t, r)
+        point = mi_decompose(d, a, b, t, r)
+        assert point.union == max(ha, hb) - max(ca, cb)
+        assert point.unique_first == max(ha - hb, 0.0) - max(ca - cb, 0.0)
+        assert point.unique_second == max(hb - ha, 0.0) - max(cb - ca, 0.0)
+        assert point.intersection == min(ha, hb) - min(ca, cb)
+        assert point.synergy == (hab - max(ha, hb)) - (cab - max(ca, cb))
+        assert point.joint == hab - cab
+        assert point.coinformation == (ha + hb - hab) - (ca + cb - cab)
+
+
+def test_log_mass_table_reads_minus_infinity_at_zero_mass():
+    d = JointDistribution(VariableSet(("X", "Y"), (2, 2)), {(0, 0): 0.5, (1, 1): 0.5})
+    logs = d.log_mass_table([[0], [1], [0, 1], [1, 0]])
+    assert logs((0, 1)) == [-1.0, -1.0, -math.inf, -math.inf]
+    assert logs((1, 1)) == [-1.0, -1.0, -1.0, -1.0]
+    with pytest.raises(ValueError, match="a source must contain at least one variable"):
+        d.log_mass_table([[]])
+    with pytest.raises(ValueError, match="realization has 1 values, expected 2"):
+        logs((0,))
+
+
+def test_overlapping_conditioner_is_rejected_when_the_table_is_built():
+    d = tie_heavy_distributions(3)[0]
+    with pytest.raises(ValueError, match="source and conditioning variables overlap"):
+        surprisal_table(d, [(0,), (1, 2)], given=[2])
+
+
+TWO_POINT = """{"variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 2},
+                              {"name": "Z", "cardinality": 2}],
+ "pmf": [{"assignment": [0, 0, 0], "p": 0.5}, {"assignment": [1, 1, 0], "p": 0.5}]}"""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--realization", "0,1,0"], "surprisal undefined: zero marginal mass"),
+    (["--realization", "0,1,1", "--given", "Z"], "conditioning event has zero mass"),
+    (["--realization", "0,1,0", "--given", "Z"], "surprisal undefined: zero joint mass"),
+    (["--realization", "0,1,1", "--about", "Z"], "surprisal undefined: zero marginal mass"),
+    (["--realization", "0,0"], "realization has 2 values, expected 3"),
+    (["--realization", "0,0,2"], "value 2 outside range of variable 'Z' (cardinality 2)"),
+    (["--realization", "0,0,2", "--about", "Z"],
+     "value 2 outside range of variable 'Z' (cardinality 2)"),
+])
+def test_eval_errors_keep_their_messages_and_order(tmp_path, capsys, flags, message):
+    path = tmp_path / "two.json"
+    path.write_text(TWO_POINT)
+    assert main(["eval", str(path), "X oplus Y", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_about_validates_each_realization_once(monkeypatch):
+    counts = {"check_realization": 0, "check_source": 0}
+    for name in counts:
+        original = getattr(VariableSet, name)
+
+        def counted(self, arg, name=name, original=original):
+            counts[name] += 1
+            return original(self, arg)
+
+        monkeypatch.setattr(VariableSet, name, counted)
+    d = random_distribution(trial_rng(11, 0), [3, 3, 3], sparsity=0.2)
+    value = compile_expression(d, "x oplus y", about=[2])
+    built = dict(counts)
+    points = [r for r, _ in d.support()]
+    for k in (1, len(points)):
+        before = dict(counts)
+        for r in points[:k]:
+            value(r)
+        assert counts["check_realization"] - before["check_realization"] == k
+        assert counts["check_source"] == built["check_source"]
