@@ -4,11 +4,20 @@ Each suite runs seeded trials, tracks a worst-case residual per law, and
 reports pass/fail against the configured tolerance.  Per-trial seeds are
 derived from the master seed by index, so results never depend on
 execution order.
+
+One driver runs every suite's trials in contiguous blocks, one per usable
+CPU: the first block in this process and each other block in a forked
+child, whose worst residuals are merged by maximum.  The report does not
+depend on the CPU count; a system without `fork` runs one block.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 from .algebra import lemma_suite
 from .decomposition import (
@@ -24,10 +33,13 @@ from .lattice import (
     sharing_join,
     sharing_meet,
 )
-from .measures import surprisal
+from .measures import surprisal_table
 from .sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 SUITES = ("props", "lemmas", "mobius", "pie")
+
+Bump = Callable[[str, float], None]  # keeps a law's worst residual
+Trial = Callable[[int, Bump], None]  # runs one trial by index
 
 
 @dataclass(frozen=True)
@@ -84,8 +96,119 @@ def _report(suite, seed, trials, tolerance, residuals) -> CheckReport:
     return CheckReport(suite, seed, trials, tolerance, lines)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _bumper(residuals: dict[str, float]) -> Bump:
+    """Keep the largest value seen per law; `>` never lets NaN or -0.0 in."""
+    def bump(name: str, value: float) -> None:
+        if value > residuals[name]:
+            residuals[name] = value
+    return bump
+
+
+def _block(laws: Sequence[str], trial: Trial, lo: int, hi: int) -> dict[str, float]:
+    residuals = dict.fromkeys(laws, 0.0)
+    bump = _bumper(residuals)
+    for t in range(lo, hi):
+        trial(t, bump)
+    return residuals
+
+
+def _fork_block(laws: Sequence[str], trial: Trial, lo: int, hi: int) -> tuple[int, int] | None:
+    """Run a block in a forked child; return its pid and the pipe it writes
+    its residuals to (marshal keeps the floats exact), or None when no
+    child can be started."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(_block(laws, trial, lo, hi)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _collect(pid: int, read: int) -> dict[str, float] | None:
+    """The residuals a child wrote, or None if it failed; reaps the child."""
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return marshal.loads(data) if status == 0 else None
+
+
+def _worst_residuals(laws: Sequence[str], trials: int, trial: Trial) -> dict[str, float]:
+    """Each law's largest residual over trials 0..trials-1.
+
+    The trials run in contiguous blocks, one per usable CPU: every block
+    after the first in a forked child, the first in this process.  Each
+    trial depends only on its index and the merge keeps maxima, so the
+    result does not depend on the block count.  A child that fails, dies or
+    cannot be started has its block rerun here, which raises the error a
+    single block would raise.
+    """
+    blocks = max(1, min(_usable_cpus(), trials)) if hasattr(os, "fork") else 1
+    bounds = [trials * b // blocks for b in range(blocks + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((_fork_block(laws, trial, lo, hi), lo, hi))
+        residuals = _block(laws, trial, 0, bounds[1])
+    finally:
+        found = [_collect(*child) if child else None for child, _, _ in children]
+    bump = _bumper(residuals)
+    for worst, (_, lo, hi) in zip(found, children):
+        if worst is None:
+            worst = _block(laws, trial, lo, hi)
+        for name, value in worst.items():
+            bump(name, value)
+    return residuals
+
+
 def _surprisal_vector(d, realization) -> list[float]:
-    return [surprisal(d, (i,), realization) for i in range(d.variables.n)]
+    return surprisal_table(d, [(i,) for i in range(d.variables.n)])(realization)
+
+
+def _props_trial(seed: int, t: int, bump: Bump) -> None:
+    rng = trial_rng(seed, t)
+    n = rng.choice((2, 3))
+    d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
+    support = d.support()
+    r, _ = support[rng.randrange(len(support))]
+    h = _surprisal_vector(d, r)
+    lattice = enumerate_antichains(n)
+    a, b, c = (lattice.nodes[rng.randrange(len(lattice.nodes))] for _ in range(3))
+
+    def ev(alpha):
+        return eval_sharing(alpha, h)
+
+    # each law for sharing_join against sharing_meet, then the other way round
+    for op, dual in ((sharing_join, sharing_meet), (sharing_meet, sharing_join)):
+        bump("idempotence", abs(ev(op(a, a)) - ev(a)))
+        bump("commutativity", abs(ev(op(a, b)) - ev(op(b, a))))
+        bump("associativity", abs(ev(op(op(a, b), c)) - ev(op(a, op(b, c)))))
+        bump("absorption", abs(ev(op(a, dual(a, b))) - ev(a)))
+        bump("distributivity",
+             abs(ev(op(a, dual(b, c))) - ev(dual(op(a, b), op(a, c)))))
+    for node in lattice.nodes:
+        value = ev(node)
+        bump("connexity", min(abs(value - hi) for hi in h))
 
 
 def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
@@ -98,48 +221,46 @@ def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
         "distributivity",
         "connexity",
     )
-    residuals = {name: 0.0 for name in laws}
-
-    def bump(name: str, value: float) -> None:
-        if value > residuals[name]:
-            residuals[name] = value
-
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        n = rng.choice((2, 3))
-        d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
-        support = d.support()
-        r, _ = support[rng.randrange(len(support))]
-        h = _surprisal_vector(d, r)
-        lattice = enumerate_antichains(n)
-        a, b, c = (lattice.nodes[rng.randrange(len(lattice.nodes))] for _ in range(3))
-
-        def ev(alpha):
-            return eval_sharing(alpha, h)
-
-        # each law for sharing_join against sharing_meet, then the other way round
-        for op, dual in ((sharing_join, sharing_meet), (sharing_meet, sharing_join)):
-            bump("idempotence", abs(ev(op(a, a)) - ev(a)))
-            bump("commutativity", abs(ev(op(a, b)) - ev(op(b, a))))
-            bump("associativity", abs(ev(op(op(a, b), c)) - ev(op(a, op(b, c)))))
-            bump("absorption", abs(ev(op(a, dual(a, b))) - ev(a)))
-            bump("distributivity",
-                 abs(ev(op(a, dual(b, c))) - ev(dual(op(a, b), op(a, c)))))
-        for node in lattice.nodes:
-            value = ev(node)
-            bump("connexity", min(abs(value - hi) for hi in h))
+    residuals = _worst_residuals(laws, trials, partial(_props_trial, seed))
     return _report("props", seed, trials, tolerance, residuals)
+
+
+def _pie_trial(seed: int, t: int, bump: Bump) -> None:
+    rng = trial_rng(seed, t)
+    n = rng.randint(2, 5)
+    values = [rng.uniform(0.0, 4.0) for _ in range(n)]
+    bump("max_min_identity", abs(max(values) - max_via_min_expansion(values)))
 
 
 def run_pie(seed: int, trials: int, tolerance: float) -> CheckReport:
     """Maximum equals the alternating sum of subset minima."""
-    worst = 0.0
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        n = rng.randint(2, 5)
-        values = [rng.uniform(0.0, 4.0) for _ in range(n)]
-        worst = max(worst, abs(max(values) - max_via_min_expansion(values)))
-    return _report("pie", seed, trials, tolerance, {"max_min_identity": worst})
+    residuals = _worst_residuals(("max_min_identity",), trials, partial(_pie_trial, seed))
+    return _report("pie", seed, trials, tolerance, residuals)
+
+
+def _check_chain(bump: Bump, d, lattice, r, closed, recursive) -> None:
+    chain = chain_walk(d, lattice, r).partials
+    for node in lattice.nodes:
+        bump("chain_equals_closed", abs(chain[node] - closed.partials[node]))
+        bump("chain_equals_closed", abs(chain[node] - recursive.partials[node]))
+
+
+def _mobius_trial(seed: int, t: int, bump: Bump) -> None:
+    rng = trial_rng(seed, t)
+    n = rng.choice((2, 3))
+    d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 3)] * 2)
+    lattice = enumerate_antichains(n)
+    for r, _ in d.support():
+        valuation = lattice_valuation(d, lattice, r)
+        closed = mobius_closed_form(valuation)
+        recursive = mobius_recursive(valuation)
+        bump("closed_equals_recursive", max(
+            abs(closed.partials[node] - recursive.partials[node])
+            for node in lattice.nodes
+        ))
+        bump("partials_nonnegative", -min(closed.partials.values()))
+        bump("partials_sum_to_top", abs(closed.total() - valuation.values[lattice.top]))
+        _check_chain(bump, d, lattice, r, closed, recursive)
 
 
 def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
@@ -149,60 +270,36 @@ def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
     tie-heavy families for n = 2..4, where surprisals tie and the chain
     walk merges levels.
     """
-    residuals = {
-        "closed_equals_recursive": 0.0,
-        "partials_nonnegative": 0.0,
-        "partials_sum_to_top": 0.0,
-        "chain_equals_closed": 0.0,
-    }
-
-    def bump(name: str, value: float) -> None:
-        if value > residuals[name]:
-            residuals[name] = value
-
-    def check_chain(d, lattice, r, closed, recursive) -> None:
-        chain = chain_walk(d, lattice, r).partials
-        for node in lattice.nodes:
-            bump("chain_equals_closed", abs(chain[node] - closed.partials[node]))
-            bump("chain_equals_closed", abs(chain[node] - recursive.partials[node]))
-
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        n = rng.choice((2, 3))
-        d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 3)] * 2)
-        lattice = enumerate_antichains(n)
-        for r, _ in d.support():
-            valuation = lattice_valuation(d, lattice, r)
-            closed = mobius_closed_form(valuation)
-            recursive = mobius_recursive(valuation)
-            bump("closed_equals_recursive", max(
-                abs(closed.partials[node] - recursive.partials[node])
-                for node in lattice.nodes
-            ))
-            bump("partials_nonnegative", -min(closed.partials.values()))
-            bump("partials_sum_to_top", abs(closed.total() - valuation.values[lattice.top]))
-            check_chain(d, lattice, r, closed, recursive)
+    laws = (
+        "closed_equals_recursive",
+        "partials_nonnegative",
+        "partials_sum_to_top",
+        "chain_equals_closed",
+    )
+    residuals = _worst_residuals(laws, trials, partial(_mobius_trial, seed))
+    bump = _bumper(residuals)
     for n in (2, 3, 4):
         lattice = enumerate_antichains(n)
         for d in tie_heavy_distributions(n):
             for r, _ in d.support():
                 valuation = lattice_valuation(d, lattice, r)
-                check_chain(
-                    d, lattice, r, mobius_closed_form(valuation), mobius_recursive(valuation)
+                _check_chain(
+                    bump, d, lattice, r, mobius_closed_form(valuation), mobius_recursive(valuation)
                 )
     return _report("mobius", seed, trials, tolerance, residuals)
 
 
+def _lemmas_trial(seed: int, t: int, bump: Bump) -> None:
+    d = random_distribution(trial_rng(seed, t), [2, 2, 2])
+    for r, _ in d.support():
+        for result in lemma_suite(d, r):
+            bump(result.name, result.residual)
+
+
 def run_lemmas(seed: int, trials: int, tolerance: float) -> CheckReport:
     """The nine three-variable sharing identities on random distributions."""
-    residuals = {f"L{i}": 0.0 for i in range(1, 10)}
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        d = random_distribution(rng, [2, 2, 2])
-        for r, _ in d.support():
-            for result in lemma_suite(d, r):
-                if result.residual > residuals[result.name]:
-                    residuals[result.name] = result.residual
+    laws = [f"L{i}" for i in range(1, 10)]
+    residuals = _worst_residuals(laws, trials, partial(_lemmas_trial, seed))
     return _report("lemmas", seed, trials, tolerance, residuals)
 
 

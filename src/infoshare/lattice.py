@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_DEFAULT_N = 4
@@ -123,44 +123,52 @@ def _bit_ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _span(*nodes: Antichain) -> int:
+def _span(alpha: Antichain, beta: Antichain) -> int:
     # the variable count the nodes reach: one past their largest member
-    return 1 + max((i for node in nodes for src in node.sources for i in src), default=0)
+    return 1 + max(map(max, filter(None, chain(alpha.sources, beta.sources))), default=0)
 
 
 @lru_cache(maxsize=None)
-def _source_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int], tuple[int, ...]]:
+def _source_table(n: int) -> tuple[
+    tuple[tuple[int, ...], ...], dict[int, int], tuple[int, ...],
+    dict[tuple[int, ...], int], tuple[int, ...],
+]:
     """The sources of n variables, the bit of each source's variable mask,
-    and each source's up mask (the bits of the sources containing it)."""
+    each source's up mask (the bits of the sources containing it), that up
+    mask keyed by the source, and each source's strict down mask (the bits
+    of the sources strictly inside it)."""
     sources = tuple(enumerate_sources(n))
     smasks = [_source_mask(s) for s in sources]
     up = tuple(sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sk) for sk in smasks)
-    return sources, {m: k for k, m in enumerate(smasks)}, up
+    down = tuple(sum(1 << l for l, sl in enumerate(smasks) if sl & ~sk == 0 and sl != sk)
+                 for sk in smasks)
+    return sources, {m: k for k, m in enumerate(smasks)}, up, dict(zip(sources, up)), down
 
 
 def upset_of(alpha: Antichain, n: int) -> int:
     """Mask of the sources of n variables that contain some source of alpha
     (members may be unsorted, repeated or comparable)."""
-    _, bit, up = _source_table(n)
+    _, bit, up, up_of, _ = _source_table(n)
     mask = 0
     for src in alpha.sources:
-        k = bit.get(_source_mask(src))
-        if k is None:
-            raise ValueError(f"{src!r} is not a source of {n} variables")
-        mask |= up[k]
+        try:
+            mask |= up_of[src]
+        except (KeyError, TypeError):  # not a canonical source: go by its variable mask
+            k = bit.get(_source_mask(src))
+            if k is None:
+                raise ValueError(f"{src!r} is not a source of {n} variables") from None
+            mask |= up[k]
     return mask
 
 
 def antichain_of(mask: int, n: int) -> Antichain:
     """The minimal sources in a mask, in bit order, which is canonical order:
     for an up-set, the node that generates it."""
-    sources, _, up = _source_table(n)
+    sources, _, _, _, down = _source_table(n)
     if not 0 < mask < 1 << len(sources):
         raise ValueError(f"{mask:#x} is not a non-empty set of sources of {n} variables")
-    strict = 0
-    for k in _bit_ids(mask):
-        strict |= up[k] & ~(1 << k)
-    return Antichain(tuple(map(sources.__getitem__, _bit_ids(mask & ~strict))))
+    # a source is minimal when no source strictly inside it is in the mask
+    return Antichain(tuple([sources[k] for k in _bit_ids(mask) if not down[k] & mask]))
 
 
 def _all_antichains(n: int) -> list[tuple[Antichain, tuple[int, ...], int]]:
@@ -171,10 +179,9 @@ def _all_antichains(n: int) -> list[tuple[Antichain, tuple[int, ...], int]]:
     already normalized, and the depth-first order is the `sort_key`
     order.  Bit k of a mask stands for source k.
     """
-    sources, _, up = _source_table(n)
+    sources, _, up, _, down = _source_table(n)
     # comparable[k]: the sources containing source k and those contained in it
-    comparable = [u | sum(1 << l for l, ul in enumerate(up) if ul >> k & 1)
-                  for k, u in enumerate(up)]
+    comparable = [u | d for u, d in zip(up, down)]
     found: list[tuple[Antichain, tuple[int, ...], int]] = []
 
     def extend(start: int, members: tuple, ids: tuple, blocked: int, upset: int) -> None:
@@ -292,7 +299,7 @@ def enumerate_antichains(n: int, allow_large: bool = False) -> RedundancyLattice
 
 def eval_sharing(alpha: Antichain, values: Sequence[float]) -> float:
     """Max over the antichain's sources of the min of the member values."""
-    return max(min(values[i] for i in src) for src in alpha.sources)
+    return max([min(map(values.__getitem__, src)) for src in alpha.sources])
 
 
 def max_via_min_expansion(values: Sequence[float]) -> float:

@@ -1,0 +1,147 @@
+"""The `check` trial driver: block invariance, failures and child cleanup."""
+
+import json
+import os
+import random
+
+import pytest
+
+from infoshare import checks
+from infoshare.cli import main
+from infoshare.lattice import _source_table, antichain_of, enumerate_sources
+
+TRIALS = {"props": 40, "lemmas": 12, "mobius": 10, "pie": 60}
+
+
+def _reports(monkeypatch, cpus: int, suite: str, seed: int, trials: int) -> tuple[str, str]:
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+    report = checks.run_suite(suite, seed, trials, 1e-9)
+    return report.to_text(), json.dumps(report.to_json(), indent=2)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # count the children the driver starts (a child's own count is its copy)
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        started.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
+
+
+@pytest.mark.parametrize("suite", checks.SUITES)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reports_do_not_depend_on_the_block_count(monkeypatch, forks, suite, seed):
+    trials = TRIALS[suite]
+    one = _reports(monkeypatch, 1, suite, seed, trials)
+    assert not forks
+    for cpus in (2, 3):
+        assert _reports(monkeypatch, cpus, suite, seed, trials) == one, cpus
+    assert len(forks) == 1 + 2
+    # more CPUs than trials: one block per trial
+    forks.clear()
+    assert _reports(monkeypatch, 4, suite, seed, 2) == _reports(monkeypatch, 1, suite, seed, 2)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_cli_output_does_not_depend_on_the_block_count(monkeypatch, capsys):
+    for fmt in ("text", "structured"):
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+            argv = ["--seed", "7", "--trials", "30", "--format", fmt, "check", "--suite", "props"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1], fmt
+
+
+def test_no_trials_start_no_child(monkeypatch, forks):
+    text, _ = _reports(monkeypatch, 4, "props", 0, 0)
+    assert not forks
+    assert "max residual 0.000000000e+00" in text
+
+
+def _break_trial(monkeypatch, index: int, action) -> None:
+    real = checks.trial_rng
+
+    def trial_rng(seed, t):
+        if t == index:
+            action()
+        return real(seed, t)
+
+    monkeypatch.setattr(checks, "trial_rng", trial_rng)
+
+
+def _raise():
+    raise RuntimeError("trial broke")
+
+
+@pytest.mark.parametrize("suite", checks.SUITES)
+@pytest.mark.parametrize("index", [7, 1])  # in a child's block, then in this process's
+def test_a_failing_trial_raises_the_one_block_error(monkeypatch, suite, index):
+    _break_trial(monkeypatch, index, _raise)
+    errors = []
+    for cpus in (1, 2):
+        with pytest.raises(Exception) as caught:
+            _reports(monkeypatch, cpus, suite, 0, 10)
+        errors.append((type(caught.value), str(caught.value)))
+        _assert_no_child_left()
+    assert errors[0] == errors[1] == (RuntimeError, "trial broke")
+
+
+def test_a_child_that_dies_has_its_block_rerun(monkeypatch):
+    parent = os.getpid()
+    expected = _reports(monkeypatch, 1, "props", 3, 10)
+
+    def die_in_a_child():
+        if os.getpid() != parent:
+            os._exit(9)
+
+    _break_trial(monkeypatch, 8, die_in_a_child)
+    assert _reports(monkeypatch, 2, "props", 3, 10) == expected
+    _assert_no_child_left()
+
+
+def test_a_fork_that_fails_runs_the_block_here(monkeypatch):
+    expected = _reports(monkeypatch, 1, "pie", 3, 10)
+
+    def no_fork():
+        raise OSError("no process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _reports(monkeypatch, 3, "pie", 3, 10) == expected
+
+
+def _two_pass_antichain(mask: int, n: int) -> tuple:
+    # the minimal sources of a mask: drop each source strictly above one in it
+    sets = [frozenset(s) for s in enumerate_sources(n)]
+    bits = [k for k in range(len(sets)) if mask >> k & 1]
+    strict = 0
+    for k in bits:
+        strict |= sum(1 << l for l, s in enumerate(sets) if sets[k] < s)
+    return tuple(tuple(sorted(sets[k])) for k in bits if not strict >> k & 1)
+
+
+def test_antichain_of_keeps_the_minimal_sources_of_any_mask():
+    for n in (1, 2, 3):
+        for mask in range(1, 1 << (1 << n) - 1):
+            assert antichain_of(mask, n).sources == _two_pass_antichain(mask, n), (n, mask)
+    rng = random.Random(11)
+    for n in (4, 5):
+        up = _source_table(n)[2]
+        count = len(up)
+        masks = [rng.getrandbits(count) or 1 for _ in range(150)]
+        # up-sets too: the union of the up masks of a few sources
+        masks += [up[rng.randrange(count)] | up[rng.randrange(count)] for _ in range(50)]
+        for mask in masks:
+            assert antichain_of(mask, n).sources == _two_pass_antichain(mask, n), (n, mask)

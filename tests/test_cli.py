@@ -17,6 +17,7 @@ from infoshare import (
     lower,
     mobius_closed_form,
     parse_expression,
+    checks,
     trivariate_report,
 )
 from infoshare.cli import main
@@ -393,6 +394,8 @@ def test_production_paths_never_normalize(tmp_path, monkeypatch, capsys):
         raise AssertionError("Antichain.normalize called")
 
     monkeypatch.setattr(Antichain, "normalize", staticmethod(refuse))
+    # two trial blocks, so `check` runs half its trials in a forked child
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
     x3 = tmp_path / "x3.json"
     x3.write_text(XOR3_JSON)
     d = random_distribution(trial_rng(73, 0), [2] * 5, sparsity=0.75)
@@ -567,3 +570,6 @@ def test_cli_imports_only_the_standard_library():
     assert "infoshare" in loaded
     assert loaded - {"infoshare"} <= set(sys.stdlib_module_names), \
         sorted(loaded - {"infoshare"} - set(sys.stdlib_module_names))
+    # `check` forks with `os` and pipes with `marshal`: the process-pool
+    # modules would cost start-up time and resident memory
+    assert not loaded & {"multiprocessing", "concurrent", "pickle"}, sorted(loaded)
