@@ -101,8 +101,7 @@ def _emit(config: RunConfig, text_lines: list[str], structured: dict) -> None:
     if config.structured:
         print(json.dumps(structured, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        sys.stdout.write("\n".join(text_lines) + "\n")
 
 
 def cmd_validate(config: RunConfig, args) -> int:
@@ -172,6 +171,16 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     return 0 if residual is None or residual <= config.tolerance else 1
 
 
+def _mode_realization(args) -> tuple[int, ...] | None:
+    """The realization of a pointwise `decompose`, which needs one; the
+    expected mode takes none."""
+    if args.mode == "pointwise" and not args.realization:
+        raise ValueError("pointwise mode needs --realization")
+    if args.mode == "expected" and args.realization:
+        raise ValueError("--realization needs --mode pointwise")
+    return _parse_realization(args.realization) if args.realization else None
+
+
 _MI_ROWS = ("intersection", "unique_first", "unique_second", "synergy", "union", "joint",
             "coinformation")
 
@@ -181,17 +190,14 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     if len(predictors) != 2:
         raise ValueError("exactly two predictor sources are required")
     target = _parse_source(d, args.target)
-    if args.mode == "pointwise" and not args.realization:
-        raise ValueError("pointwise mode needs --realization")
-    realization = _parse_realization(args.realization) if args.realization else None
+    realization = _mode_realization(args)
     result = mi_decompose(d, predictors[0], predictors[1], target, realization)
     rows = [(name, config.unit(getattr(result, name))) for name in _MI_ROWS]
     parts_sum = config.unit(result.parts_sum())
     residual = config.unit(abs(result.joint - result.parts_sum()))
 
-    mode = "pointwise" if realization is not None else "expected"
     header = (
-        f"mutual decomposition [{mode}] predictors "
+        f"mutual decomposition [{args.mode}] predictors "
         f"{_source_label(d, predictors[0])},{_source_label(d, predictors[1])} "
         f"target {_source_label(d, target)}"
     )
@@ -204,7 +210,7 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
         config,
         lines,
         {
-            "mode": mode,
+            "mode": args.mode,
             "rows": [{"name": n, "value": v} for n, v in rows],
             "sum_of_parts": parts_sum,
             "residual": residual,
@@ -226,10 +232,8 @@ def cmd_decompose(config: RunConfig, args) -> int:
     selected = variables if variables is not None else list(range(d.variables.n))
     names = tuple(d.variables.names[i] for i in selected)
 
-    if args.mode == "pointwise":
-        if not args.realization:
-            raise ValueError("pointwise mode needs --realization")
-        r = _parse_realization(args.realization)
+    r = _mode_realization(args)
+    if r is not None:
         partials = decompose_pointwise(d, r, variables=variables, allow_large=config.allow_n5)
         header = f"pointwise decomposition at ({args.realization})"
     else:
@@ -241,7 +245,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
         for label, value, partial in decomposition_rows(partials.valuation, partials, names)
     ]
     total_bits = partials.total()
-    top_bits = partials.valuation.values[partials.lattice.top]
+    top_bits = partials.valuation.values[partials.lattice.index(partials.lattice.top)]
     total, top_value = config.unit(total_bits), config.unit(top_bits)
     residual = config.unit(abs(total_bits - top_bits))
 
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lattice or predictor/target decomposition")
     p.add_argument("file")
     p.add_argument("--mode", choices=("pointwise", "expected"), default="expected")
-    p.add_argument("--realization", help="required for pointwise mode")
+    p.add_argument("--realization", help="required for, and only accepted with, pointwise mode")
     p.add_argument("--variables", help="comma-separated variable subset")
     p.add_argument("--target", help="target source (variable names)")
     p.add_argument("--predictors", help="two predictor sources, e.g. X,Y or X;Y,Z")

@@ -4,17 +4,24 @@ A valuation assigns each lattice node the least surprisal among its
 sources at one realization (or an expectation of that).  Inversion turns
 node values into per-node increments.
 
+Values and increments are float lists in node order, indexed like
+`lattice.nodes`, `lattice.members` and `lattice.upsets`; read one node's
+entry through `lattice.index(node)`.
+
 The production path is the chain walk (`chain_levels`, laid onto a
 lattice by `chain_walk`).  At one realization the source surprisals are
 totally ordered, so only the up-sets {s : h(s) >= t} can carry a
 non-zero increment, and they form one chain: each gets the gap t - t'
 to the next lower surprisal, and every other node gets 0.0.  It needs
-no lattice.  Two oracles are kept for the tests and the
-`check` suite: the recursive form subtracts the increments of everything
-strictly below a node, and the closed form subtracts the largest value
-among the covered nodes.  The chain walk makes the same float
-subtractions as the closed form, so it matches the closed form exactly
-and the recursive form within rounding.
+no lattice.  A node's value is the lesser of its parent's (the node
+without its last member) and its last member's surprisal.  Two oracles
+are kept for the tests and the `check` suite: the recursive form
+subtracts the increments of everything strictly below a node, and the
+closed form subtracts the largest value among the covered nodes; their
+valuation (`lattice_valuation`) takes the least surprisal over each
+node's members.  The chain walk makes the same float subtractions as
+the closed form, so it matches the closed form exactly and the
+recursive form within rounding.
 """
 
 from __future__ import annotations
@@ -33,25 +40,27 @@ from .measures import cond_surprisals, surprisal_table, surprisals
 
 @dataclass
 class LatticeValuation:
-    """Per-node values h(alpha) for one realization, or their expectations."""
+    """Per-node values h(alpha) for one realization, or their expectations,
+    in node order: `values[i]` belongs to `lattice.nodes[i]`."""
 
     lattice: RedundancyLattice
-    values: dict[Antichain, float]
+    values: list[float]
 
 
 @dataclass
 class PartialValuation:
-    """Per-node increments whose down-set sums reproduce the node values.
+    """Per-node increments, in node order, whose down-set sums reproduce the
+    node values.
 
     `valuation` holds the node values the increments were inverted from.
     """
 
     lattice: RedundancyLattice
-    partials: dict[Antichain, float]
+    partials: list[float]
     valuation: LatticeValuation
 
     def total(self) -> float:
-        return math.fsum(self.partials[node] for node in self.lattice.topo_order())
+        return math.fsum(self.partials)
 
 
 def _selected(
@@ -81,9 +90,8 @@ def lattice_valuation(
     by default the lattice spans all variables in order.
     """
     variables = _selected(d, variables, lattice)
-    h = dict(zip(lattice.sources, _lattice_table(d, lattice, variables, given)(realization)))
-    values = {node: min(h[src] for src in node.sources) for node in lattice.nodes}
-    return LatticeValuation(lattice, values)
+    h = _lattice_table(d, lattice, variables, given)(realization)
+    return LatticeValuation(lattice, [min(map(h.__getitem__, ids)) for ids in lattice.members])
 
 
 def _lattice_table(
@@ -117,13 +125,14 @@ def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
     return [(mask, t - t_next) for (t, mask), t_next in zip(levels, lower)]
 
 
-def _chain_point(
-    lattice: RedundancyLattice, h: list[float]
-) -> tuple[list[float], list[tuple[Antichain, float]]]:
-    """Node values in node order, and the chain nodes with their increments,
-    from the surprisal `h` of each lattice source."""
-    values = [min(map(h.__getitem__, ids)) for ids in lattice.members]
-    return values, [(lattice.node_at(mask), inc) for mask, inc in chain_levels(h)]
+def _node_values(lattice: RedundancyLattice, h: Sequence[float]) -> list[float]:
+    """The least `h` among each node's members, in node order: the lesser of
+    its parent's value and its last member's, as `min` picks it."""
+    values: list[float] = []
+    for parent, ids in zip(lattice.parents, lattice.members):
+        x = h[ids[-1]]
+        values.append(x if parent < 0 or x < values[parent] else values[parent])
+    return values
 
 
 def chain_walk(
@@ -142,22 +151,20 @@ def chain_walk(
     """
     variables = _selected(d, variables, lattice)
     h = _lattice_table(d, lattice, variables, given)(realization)
-    values, chain = _chain_point(lattice, h)
-    partials = dict.fromkeys(lattice.nodes, 0.0)
-    partials.update(chain)
-    return PartialValuation(
-        lattice, partials, LatticeValuation(lattice, dict(zip(lattice.nodes, values)))
-    )
+    partials = [0.0] * len(lattice)
+    for mask, increment in chain_levels(h):
+        partials[lattice._by_upset[mask]] = increment
+    return PartialValuation(lattice, partials, LatticeValuation(lattice, _node_values(lattice, h)))
 
 
 def mobius_recursive(valuation: LatticeValuation) -> PartialValuation:
     """Bottom-up inversion: node value minus the strictly-lower increments."""
-    lattice = valuation.lattice
-    partials: dict[Antichain, float] = {}
-    for node in lattice.topo_order():
-        below = valuation.lattice.down_set(node)
-        acc = math.fsum(partials[b] for b in below if b != node)
-        partials[node] = valuation.values[node] - acc
+    lattice, values, upsets = valuation.lattice, valuation.values, valuation.lattice.upsets
+    partials = [0.0] * len(lattice)
+    for i in lattice._topo:
+        # the nodes strictly below, whose up-sets strictly contain this one
+        below = (j for j, m in enumerate(upsets) if upsets[i] & ~m == 0 and j != i)
+        partials[i] = values[i] - math.fsum(map(partials.__getitem__, below))
     return PartialValuation(lattice, partials, valuation)
 
 
@@ -167,15 +174,12 @@ def mobius_closed_form(valuation: LatticeValuation) -> PartialValuation:
     Valid for per-realization valuations, where node values inherit the
     total order of the underlying surprisals.
     """
-    lattice = valuation.lattice
-    partials: dict[Antichain, float] = {}
-    for node in lattice.topo_order():
-        covered = lattice.covered_by(node)
-        value = valuation.values[node]
-        if covered:
-            partials[node] = value - max(valuation.values[c] for c in covered)
-        else:
-            partials[node] = value
+    lattice, values = valuation.lattice, valuation.values
+    covers = lattice._cover_ids()
+    partials = [0.0] * len(lattice)
+    for i in lattice._topo:
+        covered = covers[i]
+        partials[i] = values[i] - max(values[j] for j in covered) if covered else values[i]
     return PartialValuation(lattice, partials, valuation)
 
 
@@ -208,19 +212,22 @@ def decompose_expected(
     # One array of weighted node values per support point: a list of
     # float objects per node raises the peak memory of an n = 5 run.
     values: list[array] = []
-    increments: dict[Antichain, list[float]] = defaultdict(list)
+    increments: dict[int, list[float]] = defaultdict(list)
     table = _lattice_table(d, lattice, sel, None)
     for r, p in d.support():
-        point_values, chain = _chain_point(lattice, table(r))
-        values.append(array("d", [p * v for v in point_values]))
-        for node, increment in chain:
-            increments[node].append(p * increment)
+        h = table(r)
+        # p > 0 keeps the order of the surprisals, so the least weighted
+        # surprisal is p times the least one, bit for bit
+        values.append(array("d", _node_values(lattice, [p * x for x in h])))
+        for mask, increment in chain_levels(h):
+            increments[lattice._by_upset[mask]].append(p * increment)
     # The 0.0 increments off the chain are left out; fsum is exact, so
     # each sum is the one over every support point.
+    partials = [0.0] * len(lattice)
+    for i, weighted in increments.items():
+        partials[i] = math.fsum(weighted)
     return PartialValuation(
-        lattice,
-        {node: math.fsum(increments.get(node, ())) for node in lattice.nodes},
-        LatticeValuation(lattice, dict(zip(lattice.nodes, map(math.fsum, zip(*values))))),
+        lattice, partials, LatticeValuation(lattice, list(map(math.fsum, zip(*values))))
     )
 
 
@@ -266,9 +273,9 @@ def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[
     """
     if d.variables.n != 3:
         raise ValueError("trivariate report needs exactly three variables")
-    partials = decompose_pointwise(d, realization).partials
+    pv = decompose_pointwise(d, realization)
     x, y, z = d.variables.names
-    return {template.format(x=x, y=y, z=z): partials[Antichain(sources)]
+    return {template.format(x=x, y=y, z=z): pv.partials[pv.lattice.index(Antichain(sources))]
             for sources, template in _TRIVARIATE_TERMS}
 
 
@@ -363,7 +370,6 @@ def decomposition_rows(
     names: Sequence[str],
 ) -> list[tuple[str, float, float]]:
     """(label, value, increment) per node, bottom-up, for report rendering."""
-    return [
-        (node.label(names), valuation.values[node], partials.partials[node])
-        for node in valuation.lattice.topo_order()
-    ]
+    lattice = valuation.lattice
+    labels, values, increments = lattice.labels(names), valuation.values, partials.partials
+    return [(labels[i], values[i], increments[i]) for i in lattice._topo]

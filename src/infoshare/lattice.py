@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -171,28 +171,37 @@ def antichain_of(mask: int, n: int) -> Antichain:
     return Antichain(tuple([sources[k] for k in _bit_ids(mask) if not down[k] & mask]))
 
 
-def _all_antichains(n: int) -> list[tuple[Antichain, tuple[int, ...], int]]:
-    """Every antichain with its member indices and up-set mask.
+def _all_antichains(n: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Every antichain as its member indices, its up-set mask and its parent.
 
     Sources are tried in canonical order, and one is taken only when no
-    member already taken is comparable to it.  So every member tuple is
-    already normalized, and the depth-first order is the `sort_key`
-    order.  Bit k of a mask stands for source k.
+    member already taken is comparable to it: the depth-first walk runs
+    over the bits still free, those past the last member and comparable
+    to none.  So every member tuple is already normalized, and the walk
+    visits nodes in `sort_key` order.  A node's parent is the node with
+    the same members but the last (-1 for one member), so it comes first.
+    Bit k of a mask stands for source k.
     """
-    sources, _, up, _, down = _source_table(n)
+    _, _, up, _, down = _source_table(n)
     # comparable[k]: the sources containing source k and those contained in it
     comparable = [u | d for u, d in zip(up, down)]
-    found: list[tuple[Antichain, tuple[int, ...], int]] = []
+    members: list[tuple[int, ...]] = []
+    upsets: list[int] = []
+    parents: list[int] = []
 
-    def extend(start: int, members: tuple, ids: tuple, blocked: int, upset: int) -> None:
-        for k in range(start, len(sources)):
-            if not blocked >> k & 1:
-                chosen, chosen_ids = members + (sources[k],), ids + (k,)
-                found.append((Antichain(chosen), chosen_ids, upset | up[k]))
-                extend(k + 1, chosen, chosen_ids, blocked | comparable[k], upset | up[k])
+    def extend(free: int, ids: tuple, upset: int, parent: int) -> None:
+        while free:
+            low = free & -free
+            free ^= low
+            k = low.bit_length() - 1
+            node = len(members)
+            members.append(ids + (k,))
+            upsets.append(upset | up[k])
+            parents.append(parent)
+            extend(free & ~comparable[k], members[node], upsets[node], node)
 
-    extend(0, (), (), 0, 0)
-    return found
+    extend((1 << len(up)) - 1, (), 0, -1)
+    return members, upsets, parents
 
 
 class RedundancyLattice:
@@ -202,11 +211,14 @@ class RedundancyLattice:
     corresponding Dedekind numbers, which additionally count the empty
     antichain and the antichain of the empty set).
 
-    Each node is also identified with the up-set of sources its antichain
-    generates, kept as a bitmask over `sources` (bit k stands for
-    `sources[k]`): the node order is reversed inclusion of up-sets, and
-    covering pairs differ by exactly one source.  That keeps the cover
-    relation cheap for every supported n; it is built on first use.
+    Nodes are held by index, in `sort_key` order: `members` gives each
+    node's sources as indices into `sources`, and `upsets` the up-set of
+    sources it generates as a bitmask (bit k stands for `sources[k]`).
+    Results over the lattice are lists in the same order; `index` finds a
+    node's position, and `nodes` holds the `Antichain`s, built on first
+    access.  The node order is reversed inclusion of up-sets, and covering
+    pairs differ by exactly one source.  That keeps the cover relation
+    cheap for every supported n; it is built on first use.
     """
 
     def __init__(self, n: int, allow_large: bool = False):
@@ -216,38 +228,53 @@ class RedundancyLattice:
             raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
         self.n = n
         self.sources: tuple[tuple[int, ...], ...] = _source_table(n)[0]
-        nodes, members, upsets = zip(*_all_antichains(n))
-        self.nodes: tuple[Antichain, ...] = nodes
+        members, upsets, parents = _all_antichains(n)
         # indices into `sources` of each node's members, in node order
-        self.members: tuple[tuple[int, ...], ...] = members
+        self.members: tuple[tuple[int, ...], ...] = tuple(members)
         # up-set mask of each node, in node order
-        self.upsets: tuple[int, ...] = upsets
+        self.upsets: tuple[int, ...] = tuple(upsets)
+        # the node with the same members but the last, -1 for one member
+        self.parents: tuple[int, ...] = tuple(parents)
         self._by_upset = {m: i for i, m in enumerate(upsets)}
         self.bottom = Antichain(tuple((i,) for i in range(n)))
         self.top = Antichain((tuple(range(n)),))
         self._covers: list[tuple[int, ...]] | None = None
         # bottom-up: up-set size decreases strictly up the order, and node
-        # order is `sort_key` order, so the index breaks ties alike
-        self._topo = tuple(sorted(range(len(upsets)), key=lambda i: (-upsets[i].bit_count(), i)))
+        # order breaks ties within a size
+        by_size: list[list[int]] = [[] for _ in range(len(self.sources) + 1)]
+        for i, m in enumerate(upsets):
+            by_size[m.bit_count()].append(i)
+        self._topo = tuple(chain.from_iterable(reversed(by_size)))
+
+    @cached_property
+    def nodes(self) -> tuple[Antichain, ...]:
+        """The antichain of every node, in node order."""
+        sources = self.sources
+        return tuple(Antichain(tuple(map(sources.__getitem__, ids))) for ids in self.members)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.upsets)
 
     def __iter__(self) -> Iterator[Antichain]:
         return iter(self.nodes)
 
     def _find(self, alpha: object) -> int | None:
-        # by up-set, then by equality: a non-canonical antichain is no node
+        # by up-set, then by members: a non-canonical antichain is no node
+        if not isinstance(alpha, Antichain):
+            return None
         try:
             i = self._by_upset.get(upset_of(alpha, self.n))
-        except (AttributeError, TypeError, ValueError):
+        except (TypeError, ValueError):
             return None
-        return i if i is not None and self.nodes[i] == alpha else None
+        if i is None or tuple(map(self.sources.__getitem__, self.members[i])) != alpha.sources:
+            return None
+        return i
 
     def __contains__(self, alpha: object) -> bool:
         return self._find(alpha) is not None
 
     def index(self, alpha: Antichain) -> int:
+        """The position of a node in node order."""
         i = self._find(alpha)
         if i is None:
             raise ValueError(f"{alpha!r} is not a node of this lattice")
@@ -259,6 +286,12 @@ class RedundancyLattice:
             return self.nodes[self._by_upset[upset]]
         except KeyError:
             raise ValueError(f"{upset:#x} is not the up-set of a node") from None
+
+    def labels(self, names: Sequence[str]) -> list[str]:
+        """`Antichain.label` of every node, in node order, joined from one
+        label per source."""
+        source_labels = [",".join(map(names.__getitem__, src)) for src in self.sources]
+        return ["{" + "}{".join(map(source_labels.__getitem__, ids)) + "}" for ids in self.members]
 
     def _cover_ids(self) -> list[tuple[int, ...]]:
         if self._covers is None:
@@ -334,9 +367,9 @@ def to_dot(
         "  rankdir=BT;",
         "  node [shape=box, fontsize=11];",
     ]
-    topo, covers = lattice._topo, lattice._cover_ids()
+    topo, covers, labels = lattice._topo, lattice._cover_ids(), lattice.labels(names)
     for i in topo:
-        lines.append(f'  n{i} [label="{lattice.nodes[i].label(names)}"];')
+        lines.append(f'  n{i} [label="{labels[i]}"];')
     for i in topo:
         for j in covers[i]:
             if kind == "redundancy":

@@ -197,11 +197,11 @@ def test_criterion_06_closed_form_inversion():
             recursive = mobius_recursive(valuation)
             worst_gap = max(
                 worst_gap,
-                max(abs(closed.partials[k] - recursive.partials[k]) for k in lattice.nodes),
+                max(abs(c - x) for c, x in zip(closed.partials, recursive.partials, strict=True)),
             )
-            worst_negative = max(worst_negative, -min(closed.partials.values()))
+            worst_negative = max(worst_negative, -min(closed.partials))
             worst_total = max(
-                worst_total, abs(closed.total() - valuation.values[lattice.top])
+                worst_total, abs(closed.total() - valuation.values[lattice.index(lattice.top)])
             )
     ok = worst_gap <= TOL and worst_negative <= TOL and worst_total <= TOL
     _line(6, "closed-form Möbius inversion", ok,

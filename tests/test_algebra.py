@@ -385,7 +385,7 @@ def _eval_by_closed_form(d, text, r, cond=None):
     atoms = lower(parse_expression(text, [d.variables.names[i] for i in keep]), lattice)
     valuation = lattice_valuation(d, lattice, r, variables=keep, given=cond)
     partials = mobius_closed_form(valuation).partials
-    return math.fsum(partials[a] for a in atoms)
+    return math.fsum(partials[lattice.index(a)] for a in atoms)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

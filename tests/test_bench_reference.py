@@ -1,9 +1,11 @@
-"""The benchmark's recorded outputs, replayed in-process at seed 0.
+"""The benchmark's recorded outputs, replayed in-process.
 
 Each workload's input comes from `bench/workloads.py`; the command's
 stdout must pass the workload's own check and hash to the digest in
 `bench/reference.json`, so a change to any reported figure fails here
-before it fails the benchmark.
+before it fails the benchmark.  Every workload is replayed at seed 0,
+and n5-expected, whose per-point path is the most rewritten, at every
+recorded seed.
 """
 
 import hashlib
@@ -28,13 +30,22 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-DIGESTS = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["digests"]["0"]
+DIGESTS = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))["digests"]
+
+
+def _replay(name: str, seed: int, workdir: Path, capsys) -> None:
+    w = WORKLOADS.make(name, seed, workdir)
+    assert main(list(w.argv)) == 0
+    out = capsys.readouterr().out
+    assert w.check(out) is None
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[str(seed)][name]
 
 
 @pytest.mark.parametrize("name", WORKLOADS.NAMES)
 def test_seed_0_output_matches_the_reference(name, tmp_path, capsys):
-    w = WORKLOADS.make(name, 0, tmp_path)
-    assert main(list(w.argv)) == 0
-    out = capsys.readouterr().out
-    assert w.check(out) is None
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[name]
+    _replay(name, 0, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", sorted(map(int, DIGESTS)))
+def test_n5_expected_matches_every_recorded_seed(seed, tmp_path, capsys):
+    _replay("n5-expected", seed, tmp_path, capsys)

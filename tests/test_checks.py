@@ -9,8 +9,16 @@ import pytest
 from infoshare import checks
 from infoshare.cli import main
 from infoshare.lattice import _source_table, antichain_of, enumerate_sources
+from infoshare.sampling import tie_heavy_distributions
 
 TRIALS = {"props": 40, "lemmas": 12, "mobius": 10, "pie": 60}
+# mobius adds one work item per support point of its tie-heavy families
+TIE_HEAVY_POINTS = [(d, r) for n in (2, 3, 4) for d in tie_heavy_distributions(n)
+                    for r, _ in d.support()]
+
+
+def _items(suite: str, trials: int) -> int:
+    return trials + (len(TIE_HEAVY_POINTS) if suite == "mobius" else 0)
 
 
 def _reports(monkeypatch, cpus: int, suite: str, seed: int, trials: int) -> tuple[str, str]:
@@ -47,11 +55,29 @@ def test_reports_do_not_depend_on_the_block_count(monkeypatch, forks, suite, see
     for cpus in (2, 3):
         assert _reports(monkeypatch, cpus, suite, seed, trials) == one, cpus
     assert len(forks) == 1 + 2
-    # more CPUs than trials: one block per trial
+    # more CPUs than work items: one block per item
     forks.clear()
     assert _reports(monkeypatch, 4, suite, seed, 2) == _reports(monkeypatch, 1, suite, seed, 2)
-    assert len(forks) == 1
+    assert len(forks) == min(4, _items(suite, 2)) - 1
+    # one trial: only mobius has more than one item, its tie-heavy points
+    forks.clear()
+    single = _reports(monkeypatch, 1, suite, seed, 1)
+    for cpus in (2, 3):
+        assert _reports(monkeypatch, cpus, suite, seed, 1) == single, cpus
+    assert len(forks) == (1 + 2 if suite == "mobius" else 0)
     _assert_no_child_left()
+
+
+def test_mobius_checks_every_tie_heavy_point_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(checks, "_tie_heavy_point", lambda d, r, bump: seen.append((d, r)))
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    checks.run_suite("mobius", 0, 3, 1e-9)
+
+    def key(points):
+        return [(d.variables, d.support(), r) for d, r in points]
+
+    assert key(seen) == key(TIE_HEAVY_POINTS)
 
 
 def test_cli_output_does_not_depend_on_the_block_count(monkeypatch, capsys):

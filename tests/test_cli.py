@@ -12,6 +12,7 @@ import pytest
 
 from infoshare import (
     Antichain,
+    RedundancyLattice,
     enumerate_antichains,
     lattice_valuation,
     lower,
@@ -140,6 +141,28 @@ def test_decompose_pointwise_copy(copy_file, capsys):
 
 def test_decompose_pointwise_requires_realization(copy_file, capsys):
     assert main(["decompose", copy_file, "--mode", "pointwise"]) == 2
+
+
+def test_decompose_takes_a_realization_only_in_pointwise_mode(xor3_file, capsys):
+    # A realization never switches the mode: the expected mode refuses one,
+    # on the lattice and with a target alike, and the target report's mode
+    # is the one asked for.
+    target = ["--target", "Z", "--predictors", "X;Y"]
+    for argv in (
+        ["decompose", xor3_file, "--realization", "0,1,1"],
+        ["decompose", xor3_file, "--mode", "expected", "--realization", "0,1,1"],
+        ["decompose", xor3_file, *target, "--realization", "0,1,1"],
+        ["decompose", xor3_file, "--mode", "expected", *target, "--realization", "0,1,1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --realization needs --mode pointwise\n", argv
+    assert main(["decompose", xor3_file, "--mode", "pointwise", *target,
+                 "--realization", "0,1,1"]) == 0
+    assert capsys.readouterr().out.startswith("mutual decomposition [pointwise]")
+    assert main(["decompose", xor3_file, *target]) == 0
+    assert capsys.readouterr().out.startswith("mutual decomposition [expected]")
 
 
 def test_decompose_structured(xor3_file, capsys):
@@ -306,8 +329,8 @@ def test_n5_expected_rows_match_the_oracles(tmp_path, capsys):
     partials = {node: [] for node in lattice.nodes}
     for r, p in d.support():
         valuation = lattice_valuation(d, lattice, r)
-        for node, partial in mobius_closed_form(valuation).partials.items():
-            values[node].append(p * valuation.values[node])
+        for node, partial in zip(lattice.nodes, mobius_closed_form(valuation).partials):
+            values[node].append(p * valuation.values[lattice.index(node)])
             partials[node].append(p * partial)
     expected = [
         {
@@ -336,7 +359,7 @@ def test_n5_eval_needs_no_override(tmp_path, capsys):
 
     def oracle(r):
         partials = mobius_closed_form(lattice_valuation(d, lattice, r)).partials
-        return math.fsum(partials[a] for a in atoms)
+        return math.fsum(partials[lattice.index(a)] for a in atoms)
 
     r = d.support()[0][0]
     realization = ",".join(map(str, r))
@@ -417,6 +440,30 @@ def test_production_paths_never_normalize(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     report = trivariate_report(xor3(), (0, 1, 1))
     assert len(report) == 18 and math.fsum(report.values()) == pytest.approx(2.0)
+
+
+def test_n5_decompositions_build_no_node_objects(tmp_path, monkeypatch, capsys):
+    # The n = 5 lattice, its values and its report stay in node-index space:
+    # no `Antichain` is hashed or labelled, and the node tuple is never built.
+    def refuse(*args):
+        raise AssertionError("node object used on the n = 5 path")
+
+    monkeypatch.setattr(Antichain, "__hash__", refuse)
+    monkeypatch.setattr(Antichain, "label", refuse)
+    monkeypatch.setattr(RedundancyLattice, "nodes", property(refuse))
+    enumerate_antichains.cache_clear()  # build the lattice under the patches too
+    d = random_distribution(trial_rng(74, 0), [2] * 5, sparsity=0.75)
+    n5 = tmp_path / "n5.json"
+    n5.write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": 2} for n in d.variables.names],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }))
+    r5 = ",".join(map(str, d.support()[0][0]))
+    for fmt in ("text", "structured"):
+        for mode in (["--mode", "expected"], ["--mode", "pointwise", "--realization", r5]):
+            argv = ["--allow-n5", "--format", fmt, "decompose", str(n5), *mode]
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out.count("{x,y,z,w,v}") == 1, argv
 
 
 def test_readme_python_block_runs():

@@ -50,7 +50,7 @@ def test_node_value_zero_mass():
 
 
 def _partials_by_label(pv, names):
-    return {node.label(names): value for node, value in pv.partials.items()}
+    return {node.label(names): value for node, value in zip(pv.lattice.nodes, pv.partials)}
 
 
 def test_mobius_recursive_copy_pair():
@@ -85,7 +85,7 @@ def test_mobius_single_node_lattice():
     lattice = enumerate_antichains(1)
     d = random_distribution(trial_rng(5, 1), [3], sparsity=0.0)
     valuation = lattice_valuation(d, lattice, d.support()[0][0])
-    only = lattice.nodes[0]
+    only = lattice.index(lattice.nodes[0])
     assert mobius_recursive(valuation).partials[only] == valuation.values[only]
     assert mobius_closed_form(valuation).partials[only] == valuation.values[only]
 
@@ -97,8 +97,8 @@ def test_closed_form_matches_recursive_on_fixtures():
             valuation = lattice_valuation(d, lattice, r)
             rec = mobius_recursive(valuation)
             closed = mobius_closed_form(valuation)
-            for node in lattice.nodes:
-                assert closed.partials[node] == pytest.approx(rec.partials[node], abs=TOL)
+            for c, x in zip(closed.partials, rec.partials, strict=True):
+                assert c == pytest.approx(x, abs=TOL)
 
 
 def test_closed_form_bottom_and_xor_top():
@@ -107,8 +107,9 @@ def test_closed_form_bottom_and_xor_top():
     for r, _ in d.support():
         valuation = lattice_valuation(d, lattice, r)
         closed = mobius_closed_form(valuation)
-        assert closed.partials[lattice.bottom] == valuation.values[lattice.bottom]
-        assert closed.partials[lattice.top] == pytest.approx(0.0)
+        bottom, top = lattice.index(lattice.bottom), lattice.index(lattice.top)
+        assert closed.partials[bottom] == valuation.values[bottom]
+        assert closed.partials[top] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("trial", range(60))
@@ -123,17 +124,18 @@ def test_mobius_randomized(trial):
         for a in lattice.nodes:
             for b in lattice.nodes:
                 if precedes(a, b):
-                    assert valuation.values[a] <= valuation.values[b] + TOL
+                    assert (valuation.values[lattice.index(a)]
+                            <= valuation.values[lattice.index(b)] + TOL)
         rec = mobius_recursive(valuation)
         closed = mobius_closed_form(valuation)
-        for node in lattice.nodes:
-            assert abs(rec.partials[node] - closed.partials[node]) <= TOL
-            assert closed.partials[node] >= -TOL
-        assert abs(closed.total() - valuation.values[lattice.top]) <= TOL
+        for x, c in zip(rec.partials, closed.partials, strict=True):
+            assert abs(x - c) <= TOL
+            assert c >= -TOL
+        assert abs(closed.total() - valuation.values[lattice.index(lattice.top)]) <= TOL
         # reconstruction: down-set sums reproduce the node values
         for node in lattice.nodes:
-            acc = math.fsum(rec.partials[b] for b in lattice.down_set(node))
-            assert abs(acc - valuation.values[node]) <= TOL
+            acc = math.fsum(rec.partials[lattice.index(b)] for b in lattice.down_set(node))
+            assert abs(acc - valuation.values[lattice.index(node)]) <= TOL
 
 
 def test_decompose_pointwise_copy():
@@ -150,7 +152,7 @@ def test_decompose_pointwise_xor3():
         pv = decompose_pointwise(d, r)
         nonzero = {
             node.label(d.variables.names): v
-            for node, v in pv.partials.items()
+            for node, v in zip(pv.lattice.nodes, pv.partials, strict=True)
             if abs(v) > 1e-12
         }
         assert nonzero == {
@@ -162,7 +164,7 @@ def test_decompose_pointwise_xor3():
 
 def test_decompose_pointwise_point_mass():
     pv = decompose_pointwise(point3(), (0, 0, 0))
-    assert all(v == pytest.approx(0.0) for v in pv.partials.values())
+    assert all(v == pytest.approx(0.0) for v in pv.partials)
 
 
 def test_decompose_pointwise_outside_support():
@@ -218,7 +220,7 @@ def test_top_increment_is_least_complementary_conditional():
                 cond_surprisal(d, [1], [0, 2], r),
                 cond_surprisal(d, [0], [1, 2], r),
             )
-            assert abs(pv.partials[lattice.top] - direct) <= TOL
+            assert abs(pv.partials[lattice.index(lattice.top)] - direct) <= TOL
 
 
 def test_mobius_four_variables():
@@ -231,10 +233,10 @@ def test_mobius_four_variables():
             valuation = lattice_valuation(d, lattice, r)
             closed = mobius_closed_form(valuation)
             recursive = mobius_recursive(valuation)
-            for node in lattice.nodes:
-                assert abs(closed.partials[node] - recursive.partials[node]) <= TOL
-                assert closed.partials[node] >= -TOL
-            assert abs(closed.total() - valuation.values[lattice.top]) <= TOL
+            for c, x in zip(closed.partials, recursive.partials, strict=True):
+                assert abs(c - x) <= TOL
+                assert c >= -TOL
+            assert abs(closed.total() - valuation.values[lattice.index(lattice.top)]) <= TOL
 
 
 def test_decompose_expected_fixtures():
@@ -262,9 +264,8 @@ def test_expected_partials_match_inverted_expected_valuation():
         via_pointwise = decompose_expected(d)
         via_valuation = mobius_recursive(expected_valuation(d))
         for node in lattice.nodes:
-            assert abs(
-                via_pointwise.partials[node] - via_valuation.partials[node]
-            ) <= TOL
+            i = lattice.index(node)
+            assert abs(via_pointwise.partials[i] - via_valuation.partials[i]) <= TOL
         assert abs(via_pointwise.total() - entropy(d, [0, 1, 2])) <= TOL
 
 
@@ -275,10 +276,11 @@ def test_pair_partials_match_named_measures():
         d = random_distribution(rng, [rng.randint(2, 3), rng.randint(2, 3)])
         for r, _ in d.support():
             pv = decompose_pointwise(d, r)
-            assert pv.partials[A([(0,), (1,)])] == intersection_content(d, [[0], [1]], r)
-            assert pv.partials[A([(0,)])] == unique_content(d, [0], [1], r)
-            assert pv.partials[A([(1,)])] == unique_content(d, [1], [0], r)
-            assert pv.partials[A([(0, 1)])] == synergy_content(d, [[0], [1]], r)
+            at = pv.lattice.index
+            assert pv.partials[at(A([(0,), (1,)]))] == intersection_content(d, [[0], [1]], r)
+            assert pv.partials[at(A([(0,)]))] == unique_content(d, [0], [1], r)
+            assert pv.partials[at(A([(1,)]))] == unique_content(d, [1], [0], r)
+            assert pv.partials[at(A([(0, 1)]))] == synergy_content(d, [[0], [1]], r)
 
 
 def test_trivariate_report_xor3():
@@ -315,7 +317,7 @@ def test_trivariate_report_matches_partials():
                 surprisal(d, [0, 1, 2], r), abs=TOL
             )
             assert sorted(report.values()) == pytest.approx(
-                sorted(pv.partials.values()), abs=TOL
+                sorted(pv.partials), abs=TOL
             )
 
 
@@ -403,8 +405,8 @@ def _differential_distributions():
 
 
 def _bits(floats):
-    """Exact float bits per node, so that -0.0 and 0.0 differ."""
-    return {node: value.hex() for node, value in floats.items()}
+    """Exact float bits per node, in node order, so that -0.0 and 0.0 differ."""
+    return [value.hex() for value in floats]
 
 
 def test_chain_walk_matches_both_oracles():
@@ -419,8 +421,8 @@ def test_chain_walk_matches_both_oracles():
             assert _bits(chain.valuation.values) == _bits(valuation.values)
             assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
             recursive = mobius_recursive(valuation).partials
-            for node in lattice.nodes:
-                assert abs(chain.partials[node] - recursive[node]) <= TOL
+            for c, x in zip(chain.partials, recursive, strict=True):
+                assert abs(c - x) <= TOL
             if n >= 2:
                 sub = enumerate_antichains(n - 1)
                 keep, given = tuple(range(n - 1)), (n - 1,)
@@ -440,4 +442,4 @@ def test_chain_walk_matches_closed_form_n5():
         chain = chain_walk(d, lattice, r)
         assert _bits(chain.valuation.values) == _bits(valuation.values)
         assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
-        assert sum(1 for v in chain.partials.values() if v != 0.0) <= 31
+        assert sum(1 for v in chain.partials if v != 0.0) <= 31

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from infoshare import (
     Antichain,
     antichain_of,
+    default_names,
     enumerate_antichains,
     enumerate_sources,
     eval_sharing,
@@ -283,6 +284,19 @@ def test_max_min_identity(values):
     assert abs(max(values) - max_via_min_expansion(values)) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lattice_labels_are_the_node_labels(n):
+    lattice = enumerate_antichains(n, True)
+    for names in (default_names(n), ("Alpha", "b1", "C_", "dd", "E")[:n]):
+        labels = lattice.labels(names)
+        assert labels == [node.label(names) for node in lattice.nodes]
+        # the DOT export renders the same labels
+        dot = to_dot(lattice, names=names)
+        assert [f'  n{i} [label="{labels[i]}"];' for i in lattice._topo] == [
+            line for line in dot.splitlines() if "[label=" in line
+        ]
+
+
 def test_dot_export_redundancy_n2():
     lattice = enumerate_antichains(2)
     dot = to_dot(lattice, kind="redundancy")
@@ -319,6 +333,10 @@ def test_mask_built_nodes_are_normalized_with_their_upsets(n):
     for i, node in enumerate(lattice.nodes):
         assert node == A(node.sources)
         assert tuple(lattice.sources[k] for k in lattice.members[i]) == node.sources
+        # the parent drops the last member and comes earlier in node order
+        parent = lattice.parents[i]
+        assert parent < i
+        assert lattice.members[i][:-1] == (lattice.members[parent] if parent >= 0 else ())
         upset = sum(
             1 << k for k, s in enumerate(sets) if any(frozenset(m) <= s for m in node.sources)
         )
