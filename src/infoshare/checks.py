@@ -9,6 +9,9 @@ One driver runs every suite's trials in contiguous blocks, one per usable
 CPU: the first block in this process and each other block in a forked
 child, whose worst residuals are merged by maximum.  The report does not
 depend on the CPU count; a system without `fork` runs one block.
+
+`props` builds its join and meet tables of node indices once per command,
+before the blocks fork, and values every node once per trial.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .decomposition import (
     mobius_recursive,
 )
 from .lattice import (
+    RedundancyLattice,
     enumerate_antichains,
     eval_sharing,
     max_via_min_expansion,
@@ -185,34 +189,48 @@ def _surprisal_vector(d, realization) -> list[float]:
     return surprisal_table(d, [(i,) for i in range(d.variables.n)])(realization)
 
 
-def _props_trial(seed: int, t: int, bump: Bump) -> None:
+def _node_tables(n: int) -> tuple[RedundancyLattice, list[list[int]], list[list[int]]]:
+    """The lattice over n variables and, by node index, the index of
+    `sharing_join` and of `sharing_meet` of every pair of its nodes."""
+    lattice = enumerate_antichains(n)
+    nodes = lattice.nodes
+
+    def table(op) -> list[list[int]]:
+        return [[lattice.index(op(a, b)) for b in nodes] for a in nodes]
+
+    return lattice, table(sharing_join), table(sharing_meet)
+
+
+def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
     support = d.support()
     r, _ = support[rng.randrange(len(support))]
     h = _surprisal_vector(d, r)
-    lattice = enumerate_antichains(n)
-    a, b, c = (lattice.nodes[rng.randrange(len(lattice.nodes))] for _ in range(3))
-
-    def ev(alpha):
-        return eval_sharing(alpha, h)
+    lattice, join_t, meet_t = tables[n]
+    a, b, c = (rng.randrange(len(lattice)) for _ in range(3))
+    v = [eval_sharing(node, h) for node in lattice.nodes]
 
     # each law for sharing_join against sharing_meet, then the other way round
-    for op, dual in ((sharing_join, sharing_meet), (sharing_meet, sharing_join)):
-        bump("idempotence", abs(ev(op(a, a)) - ev(a)))
-        bump("commutativity", abs(ev(op(a, b)) - ev(op(b, a))))
-        bump("associativity", abs(ev(op(op(a, b), c)) - ev(op(a, op(b, c)))))
-        bump("absorption", abs(ev(op(a, dual(a, b))) - ev(a)))
+    for op, dual in ((join_t, meet_t), (meet_t, join_t)):
+        bump("idempotence", abs(v[op[a][a]] - v[a]))
+        bump("commutativity", abs(v[op[a][b]] - v[op[b][a]]))
+        bump("associativity", abs(v[op[op[a][b]][c]] - v[op[a][op[b][c]]]))
+        bump("absorption", abs(v[op[a][dual[a][b]]] - v[a]))
         bump("distributivity",
-             abs(ev(op(a, dual(b, c))) - ev(dual(op(a, b), op(a, c)))))
-    for node in lattice.nodes:
-        value = ev(node)
+             abs(v[op[a][dual[b][c]]] - v[dual[op[a][b]][op[a][c]]]))
+    for value in v:
         bump("connexity", min(abs(value - hi) for hi in h))
 
 
 def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
-    """Lattice laws of the max-of-mins evaluation on random operands."""
+    """Lattice laws of the max-of-mins evaluation on random operands.
+
+    `sharing_join` and `sharing_meet` run once on every pair of nodes for
+    n = 2 and 3, into tables of node indices; each trial then values every
+    node once and reads each law from those values.
+    """
     laws = (
         "idempotence",
         "commutativity",
@@ -221,7 +239,8 @@ def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
         "distributivity",
         "connexity",
     )
-    residuals = _worst_residuals(laws, trials, partial(_props_trial, seed))
+    tables = {n: _node_tables(n) for n in (2, 3)}
+    residuals = _worst_residuals(laws, trials, partial(_props_trial, seed, tables))
     return _report("props", seed, trials, tolerance, residuals)
 
 

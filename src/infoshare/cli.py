@@ -52,8 +52,8 @@ class RunConfig:
     structured: bool
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:  # NaN fails too
+            raise ValueError("tolerance must be positive and finite")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
 

@@ -12,10 +12,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 # Absolute tolerance for the total-mass check.
 MASS_SUM_TOLERANCE = 1e-12
@@ -106,10 +105,6 @@ class VariableSet:
 
     def source_from_names(self, names: Iterable[str]) -> frozenset[int]:
         return self.check_source(self.index(n) for n in names)
-
-    def outcomes(self) -> Iterator[tuple[int, ...]]:
-        """All realizations of the full outcome grid, lexicographically."""
-        return product(*(range(c) for c in self.cardinalities))
 
 
 class JointDistribution:

@@ -1,4 +1,5 @@
-"""The `check` trial driver: block invariance, failures and child cleanup."""
+"""The `check` trial driver: block invariance, failures and child cleanup;
+and the props suite's node-index tables."""
 
 import json
 import os
@@ -8,7 +9,15 @@ import pytest
 
 from infoshare import checks
 from infoshare.cli import main
-from infoshare.lattice import _source_table, antichain_of, enumerate_sources
+from infoshare.lattice import (
+    Antichain,
+    _source_table,
+    antichain_of,
+    enumerate_antichains,
+    enumerate_sources,
+    sharing_join,
+    sharing_meet,
+)
 from infoshare.sampling import tie_heavy_distributions
 
 TRIALS = {"props": 40, "lemmas": 12, "mobius": 10, "pie": 60}
@@ -171,3 +180,56 @@ def test_antichain_of_keeps_the_minimal_sources_of_any_mask():
         masks += [up[rng.randrange(count)] | up[rng.randrange(count)] for _ in range(50)]
         for mask in masks:
             assert antichain_of(mask, n).sources == _two_pass_antichain(mask, n), (n, mask)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_props_tables_hold_the_index_of_every_join_and_meet(n):
+    lattice, join_t, meet_t = checks._node_tables(n)
+    assert lattice is enumerate_antichains(n)
+    nodes = lattice.nodes
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            assert join_t[i][j] == lattice.index(sharing_join(a, b)), (i, j)
+            assert meet_t[i][j] == lattice.index(sharing_meet(a, b)), (i, j)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("trials", [0, 1, 40])
+def test_props_runs_the_sharing_ops_once_per_pair_per_command(monkeypatch, cpus, trials):
+    calls = []
+
+    def counted(op):
+        def wrapper(a, b):
+            calls.append(op)
+            return op(a, b)
+        return wrapper
+
+    monkeypatch.setattr(checks, "sharing_join", counted(sharing_join))
+    monkeypatch.setattr(checks, "sharing_meet", counted(sharing_meet))
+    _reports(monkeypatch, cpus, "props", 0, trials)
+    # every ordered pair of the 4 nodes at n = 2 and the 18 at n = 3
+    assert calls.count(sharing_join) == calls.count(sharing_meet) == 4 ** 2 + 18 ** 2
+
+
+@pytest.mark.parametrize("op, mutant", [
+    ("sharing_meet", lambda a, b: a),  # meet keeps its first operand
+    ("sharing_meet", sharing_join),  # join in place of meet
+    ("sharing_join", sharing_meet),  # meet in place of join
+])
+def test_props_fails_on_a_wrong_node_algebra(monkeypatch, capsys, op, mutant):
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    assert checks.run_props(0, 200, 1e-9).passed
+    monkeypatch.setattr(checks, op, mutant)
+    report = checks.run_props(0, 200, 1e-9)
+    assert not report.passed
+    assert main(["--trials", "200", "check", "--suite", "props"]) == 1
+    assert capsys.readouterr().out == report.to_text()
+
+
+def test_props_rejects_a_result_that_is_no_node(monkeypatch, capsys):
+    # an unnormalized antichain: (0,) is inside (0, 1)
+    monkeypatch.setattr(checks, "sharing_meet", lambda a, b: Antichain(((0,), (0, 1))))
+    assert main(["--trials", "5", "check", "--suite", "props"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

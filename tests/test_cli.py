@@ -601,6 +601,16 @@ def test_footer_tolerance_gate(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9"])
+@pytest.mark.parametrize("argv", [["decompose", "x.json"], ["check", "--suite", "pie"]])
+def test_tolerance_must_be_positive_and_finite(capsys, tol, argv):
+    # an infinite tolerance would pass every footer and every check law
+    assert main([f"--tol={tol}", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerance must be positive and finite\n"
+
+
 def test_cli_imports_only_the_standard_library():
     # The runtime is pure stdlib: a fresh isolated interpreter that imports the
     # CLI loads no module beyond the standard library and infoshare itself.

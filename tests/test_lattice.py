@@ -219,11 +219,11 @@ def antichain_over(draw, n):
 
 @st.composite
 def vector_and_antichains(draw, count):
-    n = draw(st.integers(min_value=2, max_value=3))
-    h = tuple(
-        draw(st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
-        for _ in range(n)
-    )
+    n = draw(st.integers(min_value=2, max_value=4))
+    value = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
+    if draw(st.booleans()):  # from three values, so that ties are common
+        value = st.sampled_from((0.0, 1.5, 3.0))
+    h = tuple(draw(value) for _ in range(n))
     alphas = tuple(draw(antichain_over(n)) for _ in range(count))
     return h, alphas
 
