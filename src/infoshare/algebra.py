@@ -21,7 +21,6 @@ needs no lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
@@ -30,21 +29,19 @@ from .decomposition import chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources)
 from .measures import cond_surprisals, surprisal_table, surprisals
+from .record import Record
 
 
 class ExpressionError(ValueError):
     """The expression text does not match the grammar or its context."""
 
 
-@dataclass(frozen=True)
-class SourceLeaf:
-    members: tuple[int, ...]
+class SourceLeaf(Record):
+    __slots__ = ("members",)  # tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OpNode:
-    op: str
-    args: tuple["Expr", ...]
+class OpNode(Record):
+    __slots__ = ("op", "args")  # str, tuple[Expr, ...]
 
 
 Expr = Union[SourceLeaf, OpNode]
@@ -351,12 +348,8 @@ _LEMMAS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class LemmaResult:
-    name: str
-    lhs: float
-    rhs: float
-    residual: float
+class LemmaResult(Record):
+    __slots__ = ("name", "lhs", "rhs", "residual")
 
     @property
     def passed(self) -> bool:

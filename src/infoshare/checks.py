@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import marshal
 import os
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -38,6 +37,7 @@ from .lattice import (
     sharing_meet,
 )
 from .measures import surprisal_table
+from .record import Record
 from .sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 SUITES = ("props", "lemmas", "mobius", "pie")
@@ -46,20 +46,12 @@ Bump = Callable[[str, float], None]  # keeps a law's worst residual
 Trial = Callable[[int, Bump], None]  # runs one trial by index
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    name: str
-    max_residual: float
-    passed: bool
+class CheckLine(Record):
+    __slots__ = ("name", "max_residual", "passed")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    suite: str
-    seed: int
-    trials: int
-    tolerance: float
-    lines: tuple[CheckLine, ...]
+class CheckReport(Record):
+    __slots__ = ("suite", "seed", "trials", "tolerance", "lines")  # lines: tuple[CheckLine, ...]
 
     @property
     def passed(self) -> bool:

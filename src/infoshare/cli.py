@@ -11,10 +11,8 @@ stays unit-free.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import checks
@@ -36,22 +34,18 @@ from .measures import (
     unique_content,
     union_content,
 )
+from .record import Record
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Global run options shared by every subcommand."""
 
-    base: float
-    tolerance: float
-    seed: int
-    trials: int
-    allow_n5: bool
-    structured: bool
+    __slots__ = ("base", "tolerance", "seed", "trials", "allow_n5", "structured")
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not 0.0 < self.tolerance < math.inf:  # NaN fails too
             raise ValueError("tolerance must be positive and finite")
         if self.trials < 1:
@@ -99,6 +93,7 @@ def _source_label(d: JointDistribution, source) -> str:
 
 def _emit(config: RunConfig, text_lines: list[str], structured: dict) -> None:
     if config.structured:
+        import json
         print(json.dumps(structured, indent=2))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
@@ -310,6 +305,7 @@ def cmd_eval(config: RunConfig, args) -> int:
 def cmd_check(config: RunConfig, args) -> int:
     report = checks.run_suite(args.suite, config.seed, config.trials, config.tolerance)
     if config.structured:
+        import json
         print(json.dumps(report.to_json(), indent=2))
     else:
         sys.stdout.write(report.to_text())

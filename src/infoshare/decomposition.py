@@ -29,35 +29,30 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
 from .measures import cond_surprisals, surprisal_table, surprisals
+from .record import Record
 
 
-@dataclass
-class LatticeValuation:
+class LatticeValuation(Record, frozen=False):
     """Per-node values h(alpha) for one realization, or their expectations,
     in node order: `values[i]` belongs to `lattice.nodes[i]`."""
 
-    lattice: RedundancyLattice
-    values: list[float]
+    __slots__ = ("lattice", "values")
 
 
-@dataclass
-class PartialValuation:
+class PartialValuation(Record, frozen=False):
     """Per-node increments, in node order, whose down-set sums reproduce the
     node values.
 
     `valuation` holds the node values the increments were inverted from.
     """
 
-    lattice: RedundancyLattice
-    partials: list[float]
-    valuation: LatticeValuation
+    __slots__ = ("lattice", "partials", "valuation")
 
     def total(self) -> float:
         return math.fsum(self.partials)
@@ -279,8 +274,7 @@ def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[
             for sources, template in _TRIVARIATE_TERMS}
 
 
-@dataclass(frozen=True)
-class MutualDecomposition:
+class MutualDecomposition(Record):
     """The five shared-information readings of a mutual information content.
 
     Every field is an unconditioned value minus its conditioned-on-target
@@ -289,13 +283,8 @@ class MutualDecomposition:
     uniques and synergy; `coinformation` equals intersection minus synergy.
     """
 
-    union: float
-    unique_first: float
-    unique_second: float
-    intersection: float
-    synergy: float
-    joint: float
-    coinformation: float
+    __slots__ = ("union", "unique_first", "unique_second", "intersection", "synergy",
+                 "joint", "coinformation")
 
     def parts_sum(self) -> float:
         return math.fsum(
@@ -303,15 +292,7 @@ class MutualDecomposition:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "union": self.union,
-            "unique_first": self.unique_first,
-            "unique_second": self.unique_second,
-            "intersection": self.intersection,
-            "synergy": self.synergy,
-            "joint": self.joint,
-            "coinformation": self.coinformation,
-        }
+        return dict(zip(self.__slots__, self._fields))
 
 
 def _mi_point(log_masses: list[float]) -> MutualDecomposition:

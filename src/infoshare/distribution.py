@@ -7,14 +7,12 @@ threads.  Assignments absent from an input document carry zero mass.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
+
+from .record import Record
 
 # Absolute tolerance for the total-mass check.
 MASS_SUM_TOLERANCE = 1e-12
@@ -43,16 +41,17 @@ class ZeroMass(ValueError):
     """An operation required positive probability mass and found none."""
 
 
-@dataclass(frozen=True)
-class VariableSet:
+class VariableSet(Record):
     """Ordered, named finite variables together with their cardinalities."""
 
-    names: tuple[str, ...]
-    cardinalities: tuple[int, ...]
+    __slots__ = ("names", "cardinalities")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(str(n) for n in self.names))
-        object.__setattr__(self, "cardinalities", tuple(int(c) for c in self.cardinalities))
+    def __init__(self, names: Iterable[str], cardinalities: Iterable[int]) -> None:
+        object.__setattr__(self, "names", tuple(map(str, names)))
+        try:
+            object.__setattr__(self, "cardinalities", tuple(map(index, cardinalities)))
+        except TypeError:
+            raise InvalidDistribution("cardinalities must be integers") from None
         if not self.names:
             raise InvalidDistribution("at least one variable is required")
         if len(self.names) != len(self.cardinalities):
@@ -82,7 +81,10 @@ class VariableSet:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def check_realization(self, realization: Sequence[int]) -> tuple[int, ...]:
-        r = tuple(int(v) for v in realization)
+        try:
+            r = tuple(map(index, realization))
+        except TypeError:
+            raise ValueError(f"realization {realization!r} must hold integers") from None
         if len(r) != self.n:
             raise ValueError(
                 f"realization has {len(r)} values, expected {self.n}"
@@ -233,6 +235,7 @@ def _is_int(value: object) -> bool:
 
 
 def _load_json(text: str) -> JointDistribution:
+    import json
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
@@ -293,6 +296,8 @@ def _load_json(text: str) -> JointDistribution:
 
 
 def _load_csv(text: str) -> JointDistribution:
+    import csv
+    import io
     reader = csv.reader(io.StringIO(text))
     # (physical line number, row) of every non-blank row
     try:

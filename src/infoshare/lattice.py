@@ -13,10 +13,11 @@ single-variable surprisals (`eval_sharing`, `sharing_join`, `sharing_meet`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
+
+from .record import Record
 
 MAX_DEFAULT_N = 4
 MAX_OVERRIDE_N = 5
@@ -45,15 +46,17 @@ def enumerate_sources(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class Antichain:
+class Antichain(Record):
     """Canonical set of pairwise-incomparable sources.
 
     Sources are stored sorted by size then member order, which makes
     equality and hashing structural.
     """
 
-    sources: tuple[tuple[int, ...], ...]
+    __slots__ = ("sources",)
+
+    def __init__(self, sources: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "sources", sources)
 
     @staticmethod
     def normalize(sources: Iterable[Iterable[int]]) -> "Antichain":

@@ -630,3 +630,6 @@ def test_cli_imports_only_the_standard_library():
     # `check` forks with `os` and pipes with `marshal`: the process-pool
     # modules would cost start-up time and resident memory
     assert not loaded & {"multiprocessing", "concurrent", "pickle"}, sorted(loaded)
+    # start-up stays lean: no `dataclasses` (with the `inspect` chain it
+    # pulls in), and the format libraries load only when a command uses them
+    assert not loaded & {"dataclasses", "inspect", "csv", "json"}, sorted(loaded)

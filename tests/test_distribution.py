@@ -136,6 +136,22 @@ def test_variable_set_invariants():
         VariableSet((), ())
 
 
+# Non-integer cardinalities and categories are errors, never truncated.
+def test_variable_set_rejects_non_integer_cardinalities():
+    with pytest.raises(InvalidDistribution, match="integer"):
+        VariableSet(("X", "Y"), (2.9, "2"))
+
+
+def test_mass_rejects_non_integer_realization():
+    with pytest.raises(ValueError, match="integer"):
+        copy2().mass((0.99, 0.2))
+
+
+def test_pmf_rejects_non_integer_assignment():
+    with pytest.raises(ValueError, match="integer"):
+        JointDistribution(VariableSet(("X", "Y"), (2, 2)), {(1.9, 1): 0.5, (0, 0): 0.5})
+
+
 def test_load_csv():
     text = "X,Y,p\n0,0,0.5\n1,1,0.5\n"
     d = load_distribution(text)
