@@ -28,7 +28,7 @@ from .distribution import OPERATORS, JointDistribution, identifier_end
 from .decomposition import chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources)
-from .measures import cond_surprisals, surprisal_table, surprisals
+from .measures import surprisal_table, surprisals
 from .record import Record
 
 
@@ -264,23 +264,25 @@ def compile_expression(
         names = ", ".join(d.variables.names[i] for i in sorted(used))
         raise ExpressionError(f"expression mentions conditioning variable(s) {names}")
     total = _chain_total(expr, variables)
-    sources = [tuple(variables[i] for i in src) for src in enumerate_sources(len(variables))]
-    if about is None:
-        table = surprisal_table(d, sources, given)
-        return lambda realization: total(table(realization))
-    # Every source of all variables: the plain chain's, each conditioned joint
-    # source and `about` itself.
+    # The chain's joint sources, each with the conditioner: with no
+    # conditioner, every source of all variables.  The table reads them and
+    # the conditioner; `about` reads every source, which holds both chains.
     every = enumerate_sources(d.variables.n)
-    logs = d.log_mass_table(every)
-    at = {src: k for k, src in enumerate(every)}
-    ids = [at[tuple(sorted(g.union(src)))] for src in sources]
-    about_id = at[tuple(sorted(g))]
+    given_src = tuple(sorted(g))
+    chain = [tuple(sorted(g.union(variables[i] for i in src)))
+             for src in enumerate_sources(len(variables))]
+    read = every if about is not None or not g else [*chain, given_src]
+    at = {src: k for k, src in enumerate(read)}
+    logs = d.log_mass_table(read)
+    ids, given_id = [at[src] for src in chain], at.get(given_src)
+    if about is None:
+        return lambda realization: total(surprisals(logs(realization), ids, given_id))
     plain_total, plain_ids = _chain_total(expr, range(d.variables.n)), range(len(every))
 
     def value(realization: Sequence[int]) -> float:
         log_masses = logs(realization)
         return (plain_total(surprisals(log_masses, plain_ids))
-                - total(cond_surprisals(log_masses, ids, about_id)))
+                - total(surprisals(log_masses, ids, given_id)))
 
     return value
 

@@ -24,7 +24,7 @@ from .decomposition import (
     mi_decompose,
 )
 from .distribution import InvalidDistribution, JointDistribution, ZeroMass, load_file
-from .lattice import enumerate_antichains, to_dot
+from .lattice import MAX_N, enumerate_antichains, to_dot
 from .measures import (
     content,
     expected,
@@ -214,6 +214,16 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     return 0 if residual <= config.tolerance else 1
 
 
+def _check_lattice_size(config: RunConfig, n: int) -> int:
+    """n, if the command may build the lattice of n variables: the 7,579
+    nodes of n = 5 need `--allow-n5`."""
+    limit = MAX_N if config.allow_n5 else MAX_N - 1
+    if not 1 <= n <= limit:
+        hint = "" if config.allow_n5 else " (n = 5 needs the explicit override)"
+        raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
+    return n
+
+
 def cmd_decompose(config: RunConfig, args) -> int:
     d = load_file(args.file)
     if args.target or args.predictors:
@@ -228,11 +238,12 @@ def cmd_decompose(config: RunConfig, args) -> int:
     names = tuple(d.variables.names[i] for i in selected)
 
     r = _mode_realization(args)
+    _check_lattice_size(config, len(selected))
     if r is not None:
-        partials = decompose_pointwise(d, r, variables=variables, allow_large=config.allow_n5)
+        partials = decompose_pointwise(d, r, variables=variables)
         header = f"pointwise decomposition at ({args.realization})"
     else:
-        partials = decompose_expected(d, variables=variables, allow_large=config.allow_n5)
+        partials = decompose_expected(d, variables=variables)
         header = "expected decomposition"
 
     rows = [
@@ -269,7 +280,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
 
 
 def cmd_lattice(config: RunConfig, args) -> int:
-    lattice = enumerate_antichains(args.n, config.allow_n5)
+    lattice = enumerate_antichains(_check_lattice_size(config, args.n))
     dot = to_dot(lattice, kind=args.kind)
     if args.out == "-":
         sys.stdout.write(dot)

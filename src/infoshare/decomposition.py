@@ -8,20 +8,21 @@ Values and increments are float lists in node order, indexed like
 `lattice.nodes`, `lattice.members` and `lattice.upsets`; read one node's
 entry through `lattice.index(node)`.
 
-The production path is the chain walk (`chain_levels`, laid onto a
-lattice by `chain_walk`).  At one realization the source surprisals are
-totally ordered, so only the up-sets {s : h(s) >= t} can carry a
-non-zero increment, and they form one chain: each gets the gap t - t'
-to the next lower surprisal, and every other node gets 0.0.  It needs
-no lattice.  A node's value is the lesser of its parent's (the node
-without its last member) and its last member's surprisal.  Two oracles
-are kept for the tests and the `check` suite: the recursive form
+The production path is the chain walk (`chain_levels`).  At one
+realization the source surprisals are totally ordered, so only the
+up-sets {s : h(s) >= t} can carry a non-zero increment, and they form one
+chain: each gets the gap t - t' to the next lower surprisal, and every
+other node gets 0.0.  A node's value is the lesser of its parent's (the
+node without its last member) and its last member's surprisal.  One walk
+sums both, weighted, over (realization, weight) points: the support for
+`decompose_expected`, one point of weight 1.0 for `chain_walk`.  Two
+oracles are kept for the tests and the `check` suite: the recursive form
 subtracts the increments of everything strictly below a node, and the
 closed form subtracts the largest value among the covered nodes; their
 valuation (`lattice_valuation`) takes the least surprisal over each
-node's members.  The chain walk makes the same float subtractions as
-the closed form, so it matches the closed form exactly and the
-recursive form within rounding.
+node's members.  The chain walk makes the same float subtractions as the
+closed form, so it matches it exactly and the recursive form within
+rounding.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from collections import defaultdict
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
-from .distribution import JointDistribution, ZeroMass
+from .distribution import JointDistribution, ZeroMass, variable_indices
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
-from .measures import cond_surprisals, surprisal_table, surprisals
+from .measures import surprisal_table, surprisals
 from .record import Record
 
 
@@ -64,7 +65,7 @@ def _selected(
     lattice: RedundancyLattice | None = None,
 ) -> tuple[int, ...]:
     """Distinct distribution variable indices, as many as `lattice` spans if set."""
-    sel = tuple(range(d.variables.n)) if variables is None else tuple(map(int, variables))
+    sel = tuple(range(d.variables.n)) if variables is None else variable_indices(variables)
     if len(sel) != len(d.variables.check_source(sel)):
         raise ValueError("selected variables must be distinct")
     if lattice is not None and len(sel) != lattice.n:
@@ -130,6 +131,34 @@ def _node_values(lattice: RedundancyLattice, h: Sequence[float]) -> list[float]:
     return values
 
 
+def _walk(
+    lattice: RedundancyLattice,
+    table: Callable[[Sequence[int]], list[float]],
+    points: Iterable[tuple[Sequence[int], float]],
+) -> PartialValuation:
+    """Weighted sums, over (realization, weight) points, of the node values
+    and of the chain increments of each point's source surprisals (`table`)."""
+    # One array of weighted node values per point: a list of float objects
+    # per node raises the peak memory of an n = 5 run.
+    values: list[array] = []
+    increments: dict[int, list[float]] = defaultdict(list)
+    for r, p in points:
+        h = table(r)
+        # p > 0 keeps the order of the surprisals, so the least weighted
+        # surprisal is p times the least one, bit for bit
+        values.append(array("d", _node_values(lattice, [p * x for x in h])))
+        for mask, increment in chain_levels(h):
+            increments[lattice._by_upset[mask]].append(p * increment)
+    # The 0.0 increments off the chain are left out; fsum is exact, so
+    # each sum is the one over every point.
+    partials = [0.0] * len(lattice)
+    for i, weighted in increments.items():
+        partials[i] = math.fsum(weighted)
+    return PartialValuation(
+        lattice, partials, LatticeValuation(lattice, list(map(math.fsum, zip(*values))))
+    )
+
+
 def chain_walk(
     d: JointDistribution,
     lattice: RedundancyLattice,
@@ -145,11 +174,7 @@ def chain_walk(
     `lattice_valuation`.
     """
     variables = _selected(d, variables, lattice)
-    h = _lattice_table(d, lattice, variables, given)(realization)
-    partials = [0.0] * len(lattice)
-    for mask, increment in chain_levels(h):
-        partials[lattice._by_upset[mask]] = increment
-    return PartialValuation(lattice, partials, LatticeValuation(lattice, _node_values(lattice, h)))
+    return _walk(lattice, _lattice_table(d, lattice, variables, given), [(realization, 1.0)])
 
 
 def mobius_recursive(valuation: LatticeValuation) -> PartialValuation:
@@ -182,20 +207,17 @@ def decompose_pointwise(
     d: JointDistribution,
     realization: Sequence[int],
     variables: Sequence[int] | None = None,
-    allow_large: bool = False,
 ) -> PartialValuation:
     """Per-node increments at one support realization."""
     sel = _selected(d, variables)
     if d.marginal_mass(sel, realization) <= 0.0:
         raise ZeroMass("realization outside the support of the selected variables")
-    lattice = enumerate_antichains(len(sel), allow_large)
-    return chain_walk(d, lattice, realization, variables=sel)
+    return chain_walk(d, enumerate_antichains(len(sel)), realization, variables=sel)
 
 
 def decompose_expected(
     d: JointDistribution,
     variables: Sequence[int] | None = None,
-    allow_large: bool = False,
 ) -> PartialValuation:
     """Support-weighted expectation of the pointwise increments.
 
@@ -203,36 +225,16 @@ def decompose_expected(
     `valuation` holds the expected node values from the same walk.
     """
     sel = _selected(d, variables)
-    lattice = enumerate_antichains(len(sel), allow_large)
-    # One array of weighted node values per support point: a list of
-    # float objects per node raises the peak memory of an n = 5 run.
-    values: list[array] = []
-    increments: dict[int, list[float]] = defaultdict(list)
-    table = _lattice_table(d, lattice, sel, None)
-    for r, p in d.support():
-        h = table(r)
-        # p > 0 keeps the order of the surprisals, so the least weighted
-        # surprisal is p times the least one, bit for bit
-        values.append(array("d", _node_values(lattice, [p * x for x in h])))
-        for mask, increment in chain_levels(h):
-            increments[lattice._by_upset[mask]].append(p * increment)
-    # The 0.0 increments off the chain are left out; fsum is exact, so
-    # each sum is the one over every support point.
-    partials = [0.0] * len(lattice)
-    for i, weighted in increments.items():
-        partials[i] = math.fsum(weighted)
-    return PartialValuation(
-        lattice, partials, LatticeValuation(lattice, list(map(math.fsum, zip(*values))))
-    )
+    lattice = enumerate_antichains(len(sel))
+    return _walk(lattice, _lattice_table(d, lattice, sel, None), d.support())
 
 
 def expected_valuation(
     d: JointDistribution,
     variables: Sequence[int] | None = None,
-    allow_large: bool = False,
 ) -> LatticeValuation:
     """Support-weighted expectation of the per-node values."""
-    return decompose_expected(d, variables, allow_large).valuation
+    return decompose_expected(d, variables).valuation
 
 
 # The 18 nodes of the three-variable lattice, bottom-up and already canonical,
@@ -301,9 +303,9 @@ def _mi_point(log_masses: list[float]) -> MutualDecomposition:
     # so with the errors) of one `surprisal`/`cond_surprisal` call each.  The
     # log masses are of a, b, a|b, t, a|t, b|t and a|b|t (see `mi_decompose`).
     ha, hb = surprisals(log_masses, (0, 1))
-    ca, cb = cond_surprisals(log_masses, (4, 5), 3)
+    ca, cb = surprisals(log_masses, (4, 5), 3)
     (hab,) = surprisals(log_masses, (2,))
-    (cab,) = cond_surprisals(log_masses, (6,), 3)
+    (cab,) = surprisals(log_masses, (6,), 3)
     return MutualDecomposition(
         union=max(ha, hb) - max(ca, cb),
         unique_first=max(ha - hb, 0.0) - max(ca - cb, 0.0),

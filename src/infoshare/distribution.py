@@ -33,6 +33,15 @@ def identifier_end(text: str, start: int) -> int:
     return end
 
 
+def variable_indices(members: Iterable[int]) -> tuple[int, ...]:
+    """The members as variable indices, read as `check_realization` reads
+    values: a float or a string is rejected, not truncated."""
+    try:
+        return tuple(map(index, members))
+    except TypeError:
+        raise ValueError(f"variable indices must be integers, got {members!r}") from None
+
+
 class InvalidDistribution(ValueError):
     """A distribution document or pmf failed validation."""
 
@@ -97,7 +106,7 @@ class VariableSet(Record):
         return r
 
     def check_source(self, source: Iterable[int]) -> frozenset[int]:
-        s = frozenset(int(i) for i in source)
+        s = frozenset(variable_indices(source))
         if not s:
             raise ValueError("a source must contain at least one variable")
         for i in s:

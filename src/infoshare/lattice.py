@@ -17,10 +17,10 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
+from .distribution import variable_indices
 from .record import Record
 
-MAX_DEFAULT_N = 4
-MAX_OVERRIDE_N = 5
+MAX_N = 5
 
 _DEFAULT_NAMES = ("x", "y", "z", "w", "v")
 
@@ -32,13 +32,13 @@ def default_names(n: int) -> tuple[str, ...]:
 
 
 def canonical_source(members: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(int(i) for i in members)))
+    return tuple(sorted(set(variable_indices(members))))
 
 
 def enumerate_sources(n: int) -> list[tuple[int, ...]]:
     """All non-empty subsets of n variables, smallest first then lexicographic."""
-    if not 1 <= n <= MAX_OVERRIDE_N:
-        raise ValueError(f"variable count {n} outside supported range 1..{MAX_OVERRIDE_N}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"variable count {n} outside supported range 1..{MAX_N}")
     return [
         combo
         for size in range(1, n + 1)
@@ -221,14 +221,11 @@ class RedundancyLattice:
     node's position, and `nodes` holds the `Antichain`s, built on first
     access.  The node order is reversed inclusion of up-sets, and covering
     pairs differ by exactly one source.  That keeps the cover relation
-    cheap for every supported n; it is built on first use.
+    cheap for every supported n (1..5, as `enumerate_sources` allows); it
+    is built on first use.
     """
 
-    def __init__(self, n: int, allow_large: bool = False):
-        limit = MAX_OVERRIDE_N if allow_large else MAX_DEFAULT_N
-        if not 1 <= n <= limit:
-            hint = "" if allow_large else " (n = 5 needs the explicit override)"
-            raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
+    def __init__(self, n: int):
         self.n = n
         self.sources: tuple[tuple[int, ...], ...] = _source_table(n)[0]
         members, upsets, parents = _all_antichains(n)
@@ -283,13 +280,6 @@ class RedundancyLattice:
             raise ValueError(f"{alpha!r} is not a node of this lattice")
         return i
 
-    def node_at(self, upset: int) -> Antichain:
-        """The node whose up-set mask is `upset`."""
-        try:
-            return self.nodes[self._by_upset[upset]]
-        except KeyError:
-            raise ValueError(f"{upset:#x} is not the up-set of a node") from None
-
     def labels(self, names: Sequence[str]) -> list[str]:
         """`Antichain.label` of every node, in node order, joined from one
         label per source."""
@@ -313,24 +303,12 @@ class RedundancyLattice:
             ]
         return self._covers
 
-    def down_set(self, alpha: Antichain) -> tuple[Antichain, ...]:
-        """All nodes below or equal to alpha, in node order."""
-        up = self.upsets[self.index(alpha)]
-        return tuple(node for node, m in zip(self.nodes, self.upsets) if up & ~m == 0)
-
-    def covered_by(self, alpha: Antichain) -> tuple[Antichain, ...]:
-        """Maximal strict predecessors of alpha."""
-        return tuple(self.nodes[j] for j in self._cover_ids()[self.index(alpha)])
-
-    def topo_order(self) -> tuple[Antichain, ...]:
-        """Nodes sorted bottom-up; up-set size decreases strictly up the order."""
-        return tuple(map(self.nodes.__getitem__, self._topo))
-
 
 @lru_cache(maxsize=None)
-def enumerate_antichains(n: int, allow_large: bool = False) -> RedundancyLattice:
-    """Build (or fetch the cached) lattice of antichains over n variables."""
-    return RedundancyLattice(n, allow_large)
+def enumerate_antichains(n: int, /) -> RedundancyLattice:
+    """Build (or fetch the cached) lattice of antichains over n variables:
+    one lattice, and one cache entry, per n."""
+    return RedundancyLattice(n)
 
 
 def eval_sharing(alpha: Antichain, values: Sequence[float]) -> float:

@@ -5,14 +5,15 @@ distribution; `expected` lifts any of them to the distribution level by
 weighting over the support.  Surprisal-like quantities are non-negative,
 mutual quantities are signed.  Values are in bits.
 
-Each content measure takes an optional `given` conditioner.  A
-conditional measure is the plain one with every surprisal replaced by
-its conditional counterpart, the joint surprisal of source and
-conditioner minus the conditioner's own.
+Every measure is built from one surprisal, log2 p(G) - log2 p(S u G)
+for a source S and a conditioner G; a plain one has G empty, of log
+mass 0.  So each content measure takes an optional `given` conditioner,
+and the conditional measure is the plain formula read conditioned.
 
-`surprisal` and `cond_surprisal` answer one query each.  A command that
-reads many sources at many realizations builds a `surprisal_table` once
-and pays one lookup and one log2 per source at each realization.
+`content`, and through it every measure here, reads a `surprisal_table`,
+which resolves its sources once and then pays one lookup and one log2
+per source at each realization.  The per-call `surprisal` and
+`cond_surprisal` are kept as the tests' oracles for the table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def surprisal(d: JointDistribution, source: Iterable[int], realization: Sequence
     p = d.marginal_mass(source, realization)
     if p <= 0.0:
         raise ZeroMass("surprisal undefined: zero marginal mass")
-    return -math.log2(p)
+    return 0.0 - math.log2(p)  # +0.0, not -0.0, at mass 1
 
 
 def cond_surprisal(
@@ -51,25 +52,20 @@ def cond_surprisal(
     return math.log2(p_given) - math.log2(p_joint)
 
 
-def surprisals(log_masses: Sequence[float], ids: Iterable[int]) -> list[float]:
-    """The surprisal -log2 p of each listed entry of a log-mass vector
-    (`JointDistribution.log_mass_table`); `surprisal` at every entry."""
-    h = [-log_masses[k] for k in ids]
-    if math.inf in h:
-        raise ZeroMass("surprisal undefined: zero marginal mass")
-    return h
-
-
-def cond_surprisals(log_masses: Sequence[float], ids: Iterable[int], given_id: int) -> list[float]:
-    """log2 p(given) - log2 p(joint) for each listed joint entry of a
-    log-mass vector, `given_id` being the conditioner's; `cond_surprisal`
-    at every entry, with its errors in its order."""
-    log_given = log_masses[given_id]
+def surprisals(
+    log_masses: Sequence[float], ids: Iterable[int], given_id: int | None = None
+) -> list[float]:
+    """log2 p(G) - log2 p(S u G) for each listed entry S u G of a log-mass
+    vector (`JointDistribution.log_mass_table`), where G is the entry at
+    `given_id` or, if that is None, the empty set: `surprisal` or
+    `cond_surprisal` at every entry, with its errors in its order."""
+    log_given = 0.0 if given_id is None else log_masses[given_id]
     if log_given == -math.inf:
         raise ZeroMass("conditioning event has zero mass")
     h = [log_given - log_masses[k] for k in ids]
     if math.inf in h:
-        raise ZeroMass("surprisal undefined: zero joint mass")
+        what = "marginal" if given_id is None else "joint"
+        raise ZeroMass(f"surprisal undefined: zero {what} mass")
     return h
 
 
@@ -82,29 +78,25 @@ def surprisal_table(
     of the realization: the per-command form of `surprisal`/`cond_surprisal`.
 
     Sources and conditioner are resolved once, here (see
-    `JointDistribution.log_mass_table`); each call reads one log-mass vector.
+    `JointDistribution.log_mass_table`); each call reads one log-mass vector
+    of the joint sources S u G, and of G itself when it is not empty.
     """
-    if given is None:
-        logs = d.log_mass_table(sources)
-        every = range(len(sources))
-        return lambda realization: surprisals(logs(realization), every)
-    g = d.variables.check_source(given)
+    g = frozenset() if given is None else d.variables.check_source(given)
     joint = []
     for source in sources:
         s = d.variables.check_source(source)
         if s & g:
             raise ValueError("source and conditioning variables overlap")
         joint.append(s | g)
-    logs = d.log_mass_table([g, *joint])
-    ids = range(1, len(joint) + 1)
-    return lambda realization: cond_surprisals(logs(realization), ids, 0)
+    given_id = len(joint) if g else None
+    logs = d.log_mass_table([*joint, g] if g else joint)
+    ids = range(len(joint))
+    return lambda realization: surprisals(logs(realization), ids, given_id)
 
 
 def content(d: JointDistribution, given, realization) -> Callable[[Iterable[int]], float]:
     """Surprisal of a source at the realization, conditioned on `given` if set."""
-    if given is None:
-        return lambda source: surprisal(d, source, realization)
-    return lambda source: cond_surprisal(d, source, given, realization)
+    return lambda source: surprisal_table(d, [source], given)(realization)[0]
 
 
 def _source_list(d: JointDistribution, sources) -> list[frozenset[int]]:

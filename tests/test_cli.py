@@ -245,6 +245,58 @@ def test_lattice_n5_needs_override(capsys):
     assert "override" in capsys.readouterr().err
 
 
+def _binary_file(tmp_path, n):
+    d = random_distribution(trial_rng(75, n), [2] * n, sparsity=0.75)
+    path = tmp_path / f"n{n}.json"
+    path.write_text(json.dumps({
+        "variables": [{"name": name, "cardinality": 2} for name in d.variables.names],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }))
+    return str(path), d
+
+
+@pytest.mark.parametrize("n, flags", [(5, []), (6, ["--variables", "x1,x2,x3,x5,x6"])])
+def test_decompose_n5_needs_override(tmp_path, capsys, n, flags):
+    # The gate is the CLI's: the library builds n = 5 without one.
+    path, d = _binary_file(tmp_path, n)
+    r = ",".join(map(str, d.support()[0][0]))
+    for mode in (["--mode", "expected"], ["--mode", "pointwise", "--realization", r]):
+        assert main(["decompose", path, *flags, *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: variable count 5 outside supported range 1..4 "
+                                "(n = 5 needs the explicit override)\n")
+        assert main(["--allow-n5", "decompose", path, *flags, *mode]) == 0
+        # a header, 7,579 node rows and a three-line footer
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 7579 + 3
+
+
+P3_JSON = """
+{"variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 2},
+               {"name": "Z", "cardinality": 2}],
+ "pmf": [{"assignment": [0, 0, 0], "p": 1.0}]}
+"""
+
+
+def test_point_mass_reports_print_no_negative_zero(tmp_path, capsys):
+    # Every surprisal at a point mass is 0.0 - log2(1) = +0.0.
+    path = tmp_path / "p3.json"
+    path.write_text(P3_JSON)
+    for argv in (
+        ["decompose", str(path), "--mode", "pointwise", "--realization", "0,0,0"],
+        ["decompose", str(path), "--target", "Z", "--predictors", "X,Y",
+         "--mode", "pointwise", "--realization", "0,0,0"],
+        ["pointwise", str(path), "--realization", "0,0,0", "--sources", "X", "Y"],
+        ["pointwise", str(path), "--realization", "0,0,0", "--sources", "X", "Y",
+         "--given", "Z"],
+        ["eval", str(path), "(X,Y) cap Z", "--realization", "0,0,0"],
+        ["eval", str(path), "X oplus Y", "--realization", "0,0,0", "--about", "Z"],
+    ):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert "0.000000000" in out and "-0.000000000" not in out, argv
+
+
 def test_eval_pointwise_and_expected(xor3_file, capsys):
     assert main(["eval", xor3_file, "X cap (Y oplus Z)", "--realization", "0,1,1"]) == 0
     out = capsys.readouterr().out
@@ -324,7 +376,7 @@ def test_n5_expected_rows_match_the_oracles(tmp_path, capsys):
                  "--mode", "expected"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
 
-    lattice = enumerate_antichains(5, True)
+    lattice = enumerate_antichains(5)
     values = {node: [] for node in lattice.nodes}
     partials = {node: [] for node in lattice.nodes}
     for r, p in d.support():
@@ -338,7 +390,7 @@ def test_n5_expected_rows_match_the_oracles(tmp_path, capsys):
             "value": math.fsum(values[node]),
             "partial": math.fsum(partials[node]),
         }
-        for node in lattice.topo_order()
+        for node in map(lattice.nodes.__getitem__, lattice._topo)
     ]
     assert rows == expected
 
@@ -354,7 +406,7 @@ def test_n5_eval_needs_no_override(tmp_path, capsys):
     path = tmp_path / "n5.json"
     path.write_text(json.dumps(doc))
     text = "(x cup y) minus (z oplus (w,v))"
-    lattice = enumerate_antichains(5, True)
+    lattice = enumerate_antichains(5)
     atoms = lower(parse_expression(text, d.variables.names), lattice)
 
     def oracle(r):

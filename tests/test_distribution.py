@@ -9,6 +9,7 @@ from infoshare import (
     VariableSet,
     ZeroMass,
     cond_surprisal,
+    decompose_expected,
     load_distribution,
     load_file,
 )
@@ -219,6 +220,19 @@ def test_marginal_invalid_source_rejected():
         d.marginal_mass([5], (0, 0))
     with pytest.raises(ValueError):
         d.marginal_mass([], (0, 0))
+
+
+def test_non_integer_variable_indices_are_rejected_not_truncated():
+    # Indices are read as realization values are (`operator.index`): 0.9
+    # once read as variable 0.
+    d = copy2()
+    with pytest.raises(ValueError, match="variable indices must be integers"):
+        d.variables.check_source([0.7, 1.2])
+    with pytest.raises(ValueError, match="variable indices must be integers"):
+        d.marginal_mass([0.9], (0, 0))
+    with pytest.raises(ValueError, match="variable indices must be integers"):
+        decompose_expected(d, variables=[0.0, 1.0])
+    assert d.variables.check_source([True, 0]) == frozenset({0, 1})
 
 
 def test_conditional_mass_examples():

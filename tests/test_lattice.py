@@ -21,6 +21,7 @@ from infoshare import (
     to_dot,
     upset_of,
 )
+from infoshare.cli import main
 
 A = Antichain.normalize
 
@@ -75,13 +76,26 @@ def test_node_count_n4():
     assert brute_force_antichains(4) == 166
 
 
-def test_n5_needs_override():
-    with pytest.raises(ValueError, match="override"):
-        enumerate_antichains(5)
-    lattice = enumerate_antichains(5, True)
-    assert len(lattice) == 7579
-    with pytest.raises(ValueError):
-        enumerate_antichains(6, True)
+def test_n5_needs_override(capsys):
+    # The library builds every n in 1..5; the n = 5 override is the CLI's.
+    assert len(enumerate_antichains(5)) == 7579
+    with pytest.raises(ValueError, match="outside supported range 1..5"):
+        enumerate_antichains(6)
+    assert main(["lattice", "--n", "5"]) == 2
+    assert "override" in capsys.readouterr().err
+
+
+def test_one_lattice_per_n():
+    # The variable count is the only argument, so each n has one cache entry.
+    enumerate_antichains.cache_clear()
+    lattices = [enumerate_antichains(n) for n in (4, 3, 4, 4)]
+    assert lattices[0] is lattices[2] is lattices[3]
+    assert enumerate_antichains.cache_info().currsize == 2
+    for args, kwargs in (((4, False), {}), ((4, True), {}), ((4,), {"allow_large": False}),
+                         ((), {"n": 4})):
+        with pytest.raises(TypeError):
+            enumerate_antichains(*args, **kwargs)
+    assert enumerate_antichains.cache_info().currsize == 2
 
 
 def test_precedes_examples():
@@ -135,14 +149,20 @@ def test_meet_join_are_bounds_exhaustive():
                 assert all(precedes(j, c) for c in upper)
 
 
+def _down_set(lattice, i):
+    # the nodes below or equal to node i: their up-sets contain its up-set
+    return [j for j, m in enumerate(lattice.upsets) if lattice.upsets[i] & ~m == 0]
+
+
 def test_down_set_and_covers():
     two = enumerate_antichains(2)
-    assert two.down_set(two.bottom) == (two.bottom,)
-    assert len(two.down_set(two.top)) == len(two)
-    assert set(two.covered_by(two.top)) == {A([(0,)]), A([(1,)])}
-    assert two.covered_by(two.bottom) == ()
+    bottom, top = two.index(two.bottom), two.index(two.top)
+    assert _down_set(two, bottom) == [bottom]
+    assert len(_down_set(two, top)) == len(two)
+    assert {two.nodes[j] for j in two._cover_ids()[top]} == {A([(0,)]), A([(1,)])}
+    assert two._cover_ids()[bottom] == ()
     three = enumerate_antichains(3)
-    assert len(three.down_set(three.top)) == 18
+    assert len(_down_set(three, three.index(three.top))) == 18
     with pytest.raises(ValueError, match="not a node"):
         three.index(A([(3,)]))
 
@@ -151,21 +171,22 @@ def test_covers_match_maximal_strict_predecessors():
     # The one-source-at-a-time cover construction against brute force.
     for n in (2, 3, 4):
         lattice = enumerate_antichains(n)
-        for a in lattice.nodes:
+        for a, covers in zip(lattice.nodes, lattice._cover_ids()):
             strict = [b for b in lattice.nodes if b != a and precedes(b, a)]
             maximal = {
                 b
                 for b in strict
                 if not any(c != b and precedes(b, c) for c in strict)
             }
-            assert set(lattice.covered_by(a)) == maximal
+            assert {lattice.nodes[j] for j in covers} == maximal
 
 
 def test_down_set_intersection_is_meet_downset():
     # The set algebra the lowering relies on, checked exhaustively.
     for n in (2, 3):
         lattice = enumerate_antichains(n)
-        down = {node: frozenset(lattice.down_set(node)) for node in lattice.nodes}
+        down = {node: frozenset(map(lattice.nodes.__getitem__, _down_set(lattice, i)))
+                for i, node in enumerate(lattice.nodes)}
         for a in lattice.nodes:
             for b in lattice.nodes:
                 assert down[a] & down[b] == down[meet(a, b)]
@@ -174,13 +195,14 @@ def test_down_set_intersection_is_meet_downset():
 def test_topo_order_is_linear_extension():
     for n in (2, 3, 4):
         lattice = enumerate_antichains(n)
-        position = {node: i for i, node in enumerate(lattice.topo_order())}
+        topo = [lattice.nodes[i] for i in lattice._topo]
+        position = {node: i for i, node in enumerate(topo)}
         for a in lattice.nodes:
             for b in lattice.nodes:
                 if a != b and precedes(a, b):
                     assert position[a] < position[b]
-        assert lattice.topo_order()[0] == lattice.bottom
-        assert lattice.topo_order()[-1] == lattice.top
+        assert topo[0] == lattice.bottom
+        assert topo[-1] == lattice.top
 
 
 def test_eval_sharing_examples():
@@ -286,7 +308,7 @@ def test_max_min_identity(values):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lattice_labels_are_the_node_labels(n):
-    lattice = enumerate_antichains(n, True)
+    lattice = enumerate_antichains(n)
     for names in (default_names(n), ("Alpha", "b1", "C_", "dd", "E")[:n]):
         labels = lattice.labels(names)
         assert labels == [node.label(names) for node in lattice.nodes]
@@ -327,7 +349,7 @@ def test_dot_export_n3_both_kinds():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mask_built_nodes_are_normalized_with_their_upsets(n):
-    lattice = enumerate_antichains(n, True)
+    lattice = enumerate_antichains(n)
     assert list(lattice.nodes) == sorted(lattice.nodes, key=Antichain.sort_key)
     sets = [frozenset(s) for s in lattice.sources]
     for i, node in enumerate(lattice.nodes):
@@ -341,14 +363,13 @@ def test_mask_built_nodes_are_normalized_with_their_upsets(n):
             1 << k for k, s in enumerate(sets) if any(frozenset(m) <= s for m in node.sources)
         )
         assert lattice.upsets[i] == upset
-        assert lattice.node_at(upset) is node
+        assert lattice.nodes[lattice._by_upset[upset]] is node
         assert upset_of(node, n) == upset
         assert antichain_of(upset, n) == node
     assert lattice.bottom == A([(i,) for i in range(n)])
     assert lattice.top == A([tuple(range(n))])
     assert len(set(lattice.upsets)) == len(lattice)
-    with pytest.raises(ValueError, match="not the up-set"):
-        lattice.node_at(0)
+    assert 0 not in lattice._by_upset
 
 
 def _meet_oracle(a, b):
@@ -369,7 +390,7 @@ def test_mask_meet_join_match_the_normalize_oracle():
                 assert meet(a, b) == _meet_oracle(a, b)
                 assert join(a, b) == _join_oracle(a, b)
     rng = random.Random(5)
-    nodes = enumerate_antichains(5, True).nodes
+    nodes = enumerate_antichains(5).nodes
     for _ in range(2000):
         a, b = rng.choice(nodes), rng.choice(nodes)
         assert meet(a, b) == _meet_oracle(a, b)
@@ -392,6 +413,13 @@ def test_meet_join_accept_unnormalized_members():
         meet(A([(5,)]), A([(0,)]))
     with pytest.raises(ValueError, match="outside supported range"):
         join(A([(0, 5)]), A([(0,)]))
+
+
+def test_normalize_rejects_non_integer_members():
+    with pytest.raises(ValueError, match="variable indices must be integers"):
+        A([[0.5]])
+    with pytest.raises(ValueError, match="variable indices must be integers"):
+        A([(0,), ("1",)])
 
 
 def test_normalize_rejects_the_empty_source():
@@ -428,8 +456,6 @@ def test_index_rejects_non_canonical_and_oversized_antichains():
         assert alpha not in three
         with pytest.raises(ValueError, match="not a node"):
             three.index(alpha)
-        with pytest.raises(ValueError, match="not a node"):
-            three.covered_by(alpha)
     assert "not an antichain" not in three
     for i, node in enumerate(three.nodes):
         assert node in three and three.index(node) == i

@@ -14,6 +14,7 @@ from infoshare import (
     unique_content,
     union_content,
 )
+from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, trial_rng
 
 from helpers import anti, biased1, biased2, copy2, point3, unif2, xor3
@@ -247,6 +248,11 @@ def test_point_mass_measures_vanish():
     p = point3()
     r = (0, 0, 0)
     assert surprisal(p, [0, 1, 2], r) == 0.0
+    # a non-negative measure: +0.0, never -0.0, at mass 1
+    assert math.copysign(1.0, surprisal(p, [0], r)) == 1.0
+    assert math.copysign(1.0, cond_surprisal(p, [0], [1], r)) == 1.0
+    for h in surprisal_table(p, [[0], [0, 1]])(r) + surprisal_table(p, [[0]], given=[1])(r):
+        assert math.copysign(1.0, h) == 1.0
     assert synergy_content(p, [[0], [1], [2]], r) == 0.0
     assert mutual_content(p, [0], [1], r) == 0.0
 

@@ -59,12 +59,13 @@ def _oracle(d, text, realization, given=None):
     # expression's atoms (lowered on a built lattice) lie.
     m = d.variables.n - (0 if given is None else 1)
     lattice = enumerate_antichains(m)
-    atoms = lower(parse_expression(text, d.variables.names), lattice)
+    atoms = {lattice.upsets[lattice.index(a)]
+             for a in lower(parse_expression(text, d.variables.names), lattice)}
     if given is None:
         h = [surprisal(d, s, realization) for s in lattice.sources]
     else:
         h = [cond_surprisal(d, s, given, realization) for s in lattice.sources]
-    return math.fsum(inc for mask, inc in chain_levels(h) if lattice.node_at(mask) in atoms)
+    return math.fsum(inc for mask, inc in chain_levels(h) if mask in atoms)
 
 
 EXPRESSIONS = {3: ("x oplus y", "x cap (y,x)", "(x minus y) cup y"),
@@ -100,6 +101,22 @@ def test_mi_decompose_equals_the_per_call_arithmetic(n, k, d):
         assert point.synergy == (hab - max(ha, hb)) - (cab - max(ca, cb))
         assert point.joint == hab - cab
         assert point.coinformation == (ha + hb - hab) - (ca + cb - cab)
+
+
+@pytest.mark.parametrize("mode", [{}, {"given": [2]}, {"about": [2]}])
+def test_compile_expression_builds_one_log_mass_table(monkeypatch, mode):
+    # One table per command in every mode; `given` reads only its chain's
+    # joint sources and the conditioner, `about` every source.
+    read = []
+    original = JointDistribution.log_mass_table
+    monkeypatch.setattr(JointDistribution, "log_mass_table",
+                        lambda self, sources: read.append(list(sources)) or original(self, sources))
+    d = random_distribution(trial_rng(12, 0), [2, 3, 2], sparsity=0.2)
+    value = compile_expression(d, "x cap y", **mode)
+    for r, _ in d.support():
+        value(r)
+    assert len(read) == 1
+    assert len(read[0]) == (4 if "given" in mode else 7)
 
 
 def test_log_mass_table_reads_minus_infinity_at_zero_mass():
