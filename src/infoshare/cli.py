@@ -26,10 +26,10 @@ from .decomposition import (
 from .distribution import InvalidDistribution, JointDistribution, ZeroMass, load_file
 from .lattice import MAX_N, enumerate_antichains, to_dot
 from .measures import (
-    content,
     expected,
     intersection_content,
     mutual_content,
+    surprisal_table,
     synergy_content,
     unique_content,
     union_content,
@@ -125,10 +125,12 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     d = load_file(args.file)
     r = _parse_realization(args.realization)
     sources = [_parse_source(d, s) for s in args.sources]
-    given = _parse_source(d, args.given) if args.given else None
+    given = _parse_source(d, args.given) if args.given is not None else None
     suffix = f"|{_source_label(d, given)}" if given else ""
-    h = content(d, given, r)
-    rows = [(f"h{_source_label(d, s)}{suffix}", h(s)) for s in sources]
+    # every source's surprisal and the joint one, from one table
+    whole = frozenset().union(*sources)
+    *h, joint = surprisal_table(d, [*sources, whole], given)(r)
+    rows = [(f"h{_source_label(d, s)}{suffix}", value) for s, value in zip(sources, h)]
     residual = None
     if len(sources) >= 2:
         union = union_content(d, sources, r, given=given)
@@ -143,8 +145,6 @@ def cmd_pointwise(config: RunConfig, args) -> int:
         rows.append((f"unique {lb} over {la}{suffix}", unique_content(d, b, a, r, given=given)))
         rows.append((f"mutual{suffix}", mutual_content(d, a, b, r, given=given)))
     if len(sources) >= 2:
-        whole: frozenset = frozenset().union(*sources)
-        joint = h(whole)
         rows.append((f"h{_source_label(d, whole)}{suffix}", joint))
         residual = config.unit(abs(joint - union - synergy))
     rows = [(label, config.unit(value)) for label, value in rows]
@@ -169,11 +169,11 @@ def cmd_pointwise(config: RunConfig, args) -> int:
 def _mode_realization(args) -> tuple[int, ...] | None:
     """The realization of a pointwise `decompose`, which needs one; the
     expected mode takes none."""
-    if args.mode == "pointwise" and not args.realization:
+    if args.mode == "pointwise" and args.realization is None:
         raise ValueError("pointwise mode needs --realization")
-    if args.mode == "expected" and args.realization:
+    if args.mode == "expected" and args.realization is not None:
         raise ValueError("--realization needs --mode pointwise")
-    return _parse_realization(args.realization) if args.realization else None
+    return _parse_realization(args.realization) if args.realization is not None else None
 
 
 _MI_ROWS = ("intersection", "unique_first", "unique_second", "synergy", "union", "joint",
@@ -226,13 +226,13 @@ def _check_lattice_size(config: RunConfig, n: int) -> int:
 
 def cmd_decompose(config: RunConfig, args) -> int:
     d = load_file(args.file)
-    if args.target or args.predictors:
-        if not (args.target and args.predictors):
+    if args.target is not None or args.predictors is not None:
+        if args.target is None or args.predictors is None:
             raise ValueError("--target and --predictors must be given together")
         return _decompose_target(config, args, d)
 
     variables = None
-    if args.variables:
+    if args.variables is not None:
         variables = [d.variables.index(n.strip()) for n in args.variables.split(",")]
     selected = variables if variables is not None else list(range(d.variables.n))
     names = tuple(d.variables.names[i] for i in selected)
@@ -293,11 +293,11 @@ def cmd_lattice(config: RunConfig, args) -> int:
 def cmd_eval(config: RunConfig, args) -> int:
     d = load_file(args.file)
     expr = parse_expression(args.expression, d.variables.names)
-    given = _parse_source(d, args.given) if args.given else None
-    about = _parse_source(d, args.about) if args.about else None
+    given = _parse_source(d, args.given) if args.given is not None else None
+    about = _parse_source(d, args.about) if args.about is not None else None
     if given is not None and about is not None:
         raise ValueError("--given and --about are mutually exclusive")
-    r = _parse_realization(args.realization) if args.realization else None
+    r = _parse_realization(args.realization) if args.realization is not None else None
     value_at = compile_expression(d, expr, given=given, about=about)
     if r is not None:
         value = config.unit(value_at(r))

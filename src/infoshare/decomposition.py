@@ -39,14 +39,14 @@ from .measures import surprisal_table, surprisals
 from .record import Record
 
 
-class LatticeValuation(Record, frozen=False):
+class LatticeValuation(Record):
     """Per-node values h(alpha) for one realization, or their expectations,
     in node order: `values[i]` belongs to `lattice.nodes[i]`."""
 
     __slots__ = ("lattice", "values")
 
 
-class PartialValuation(Record, frozen=False):
+class PartialValuation(Record):
     """Per-node increments, in node order, whose down-set sums reproduce the
     node values.
 
@@ -334,7 +334,7 @@ def mi_decompose(
     t = d.variables.check_source(target)
     if a & b or a & t or b & t:
         raise ValueError("predictor and target sources must be pairwise disjoint")
-    logs = d.log_mass_table([a, b, a | b, t, a | t, b | t, a | b | t])
+    logs = d._log_mass_table([a, b, a | b, t, a | t, b | t, a | b | t])
     if realization is not None:
         return _mi_point(logs(realization))
     fields = ("union", "unique_first", "unique_second", "intersection",

@@ -136,7 +136,10 @@ class JointDistribution:
                 support[r] = p
         if not support:
             raise InvalidDistribution("distribution has empty support")
-        total = math.fsum(support.values())
+        try:
+            total = math.fsum(support.values())
+        except OverflowError:  # finite masses whose sum is not
+            raise InvalidDistribution("masses sum beyond the float range, expected 1") from None
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise InvalidDistribution(
                 f"masses sum to {total!r}, expected 1 within {MASS_SUM_TOLERANCE}"
@@ -187,13 +190,20 @@ class JointDistribution:
     ) -> Callable[[Sequence[int]], list[float]]:
         """log2 of each source's marginal mass, as a function of the realization.
 
-        Each source is validated and resolved to its marginal table once,
-        here.  Each call validates the realization once and then costs one
-        key, one lookup and one log2 per source; a zero mass reads -inf.
+        Each source is validated once, here, and resolved by `_log_mass_table`,
+        which callers that have checked their sets already call directly.
         """
+        return self._log_mass_table([self._variables.check_source(s) for s in sources])
+
+    def _log_mass_table(
+        self, sources: Sequence[frozenset[int]]
+    ) -> Callable[[Sequence[int]], list[float]]:
+        """`log_mass_table` of sets that `VariableSet.check_source` returned:
+        each is resolved to its marginal table once, and each call validates
+        the realization once and then costs one key, one lookup and one log2
+        per source; a zero mass reads -inf."""
         resolved = []
-        for source in sources:
-            s = self._variables.check_source(source)
+        for s in sources:
             indices = sorted(s)
             # itemgetter of one index returns the bare value; a slice keeps the 1-tuple key
             key = itemgetter(*indices) if len(indices) > 1 else itemgetter(

@@ -10,9 +10,9 @@ for a source S and a conditioner G; a plain one has G empty, of log
 mass 0.  So each content measure takes an optional `given` conditioner,
 and the conditional measure is the plain formula read conditioned.
 
-`content`, and through it every measure here, reads a `surprisal_table`,
-which resolves its sources once and then pays one lookup and one log2
-per source at each realization.  The per-call `surprisal` and
+Each content measure reads one `surprisal_table` over the sources it
+needs, which validates and resolves each source once and then pays one
+lookup and one log2 per source.  The per-call `surprisal` and
 `cond_surprisal` are kept as the tests' oracles for the table.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .distribution import JointDistribution, ZeroMass
+from .distribution import JointDistribution, ZeroMass, variable_indices
 
 
 def surprisal(d: JointDistribution, source: Iterable[int], realization: Sequence[int]) -> float:
@@ -77,9 +77,9 @@ def surprisal_table(
     """Surprisal of each source, conditioned on `given` if set, as a function
     of the realization: the per-command form of `surprisal`/`cond_surprisal`.
 
-    Sources and conditioner are resolved once, here (see
-    `JointDistribution.log_mass_table`); each call reads one log-mass vector
-    of the joint sources S u G, and of G itself when it is not empty.
+    Sources and conditioner are validated and resolved once, here; each
+    call reads one log-mass vector of the joint sources S u G, and of G
+    itself when it is not empty.
     """
     g = frozenset() if given is None else d.variables.check_source(given)
     joint = []
@@ -88,58 +88,45 @@ def surprisal_table(
         if s & g:
             raise ValueError("source and conditioning variables overlap")
         joint.append(s | g)
+    if not joint:
+        raise ValueError("at least one source is required")
     given_id = len(joint) if g else None
-    logs = d.log_mass_table([*joint, g] if g else joint)
+    logs = d._log_mass_table([*joint, g] if g else joint)
     ids = range(len(joint))
     return lambda realization: surprisals(logs(realization), ids, given_id)
 
 
-def content(d: JointDistribution, given, realization) -> Callable[[Iterable[int]], float]:
-    """Surprisal of a source at the realization, conditioned on `given` if set."""
-    return lambda source: surprisal_table(d, [source], given)(realization)[0]
-
-
-def _source_list(d: JointDistribution, sources) -> list[frozenset[int]]:
-    out = [d.variables.check_source(s) for s in sources]
-    if not out:
-        raise ValueError("at least one source is required")
-    return out
-
-
 def union_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Largest surprisal over the sources."""
-    h = content(d, given, realization)
-    return max(h(s) for s in _source_list(d, sources))
+    return max(surprisal_table(d, sources, given)(realization))
 
 
 def intersection_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Smallest surprisal over the sources."""
-    h = content(d, given, realization)
-    return min(h(s) for s in _source_list(d, sources))
+    return min(surprisal_table(d, sources, given)(realization))
 
 
 def unique_content(d: JointDistribution, first, second, realization, given=None) -> float:
     """Surplus surprisal of the first source over the second, floored at zero."""
-    h = content(d, given, realization)
-    return max(h(first) - h(second), 0.0)
+    h_first, h_second = surprisal_table(d, [first, second], given)(realization)
+    return max(h_first - h_second, 0.0)
 
 
 def synergy_content(d: JointDistribution, sources, realization, given=None) -> float:
     """Joint surprisal of all involved variables minus the union content."""
-    h = content(d, given, realization)
-    parts = _source_list(d, sources)
-    whole: frozenset[int] = frozenset().union(*parts)
-    return h(whole) - max(h(s) for s in parts)
+    parts = [variable_indices(s) for s in sources]
+    whole = [frozenset().union(*parts)] if parts else []  # no sources: the table says so
+    *h, joint = surprisal_table(d, [*parts, *whole], given)(realization)
+    return joint - max(h)
 
 
 def mutual_content(d: JointDistribution, first, second, realization, given=None) -> float:
     """Sum of the two marginal surprisals minus the joint surprisal; signed."""
-    a = d.variables.check_source(first)
-    b = d.variables.check_source(second)
+    a, b = frozenset(variable_indices(first)), frozenset(variable_indices(second))
     if a & b:
         raise ValueError("sources overlap")
-    h = content(d, given, realization)
-    return h(a) + h(b) - h(a | b)
+    h_a, h_b, h_ab = surprisal_table(d, [a, b, a | b], given)(realization)
+    return h_a + h_b - h_ab
 
 
 def expected(d: JointDistribution, fn: Callable[[tuple[int, ...]], float]) -> float:

@@ -1,8 +1,8 @@
 """A small base for the package's value classes.
 
 A record stores its fields in `__slots__`, in declaration order, and
-compares, hashes and prints by them.  It is frozen unless its class is
-declared with `frozen=False`, which makes it assignable and unhashable.
+compares, hashes and prints by them.  It is frozen; one that holds a
+list is still unhashable, since hashing reaches the list.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from operator import attrgetter
 class Record:
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls.__slots__)
         # the field values as one tuple, also for a single field
         cls._fields = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__slots__

@@ -67,6 +67,25 @@ def test_validate_negative_mass(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, content", [
+    ("big.json", '{"variables": [{"name": "X", "cardinality": 2}], "pmf": ['
+                 '{"assignment": [0], "p": 1e308}, {"assignment": [1], "p": 1e308}]}'),
+    ("big.csv", "X,p\n0,1e308\n1,1e308\n"),
+], ids=["json", "csv"])
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["validate"], 1, "invalid distribution: "),
+    (["eval", "X"], 2, "error: "),
+], ids=["validate", "eval"])
+def test_mass_sum_beyond_the_float_range_is_one_error_line(tmp_path, capsys, name, content,
+                                                            argv, code, prefix):
+    path = tmp_path / name
+    path.write_text(content)
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}masses sum beyond the float range, expected 1\n"
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/nowhere.json"]) == 1
 
@@ -163,6 +182,30 @@ def test_decompose_takes_a_realization_only_in_pointwise_mode(xor3_file, capsys)
     assert capsys.readouterr().out.startswith("mutual decomposition [pointwise]")
     assert main(["decompose", xor3_file, *target]) == 0
     assert capsys.readouterr().out.startswith("mutual decomposition [expected]")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "{f}", "X cap Y", "--about", ""], "empty source specification ''"),
+    (["eval", "{f}", "X cap Y", "--given", ""], "empty source specification ''"),
+    (["eval", "{f}", "X cap Y", "--realization", ""],
+     "realization '' must be comma-separated integers"),
+    (["pointwise", "{f}", "--realization", "0,1,1", "--sources", "X", "Y", "--given", ""],
+     "empty source specification ''"),
+    (["decompose", "{f}", "--variables", ""], "unknown variable ''"),
+    (["decompose", "{f}", "--target", "", "--predictors", "X;Y"],
+     "empty source specification ''"),
+    (["decompose", "{f}", "--realization", ""], "--realization needs --mode pointwise"),
+    (["decompose", "{f}", "--mode", "pointwise", "--realization", ""],
+     "realization '' must be comma-separated integers"),
+], ids=["eval-about", "eval-given", "eval-realization", "pointwise-given",
+        "decompose-variables", "decompose-target", "decompose-expected-realization",
+        "decompose-pointwise-realization"])
+def test_an_empty_flag_value_is_an_error(xor3_file, capsys, argv, message):
+    # an empty value is a value: it is parsed and refused, not read as absent
+    assert main([a.format(f=xor3_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_decompose_structured(xor3_file, capsys):

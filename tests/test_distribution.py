@@ -66,6 +66,22 @@ def test_non_finite_mass_rejected(build, where):
     assert where in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: load_distribution(
+            '{"variables": [{"name": "X", "cardinality": 2}], "pmf": ['
+            '{"assignment": [0], "p": 1e308}, {"assignment": [1], "p": 1e308}]}'),
+        lambda: load_distribution("X,p\n0,1e308\n1,1e308\n"),
+        lambda: JointDistribution(VariableSet(("X",), (2,)), {(0,): 1e308, (1,): 1e308}),
+    ],
+    ids=["json", "csv", "constructor"],
+)
+def test_mass_sum_beyond_the_float_range_rejected(build):
+    with pytest.raises(InvalidDistribution, match="masses sum beyond the float range"):
+        build()
+
+
 def test_duplicate_assignment_rejected():
     bad = XOR3_JSON.replace("[1, 1, 0]", "[0, 0, 0]")
     with pytest.raises(InvalidDistribution, match="duplicate"):

@@ -53,7 +53,8 @@ RECORDS = [
     (Antichain, {"sources": ((0,), (1, 2))}, "Antichain(sources=((0,), (1, 2)))"),
 ]
 
-_MUTABLE = (LatticeValuation, PartialValuation)
+# their list fields reach the hash, which therefore raises
+_UNHASHABLE = (LatticeValuation, PartialValuation)
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
@@ -67,13 +68,11 @@ def test_record_behaviour(cls, fields, text):
     assert record != tuple(fields.values())
     assert record != type("Twin", (cls,), {})(**fields)
     name, value = next(iter(fields.items()))
-    if cls in _MUTABLE:
+    if cls in _UNHASHABLE:
         with pytest.raises(TypeError):
             hash(record)
-        setattr(record, name, "changed")
-        assert getattr(record, name) == "changed"
-        return
-    assert hash(record) == hash(cls(**fields))
+    else:
+        assert hash(record) == hash(cls(**fields))
     with pytest.raises(AttributeError):
         setattr(record, name, value)
     with pytest.raises(AttributeError):

@@ -19,10 +19,15 @@ from infoshare import (
     cond_surprisal,
     enumerate_antichains,
     enumerate_sources,
+    intersection_content,
     lower,
     mi_decompose,
+    mutual_content,
     parse_expression,
     surprisal,
+    synergy_content,
+    unique_content,
+    union_content,
 )
 from infoshare.cli import main
 from infoshare.measures import surprisal_table
@@ -52,6 +57,20 @@ def test_plain_and_given_tables_equal_the_per_call_values(n, k, d):
         assert given(r) == [cond_surprisal(d, s, [last], r) for s in rest]
         assert pair(r) == [cond_surprisal(d, s, [n - 2, last], r)
                            for s in enumerate_sources(n - 2)]
+
+
+@pytest.mark.parametrize("n, k, d", CASES, ids=IDS)
+def test_content_measures_equal_the_per_call_formulas(n, k, d):
+    a, b, last = frozenset({0}), frozenset({1}), [n - 1]
+    for r, _ in d.support():
+        for given, h in ((None, lambda s: surprisal(d, s, r)),
+                         (last, lambda s: cond_surprisal(d, s, last, r))):
+            ha, hb, hab = h(a), h(b), h(a | b)
+            assert union_content(d, [a, b], r, given) == max(ha, hb)
+            assert intersection_content(d, [a, b], r, given) == min(ha, hb)
+            assert synergy_content(d, [a, b], r, given) == hab - max(ha, hb)
+            assert unique_content(d, a, b, r, given) == max(ha - hb, 0.0)
+            assert mutual_content(d, a, b, r, given) == ha + hb - hab
 
 
 def _oracle(d, text, realization, given=None):
@@ -136,6 +155,75 @@ def test_overlapping_conditioner_is_rejected_when_the_table_is_built():
         surprisal_table(d, [(0,), (1, 2)], given=[2])
 
 
+def _count_tables(monkeypatch) -> list:
+    # the sources of every table built, counted on the resolver that
+    # `log_mass_table`, `surprisal_table` and `mi_decompose` all reach
+    built = []
+    original = JointDistribution._log_mass_table
+    monkeypatch.setattr(JointDistribution, "_log_mass_table",
+                        lambda self, sources: built.append(list(sources)) or original(self, sources))
+    return built
+
+
+def _count_checks(monkeypatch) -> list:
+    checked = []
+    original = VariableSet.check_source
+    monkeypatch.setattr(VariableSet, "check_source",
+                        lambda self, source: checked.append(source) or original(self, source))
+    return checked
+
+
+@pytest.mark.parametrize("given", [None, [2]])
+@pytest.mark.parametrize("measure, args", [
+    (union_content, ([[0], [1]],)),
+    (intersection_content, ([[0], [1]],)),
+    (synergy_content, ([[0], [1]],)),
+    (unique_content, ([0], [1])),
+    (mutual_content, ([0], [1])),
+], ids=["union", "intersection", "synergy", "unique", "mutual"])
+def test_each_content_measure_builds_one_table(monkeypatch, measure, args, given):
+    built = _count_tables(monkeypatch)
+    d = tie_heavy_distributions(3)[0]
+    measure(d, *args, d.support()[0][0], given=given)
+    assert len(built) == 1
+
+
+def test_each_source_is_validated_once(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    d = tie_heavy_distributions(3)[0]
+    r = d.support()[0][0]
+    for call, count in [
+        (lambda: surprisal_table(d, [(0,), (1,)]), 2),
+        (lambda: surprisal_table(d, [(0,), (1,)], given=[2]), 3),
+        (lambda: mi_decompose(d, [0], [1], [2]), 3),
+        (lambda: mi_decompose(d, [0], [1], [2], r), 3),
+        (lambda: union_content(d, [[0], [1]], r, given=[2]), 3),
+    ]:
+        checked.clear()
+        call()
+        assert len(checked) == count
+
+
+@pytest.mark.parametrize("measure", [union_content, intersection_content, synergy_content])
+def test_a_measure_of_no_source_is_refused(measure):
+    d = tie_heavy_distributions(3)[0]
+    with pytest.raises(ValueError, match="at least one source is required"):
+        measure(d, [], d.support()[0][0])
+    with pytest.raises(ValueError, match="at least one source is required"):
+        surprisal_table(d, [])
+
+
+def test_an_overlap_is_found_before_a_zero_mass():
+    # the first source has zero joint mass with the conditioner at (0, 1, 0),
+    # but the table is never read: the second source overlaps the conditioner
+    d = JointDistribution(VariableSet(("X", "Y", "Z"), (2, 2, 2)),
+                          {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+    with pytest.raises(ZeroMass, match="zero joint mass"):
+        unique_content(d, [0], [2], (0, 1, 0), given=[1])
+    with pytest.raises(ValueError, match="source and conditioning variables overlap"):
+        unique_content(d, [0], [1], (0, 1, 0), given=[1])
+
+
 TWO_POINT = """{"variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 2},
                               {"name": "Z", "cardinality": 2}],
  "pmf": [{"assignment": [0, 0, 0], "p": 0.5}, {"assignment": [1, 1, 0], "p": 0.5}]}"""
@@ -180,3 +268,15 @@ def test_about_validates_each_realization_once(monkeypatch):
             value(r)
         assert counts["check_realization"] - before["check_realization"] == k
         assert counts["check_source"] == built["check_source"]
+
+
+@pytest.mark.parametrize("given", [[], ["--given", "Z"]], ids=["plain", "given"])
+def test_pointwise_builds_one_table_per_measure(tmp_path, monkeypatch, capsys, given):
+    # one for the source rows and the joint row, then one each for union,
+    # intersection, synergy, both uniques and mutual
+    path = tmp_path / "two.json"
+    path.write_text(TWO_POINT)
+    built = _count_tables(monkeypatch)
+    assert main(["pointwise", str(path), "--realization", "0,0,0", "--sources", "X", "Y",
+                 *given]) == 0
+    assert len(built) == 7
