@@ -25,7 +25,6 @@ from .decomposition import (
     MutualDecomposition,
     PartialValuation,
     chain_levels,
-    chain_walk,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,

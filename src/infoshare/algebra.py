@@ -95,7 +95,7 @@ class _Parser:
     def variable(self, name: str) -> int:
         if name in OPERATORS:
             raise ExpressionError(f"{name!r} is a reserved operator, not a variable")
-        if name in _PUNCT or name in ("(", ")", ","):
+        if name in _PUNCT:
             raise ExpressionError(f"expected a variable name, got {name!r}")
         if name not in self.names:
             raise ExpressionError(f"unknown variable {name!r}")
@@ -358,13 +358,13 @@ class LemmaResult(Record):
         return self.residual <= 1e-9
 
 
-@lru_cache(maxsize=None)
-def _compiled_lemmas(
-    names: tuple[str, ...],
-) -> tuple[tuple[str, frozenset[int], tuple[frozenset[int], ...]], ...]:
-    """Each lemma's two sides lowered once to the three-variable up-set masks they cover."""
+@lru_cache(maxsize=1)
+def _compiled_lemmas() -> tuple[tuple[str, frozenset[int], tuple[frozenset[int], ...]], ...]:
+    """Each lemma's two sides lowered to the three-variable up-set masks they
+    cover: once per process, on first use, since the masks do not depend on
+    the variable names."""
     upsets = enumerate_antichains(3).upsets
-    x, y, z = names
+    names = x, y, z = ("x", "y", "z")
 
     def masks(text: str) -> frozenset[int]:
         covers = _compile(parse_expression(text.format(x=x, y=y, z=z), names), range(3))
@@ -383,7 +383,7 @@ def lemma_suite(d: JointDistribution, realization: Sequence[int]) -> list[LemmaR
         return math.fsum(inc for mask, inc in chain if mask in masks)
 
     results = []
-    for label, lhs_masks, rhs_masks in _compiled_lemmas(d.variables.names):
+    for label, lhs_masks, rhs_masks in _compiled_lemmas():
         lhs = total(lhs_masks)
         rhs = math.fsum(map(total, rhs_masks))
         results.append(LemmaResult(label, lhs, rhs, abs(lhs - rhs)))

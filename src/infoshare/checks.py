@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .algebra import lemma_suite
 from .decomposition import (
-    chain_walk,
+    decompose_pointwise,
     lattice_valuation,
     mobius_closed_form,
     mobius_recursive,
@@ -39,8 +39,6 @@ from .lattice import (
 from .measures import surprisal_table
 from .record import Record
 from .sampling import random_distribution, tie_heavy_distributions, trial_rng
-
-SUITES = ("props", "lemmas", "mobius", "pie")
 
 Bump = Callable[[str, float], None]  # keeps a law's worst residual
 Trial = Callable[[int, Bump], None]  # runs one trial by index
@@ -177,10 +175,6 @@ def _worst_residuals(laws: Sequence[str], trials: int, trial: Trial) -> dict[str
     return residuals
 
 
-def _surprisal_vector(d, realization) -> list[float]:
-    return surprisal_table(d, [(i,) for i in range(d.variables.n)])(realization)
-
-
 def _node_tables(n: int) -> tuple[RedundancyLattice, list[list[int]], list[list[int]]]:
     """The lattice over n variables and, by node index, the index of
     `sharing_join` and of `sharing_meet` of every pair of its nodes."""
@@ -199,7 +193,7 @@ def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
     support = d.support()
     r, _ = support[rng.randrange(len(support))]
-    h = _surprisal_vector(d, r)
+    h = surprisal_table(d, [(i,) for i in range(n)])(r)
     lattice, join_t, meet_t = tables[n]
     a, b, c = (rng.randrange(len(lattice)) for _ in range(3))
     v = [eval_sharing(node, h) for node in lattice.nodes]
@@ -249,8 +243,8 @@ def run_pie(seed: int, trials: int, tolerance: float) -> CheckReport:
     return _report("pie", seed, trials, tolerance, residuals)
 
 
-def _check_chain(bump: Bump, d, lattice, r, closed, recursive) -> None:
-    chain = chain_walk(d, lattice, r).partials
+def _check_chain(bump: Bump, d, r, closed, recursive) -> None:
+    chain = decompose_pointwise(d, r).partials
     for c, x, y in zip(chain, closed.partials, recursive.partials):
         bump("chain_equals_closed", abs(c - x))
         bump("chain_equals_closed", abs(c - y))
@@ -271,13 +265,13 @@ def _mobius_trial(seed: int, t: int, bump: Bump) -> None:
         bump("partials_nonnegative", -min(closed.partials))
         top = valuation.values[lattice.index(lattice.top)]
         bump("partials_sum_to_top", abs(closed.total() - top))
-        _check_chain(bump, d, lattice, r, closed, recursive)
+        _check_chain(bump, d, r, closed, recursive)
 
 
 def _tie_heavy_point(d, r, bump: Bump) -> None:
     lattice = enumerate_antichains(d.variables.n)
     valuation = lattice_valuation(d, lattice, r)
-    _check_chain(bump, d, lattice, r, mobius_closed_form(valuation), mobius_recursive(valuation))
+    _check_chain(bump, d, r, mobius_closed_form(valuation), mobius_recursive(valuation))
 
 
 def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bump) -> None:
@@ -322,13 +316,11 @@ def run_lemmas(seed: int, trials: int, tolerance: float) -> CheckReport:
     return _report("lemmas", seed, trials, tolerance, residuals)
 
 
+# Each suite's runner, by the name `check --suite` takes.
+SUITES = {"props": run_props, "lemmas": run_lemmas, "mobius": run_mobius, "pie": run_pie}
+
+
 def run_suite(suite: str, seed: int, trials: int, tolerance: float) -> CheckReport:
-    runners = {
-        "props": run_props,
-        "lemmas": run_lemmas,
-        "mobius": run_mobius,
-        "pie": run_pie,
-    }
-    if suite not in runners:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return runners[suite](seed, trials, tolerance)
+    return SUITES[suite](seed, trials, tolerance)

@@ -25,15 +25,7 @@ from .decomposition import (
 )
 from .distribution import InvalidDistribution, JointDistribution, ZeroMass, load_file
 from .lattice import MAX_N, enumerate_antichains, to_dot
-from .measures import (
-    expected,
-    intersection_content,
-    mutual_content,
-    surprisal_table,
-    synergy_content,
-    unique_content,
-    union_content,
-)
+from .measures import expected, pair_contents, surprisal_table
 from .record import Record
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
@@ -127,23 +119,26 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     sources = [_parse_source(d, s) for s in args.sources]
     given = _parse_source(d, args.given) if args.given is not None else None
     suffix = f"|{_source_label(d, given)}" if given else ""
-    # every source's surprisal and the joint one, from one table
+    # every row from one table: each source's surprisal and the joint one
     whole = frozenset().union(*sources)
     *h, joint = surprisal_table(d, [*sources, whole], given)(r)
     rows = [(f"h{_source_label(d, s)}{suffix}", value) for s, value in zip(sources, h)]
     residual = None
     if len(sources) >= 2:
-        union = union_content(d, sources, r, given=given)
-        synergy = synergy_content(d, sources, r, given=given)
+        union = max(h)
+        synergy = joint - union
         rows.append((f"union{suffix}", union))
-        rows.append((f"intersection{suffix}", intersection_content(d, sources, r, given=given)))
+        rows.append((f"intersection{suffix}", min(h)))
         rows.append((f"synergy{suffix}", synergy))
     if len(sources) == 2:
         a, b = sources
+        if a & b:  # mutual content needs disjoint sources, as in `mutual_content`
+            raise ValueError("sources overlap")
         la, lb = _source_label(d, a), _source_label(d, b)
-        rows.append((f"unique {la} over {lb}{suffix}", unique_content(d, a, b, r, given=given)))
-        rows.append((f"unique {lb} over {la}{suffix}", unique_content(d, b, a, r, given=given)))
-        rows.append((f"mutual{suffix}", mutual_content(d, a, b, r, given=given)))
+        _, unique_a, unique_b, _, _, _, mutual = pair_contents(*h, joint)
+        rows.append((f"unique {la} over {lb}{suffix}", unique_a))
+        rows.append((f"unique {lb} over {la}{suffix}", unique_b))
+        rows.append((f"mutual{suffix}", mutual))
     if len(sources) >= 2:
         rows.append((f"h{_source_label(d, whole)}{suffix}", joint))
         residual = config.unit(abs(joint - union - synergy))

@@ -15,7 +15,8 @@ chain: each gets the gap t - t' to the next lower surprisal, and every
 other node gets 0.0.  A node's value is the lesser of its parent's (the
 node without its last member) and its last member's surprisal.  One walk
 sums both, weighted, over (realization, weight) points: the support for
-`decompose_expected`, one point of weight 1.0 for `chain_walk`.  Two
+`decompose_expected`, one point of weight 1.0 for `decompose_pointwise`,
+whose surprisals may be conditioned on a `given` source.  Two
 oracles are kept for the tests and the `check` suite: the recursive form
 subtracts the increments of everything strictly below a node, and the
 closed form subtracts the largest value among the covered nodes; their
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, variable_indices
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains
-from .measures import surprisal_table, surprisals
+from .measures import pair_contents, surprisal_table, surprisals
 from .record import Record
 
 
@@ -159,24 +160,6 @@ def _walk(
     )
 
 
-def chain_walk(
-    d: JointDistribution,
-    lattice: RedundancyLattice,
-    realization: Sequence[int],
-    variables: Sequence[int] | None = None,
-    given: Iterable[int] | None = None,
-) -> PartialValuation:
-    """Node values and increments at one realization, by the chain walk.
-
-    The 2^n - 1 source surprisals (conditioned on `given` if set) are
-    computed once, and `chain_levels` gives the increments.  `variables`
-    maps lattice positions to distribution variable indices, as in
-    `lattice_valuation`.
-    """
-    variables = _selected(d, variables, lattice)
-    return _walk(lattice, _lattice_table(d, lattice, variables, given), [(realization, 1.0)])
-
-
 def mobius_recursive(valuation: LatticeValuation) -> PartialValuation:
     """Bottom-up inversion: node value minus the strictly-lower increments."""
     lattice, values, upsets = valuation.lattice, valuation.values, valuation.lattice.upsets
@@ -207,12 +190,20 @@ def decompose_pointwise(
     d: JointDistribution,
     realization: Sequence[int],
     variables: Sequence[int] | None = None,
+    given: Iterable[int] | None = None,
 ) -> PartialValuation:
-    """Per-node increments at one support realization."""
+    """Node values and increments at one support realization, by the chain walk.
+
+    The lattice spans `variables` (all of them by default), mapped to
+    distribution variable indices as in `lattice_valuation`.  Its 2^n - 1
+    source surprisals, conditioned on `given` if set, are read once, and
+    `chain_levels` gives the increments.
+    """
     sel = _selected(d, variables)
     if d.marginal_mass(sel, realization) <= 0.0:
         raise ZeroMass("realization outside the support of the selected variables")
-    return chain_walk(d, enumerate_antichains(len(sel)), realization, variables=sel)
+    lattice = enumerate_antichains(len(sel))
+    return _walk(lattice, _lattice_table(d, lattice, sel, given), [(realization, 1.0)])
 
 
 def decompose_expected(
@@ -297,24 +288,17 @@ class MutualDecomposition(Record):
         return dict(zip(self.__slots__, self._fields))
 
 
-def _mi_point(log_masses: list[float]) -> MutualDecomposition:
-    # Plain minus conditioned-on-target readings of the pair measures, built
-    # from three plain and three conditioned surprisals, read in the order (and
-    # so with the errors) of one `surprisal`/`cond_surprisal` call each.  The
-    # log masses are of a, b, a|b, t, a|t, b|t and a|b|t (see `mi_decompose`).
+def _mi_point(log_masses: list[float]) -> list[float]:
+    # Plain minus conditioned-on-target `pair_contents`, in the order of
+    # `MutualDecomposition`'s fields, from three plain and three conditioned
+    # surprisals, read in the order (and so with the errors) of one
+    # `surprisal`/`cond_surprisal` call each.  The log masses are of a, b,
+    # a|b, t, a|t, b|t and a|b|t (see `mi_decompose`).
     ha, hb = surprisals(log_masses, (0, 1))
     ca, cb = surprisals(log_masses, (4, 5), 3)
     (hab,) = surprisals(log_masses, (2,))
     (cab,) = surprisals(log_masses, (6,), 3)
-    return MutualDecomposition(
-        union=max(ha, hb) - max(ca, cb),
-        unique_first=max(ha - hb, 0.0) - max(ca - cb, 0.0),
-        unique_second=max(hb - ha, 0.0) - max(cb - ca, 0.0),
-        intersection=min(ha, hb) - min(ca, cb),
-        synergy=(hab - max(ha, hb)) - (cab - max(ca, cb)),
-        joint=hab - cab,
-        coinformation=(ha + hb - hab) - (ca + cb - cab),
-    )
+    return [p - c for p, c in zip(pair_contents(ha, hb, hab), pair_contents(ca, cb, cab))]
 
 
 def mi_decompose(
@@ -336,15 +320,9 @@ def mi_decompose(
         raise ValueError("predictor and target sources must be pairwise disjoint")
     logs = d._log_mass_table([a, b, a | b, t, a | t, b | t, a | b | t])
     if realization is not None:
-        return _mi_point(logs(realization))
-    fields = ("union", "unique_first", "unique_second", "intersection",
-              "synergy", "joint", "coinformation")
-    acc: dict[str, list[float]] = {name: [] for name in fields}
-    for r, p in d.support():
-        point = _mi_point(logs(r))
-        for name in fields:
-            acc[name].append(p * getattr(point, name))
-    return MutualDecomposition(**{name: math.fsum(acc[name]) for name in fields})
+        return MutualDecomposition(*_mi_point(logs(realization)))
+    weighted = ([p * x for x in _mi_point(logs(r))] for r, p in d.support())
+    return MutualDecomposition(*map(math.fsum, zip(*weighted)))
 
 
 def decomposition_rows(

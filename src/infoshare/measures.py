@@ -14,6 +14,10 @@ Each content measure reads one `surprisal_table` over the sources it
 needs, which validates and resolves each source once and then pays one
 lookup and one log2 per source.  The per-call `surprisal` and
 `cond_surprisal` are kept as the tests' oracles for the table.
+
+`pair_contents` writes the two-source measures once, as functions of
+h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and
+the target decomposition subtracts the conditioned ones from the plain.
 """
 
 from __future__ import annotations
@@ -127,6 +131,15 @@ def mutual_content(d: JointDistribution, first, second, realization, given=None)
         raise ValueError("sources overlap")
     h_a, h_b, h_ab = surprisal_table(d, [a, b, a | b], given)(realization)
     return h_a + h_b - h_ab
+
+
+def pair_contents(h_a: float, h_b: float, h_ab: float) -> tuple[float, ...]:
+    """Union, unique to a, unique to b, intersection, synergy, joint and mutual
+    content of two sources, from their surprisals and their joint one, with
+    the float operations of the measures above."""
+    union = max(h_a, h_b)
+    return (union, max(h_a - h_b, 0.0), max(h_b - h_a, 0.0), min(h_a, h_b),
+            h_ab - union, h_ab, h_a + h_b - h_ab)
 
 
 def expected(d: JointDistribution, fn: Callable[[tuple[int, ...]], float]) -> float:

@@ -27,21 +27,18 @@ def trial_rng(master_seed: int, index: int) -> random.Random:
 def random_distribution(
     rng: random.Random,
     cardinalities: Sequence[int],
-    names: Sequence[str] | None = None,
     sparsity: float = 0.5,
 ) -> JointDistribution:
-    """Uniform-simplex masses over a randomly masked outcome grid.
+    """Uniform-simplex masses over a randomly masked outcome grid, on the
+    default variable names.
 
     Each grid cell is kept with probability 1 - sparsity (redrawn until at
     least one cell survives); kept cells get independent exponential
     weights, normalized to sum to one.  Covers both dense and degenerate
-    supports.
+    supports.  `VariableSet` validates the cardinalities.
     """
-    cards = tuple(int(c) for c in cardinalities)
-    if names is None:
-        names = default_names(len(cards))
-    variables = VariableSet(tuple(names), cards)
-    grid = list(product(*(range(c) for c in cards)))
+    variables = VariableSet(default_names(len(cardinalities)), cardinalities)
+    grid = list(product(*map(range, variables.cardinalities)))
     chosen: list[tuple[int, ...]] = []
     while not chosen:
         chosen = [cell for cell in grid if rng.random() >= sparsity]

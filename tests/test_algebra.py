@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from infoshare import (
     Antichain,
     ExpressionError,
+    JointDistribution,
     OpNode,
     RedundancyLattice,
     SourceLeaf,
+    VariableSet,
     compile_expression,
     enumerate_antichains,
     eval_expression,
@@ -29,6 +31,7 @@ from infoshare import (
     surprisal,
     union_content,
 )
+from infoshare import algebra
 from infoshare.cli import main
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
@@ -321,6 +324,20 @@ def test_lemma_suite_randomized():
         for r, _ in d.support():
             for res in lemma_suite(d, r):
                 assert res.residual <= TOL
+
+
+def test_lemma_suite_parses_the_lemmas_once_for_any_names(monkeypatch):
+    # the lemmas' masks do not depend on the variable names
+    algebra._compiled_lemmas.cache_clear()
+    parsed = []
+    original = algebra.parse_expression
+    monkeypatch.setattr(algebra, "parse_expression",
+                        lambda text, names: parsed.append(text) or original(text, names))
+    d = xor3()
+    renamed = JointDistribution(VariableSet(("q1", "w_", "e"), (2, 2, 2)), dict(d.support()))
+    for r, _ in d.support():
+        assert lemma_suite(renamed, r) == lemma_suite(d, r)
+    assert len(parsed) == sum(1 + len(rhs) for _, _, rhs in algebra._LEMMAS)
 
 
 def test_lemma_suite_requires_three_variables():

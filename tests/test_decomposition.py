@@ -5,7 +5,6 @@ import pytest
 from infoshare import (
     Antichain,
     ZeroMass,
-    chain_walk,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
@@ -185,7 +184,6 @@ def test_every_entry_point_rejects_repeated_variables():
     r = (0, 1, 1)
     two = enumerate_antichains(2)
     for call in (
-        lambda: chain_walk(d, two, r, variables=(0, 0)),
         lambda: lattice_valuation(d, two, r, variables=(0, 0)),
         lambda: decompose_pointwise(d, r, variables=[0, 0]),
         lambda: decompose_expected(d, variables=[0, 0]),
@@ -193,7 +191,7 @@ def test_every_entry_point_rejects_repeated_variables():
         with pytest.raises(ValueError, match="distinct"):
             call()
     with pytest.raises(ValueError, match="lattice spans 2 variables but 3 were selected"):
-        chain_walk(d, two, r)
+        lattice_valuation(d, two, r)
 
 
 def test_decompose_expected_variable_subset():
@@ -418,7 +416,7 @@ def test_chain_walk_matches_both_oracles():
         lattice = enumerate_antichains(n)
         for r, _ in d.support():
             valuation = lattice_valuation(d, lattice, r)
-            chain = chain_walk(d, lattice, r)
+            chain = decompose_pointwise(d, r)
             assert _bits(chain.valuation.values) == _bits(valuation.values)
             assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
             recursive = mobius_recursive(valuation).partials
@@ -428,7 +426,7 @@ def test_chain_walk_matches_both_oracles():
                 sub = enumerate_antichains(n - 1)
                 keep, given = tuple(range(n - 1)), (n - 1,)
                 conditioned = lattice_valuation(d, sub, r, variables=keep, given=given)
-                chain = chain_walk(d, sub, r, variables=keep, given=given)
+                chain = decompose_pointwise(d, r, variables=keep, given=given)
                 assert _bits(chain.valuation.values) == _bits(conditioned.values)
                 assert _bits(chain.partials) == _bits(mobius_closed_form(conditioned).partials)
 
@@ -440,7 +438,7 @@ def test_chain_walk_matches_closed_form_n5():
     points += [(d, r) for r, _ in d.support()[:2]]
     for d, r in points:
         valuation = lattice_valuation(d, lattice, r)
-        chain = chain_walk(d, lattice, r)
+        chain = decompose_pointwise(d, r)
         assert _bits(chain.valuation.values) == _bits(valuation.values)
         assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
         assert sum(1 for v in chain.partials if v != 0.0) <= 31

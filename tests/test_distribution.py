@@ -335,6 +335,13 @@ def test_random_distributions_normalized(trial):
     assert all(p > 0 for _, p in d.support())
 
 
+@pytest.mark.parametrize("cardinalities", [[2.7, "3"], [2, 3.0], ["2", 3]])
+def test_random_distribution_rejects_non_integer_cardinalities(cardinalities):
+    # validated by `VariableSet`, not truncated to a smaller grid
+    with pytest.raises(InvalidDistribution, match="cardinalities must be integers"):
+        random_distribution(trial_rng(0, 0), cardinalities)
+
+
 @pytest.mark.parametrize(
     "old, new, where",
     [

@@ -6,7 +6,9 @@ bit for bit, the one built from per-call `surprisal`/`cond_surprisal`,
 and every error must keep its message and its order.
 """
 
+import json
 import math
+from itertools import permutations
 
 import pytest
 
@@ -271,12 +273,75 @@ def test_about_validates_each_realization_once(monkeypatch):
 
 
 @pytest.mark.parametrize("given", [[], ["--given", "Z"]], ids=["plain", "given"])
-def test_pointwise_builds_one_table_per_measure(tmp_path, monkeypatch, capsys, given):
-    # one for the source rows and the joint row, then one each for union,
-    # intersection, synergy, both uniques and mutual
+def test_pointwise_builds_one_table(tmp_path, monkeypatch, capsys, given):
+    # the source rows, the joint row and every measure read one table
     path = tmp_path / "two.json"
     path.write_text(TWO_POINT)
     built = _count_tables(monkeypatch)
     assert main(["pointwise", str(path), "--realization", "0,0,0", "--sources", "X", "Y",
                  *given]) == 0
-    assert len(built) == 7
+    assert len(built) == 1
+
+
+def _pair_measures(d, a, b, r, given=None):
+    # the library measures of two sources, under `MutualDecomposition`'s field
+    # names; the joint one is the union content of the joint source alone
+    return {
+        "union": union_content(d, [a, b], r, given),
+        "unique_first": unique_content(d, a, b, r, given),
+        "unique_second": unique_content(d, b, a, r, given),
+        "intersection": intersection_content(d, [a, b], r, given),
+        "synergy": synergy_content(d, [a, b], r, given),
+        "joint": union_content(d, [a + b], r, given),
+        "coinformation": mutual_content(d, a, b, r, given),
+    }
+
+
+THREE = _inputs(3)
+
+
+@pytest.mark.parametrize("d", THREE, ids=[f"n3-{k}" for k in range(len(THREE))])
+def test_mi_decompose_is_each_measure_minus_it_given_the_target(d):
+    for a, b, t in permutations(([0], [1], [2])):
+        for r, _ in d.support():
+            plain, given = _pair_measures(d, a, b, r), _pair_measures(d, a, b, r, t)
+            point = mi_decompose(d, a, b, t, r).as_dict()
+            assert {name: x.hex() for name, x in point.items()} == {
+                name: (plain[name] - given[name]).hex() for name in plain}
+
+
+@pytest.mark.parametrize("given", [None, "Z"], ids=["plain", "given"])
+def test_pointwise_values_equal_the_library_measures(tmp_path, capsys, given):
+    d = random_distribution(trial_rng(13, 0), [2, 3, 2], sparsity=0.2)
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": c}
+                      for n, c in zip(("X", "Y", "Z"), d.variables.cardinalities)],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }))
+    g = None if given is None else [2]
+    flags = [] if given is None else ["--given", given]
+    suffix = "" if given is None else "|{Z}"
+    for r, _ in d.support():
+        assert main(["--format", "structured", "pointwise", str(path), "--realization",
+                     ",".join(map(str, r)), "--sources", "X", "Y", *flags]) == 0
+        got = {row["name"]: row["value"].hex()
+               for row in json.loads(capsys.readouterr().out)["measures"]}
+        want = {"h{X}": union_content(d, [[0]], r, g),
+                "h{Y}": union_content(d, [[1]], r, g),
+                "union": union_content(d, [[0], [1]], r, g),
+                "intersection": intersection_content(d, [[0], [1]], r, g),
+                "synergy": synergy_content(d, [[0], [1]], r, g),
+                "unique {X} over {Y}": unique_content(d, [0], [1], r, g),
+                "unique {Y} over {X}": unique_content(d, [1], [0], r, g),
+                "mutual": mutual_content(d, [0], [1], r, g),
+                "h{X,Y}": union_content(d, [[0, 1]], r, g)}
+        assert got == {name + suffix: x.hex() for name, x in want.items()}
+
+
+def test_pointwise_refuses_two_overlapping_sources(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(TWO_POINT)
+    assert main(["pointwise", str(path), "--realization", "0,0,0",
+                 "--sources", "X,Y", "Y"]) == 2
+    assert capsys.readouterr().err == "error: sources overlap\n"
