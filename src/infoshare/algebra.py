@@ -14,8 +14,9 @@ Lowering turns an expression into a test on masks, once per command: a
 leaf S holds bit S, `cup`/`cap`/`minus` are or/and/and-not, and `oplus`
 holds the bit of all involved variables and none of its arguments.  An
 expression's value at a realization sums the increments of the nodes it
-covers; only the realization's chain carries any, so `compile_expression`
-needs no lattice.
+covers; only the realization's chain (`chain_levels`, one sorted pass)
+carries any, so `compile_expression` needs no lattice, and the test runs
+once per distinct chain mask of a command, not once per level.
 """
 
 from __future__ import annotations
@@ -222,8 +223,9 @@ def _compile(expr: Expr, variables: Sequence[int]) -> Callable[[int], bool]:
 
 def _chain_total(expr: Expr, variables: Sequence[int]) -> Callable[[list[float]], float]:
     """Sum of the increments the expression covers on the chain of a surprisal
-    vector over `enumerate_sources(len(variables))`, read through `variables`."""
-    covers = _compile(expr, variables)
+    vector over `enumerate_sources(len(variables))`, read through `variables`;
+    each up-set mask's coverage is decided once, the first time a chain meets it."""
+    covers = lru_cache(maxsize=None)(_compile(expr, variables))
     return lambda h: math.fsum(inc for mask, inc in chain_levels(h) if covers(mask))
 
 

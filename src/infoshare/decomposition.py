@@ -8,22 +8,23 @@ Values and increments are float lists in node order, indexed like
 `lattice.nodes`, `lattice.members` and `lattice.upsets`; read one node's
 entry through `lattice.index(node)`.
 
-The production path is the chain walk (`chain_levels`).  At one
-realization the source surprisals are totally ordered, so only the
-up-sets {s : h(s) >= t} can carry a non-zero increment, and they form one
-chain: each gets the gap t - t' to the next lower surprisal, and every
-other node gets 0.0.  A node's value is the lesser of its parent's (the
-node without its last member) and its last member's surprisal.  One walk
-sums both, weighted, over (realization, weight) points: the support for
-`decompose_expected`, one point of weight 1.0 for `decompose_pointwise`,
-whose surprisals may be conditioned on a `given` source.  Two
-oracles are kept for the tests and the `check` suite: the recursive form
-subtracts the increments of everything strictly below a node, and the
-closed form subtracts the largest value among the covered nodes; their
-valuation (`lattice_valuation`) takes the least surprisal over each
-node's members.  The chain walk makes the same float subtractions as the
-closed form, so it matches it exactly and the recursive form within
-rounding.
+The production path is the chain walk.  At one realization the source
+surprisals are totally ordered, so only the up-sets {s : h(s) >= t} can
+carry a non-zero increment, and they form one chain: each gets the gap
+t - t' to the next lower surprisal, and every other node gets 0.0.
+`chain_levels` lists that chain in one pass over the sorted surprisals,
+and `algebra` sums an expression's covered levels of it.  A node's value
+is the lesser of its parent's (the node without its last member) and its
+last member's surprisal.  One walk sums both, weighted, over
+(realization, weight) points: the support for `decompose_expected`, one
+point of weight 1.0 for `decompose_pointwise`, whose surprisals may be
+conditioned on a `given` source.  Two oracles are kept for the tests and
+the `check` suite: the recursive form subtracts the increments of
+everything strictly below a node, and the closed form subtracts the
+largest value among the covered nodes; their valuation
+(`lattice_valuation`) takes the least surprisal over each node's
+members.  The chain walk makes the same float subtractions as the closed
+form, so it matches it exactly and the recursive form within rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, variable_indices
@@ -109,17 +109,20 @@ def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
     for source k.  Surprisals never fall as a source grows, so the set
     {s : h(s) >= t} is an up-set, hence a node, for every level t.  Its
     increment is t minus the next lower level (t itself after the last);
-    every up-set off the chain has increment 0.0.
+    every up-set off the chain has increment 0.0.  One pass over the sources,
+    highest surprisal first, closes a level where the surprisal changes.
     """
-    levels: list[tuple[float, int]] = []
-    upset = 0
-    ranked = sorted(range(len(h)), key=h.__getitem__, reverse=True)
-    for t, group in groupby(ranked, key=h.__getitem__):
-        for k in group:
-            upset |= 1 << k
-        levels.append((t, upset))
-    lower = [t for t, _ in levels[1:]] + [0.0]
-    return [(mask, t - t_next) for (t, mask), t_next in zip(levels, lower)]
+    chain: list[tuple[int, float]] = []
+    upset, t = 0, None
+    for k in sorted(range(len(h)), key=h.__getitem__, reverse=True):
+        if h[k] != t:
+            if upset:
+                chain.append((upset, t - h[k]))
+            t = h[k]
+        upset |= 1 << k
+    if upset:
+        chain.append((upset, t))  # t - 0.0 is t, bit for bit
+    return chain
 
 
 def _node_values(lattice: RedundancyLattice, h: Sequence[float]) -> list[float]:

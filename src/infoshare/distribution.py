@@ -42,6 +42,15 @@ def variable_indices(members: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(f"variable indices must be integers, got {members!r}") from None
 
 
+def _key_of(source: Iterable[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The realization's values on the sorted `source`, as a tuple: the key of
+    its marginal table."""
+    indices = sorted(source)
+    # itemgetter of one index returns the bare value; a slice keeps the 1-tuple key
+    return itemgetter(*indices) if len(indices) > 1 else itemgetter(
+        slice(indices[0], indices[0] + 1))
+
+
 class InvalidDistribution(ValueError):
     """A distribution document or pmf failed validation."""
 
@@ -170,10 +179,9 @@ class JointDistribution:
         # Concurrent builders would compute identical tables; the race is benign.
         table = self._marginals.get(source)
         if table is None:
-            indices = sorted(source)
-            table = {}
+            key_of, table = _key_of(source), {}
             for r, p in self._pmf.items():
-                key = tuple(r[i] for i in indices)
+                key = key_of(r)
                 table[key] = table.get(key, 0.0) + p
             self._marginals[source] = table
         return table
@@ -182,8 +190,7 @@ class JointDistribution:
         """Mass of all support points agreeing with the realization on `source`."""
         s = self._variables.check_source(source)
         r = self._variables.check_realization(realization)
-        key = tuple(r[i] for i in sorted(s))
-        return self._table(s).get(key, 0.0)
+        return self._table(s).get(_key_of(s)(r), 0.0)
 
     def log_mass_table(
         self, sources: Sequence[Iterable[int]]
@@ -202,13 +209,7 @@ class JointDistribution:
         each is resolved to its marginal table once, and each call validates
         the realization once and then costs one key, one lookup and one log2
         per source; a zero mass reads -inf."""
-        resolved = []
-        for s in sources:
-            indices = sorted(s)
-            # itemgetter of one index returns the bare value; a slice keeps the 1-tuple key
-            key = itemgetter(*indices) if len(indices) > 1 else itemgetter(
-                slice(indices[0], indices[0] + 1))
-            resolved.append((key, self._table(s).get))
+        resolved = [(_key_of(s), self._table(s).get) for s in sources]
         check, log2 = self._variables.check_realization, math.log2
 
         def at(realization: Sequence[int]) -> list[float]:
@@ -314,6 +315,15 @@ def _load_json(text: str) -> JointDistribution:
     return JointDistribution(variables, pmf)
 
 
+def _ascii_number(cell: str, parse: Callable[[str], float]) -> float:
+    """`parse` (`int` or `float`) of a CSV cell's ASCII text: both also read
+    other Unicode digits and digit-group underscores, which raise ValueError."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not ASCII number text: {cell!r}")
+    return parse(text)
+
+
 def _load_csv(text: str) -> JointDistribution:
     import csv
     import io
@@ -335,13 +345,13 @@ def _load_csv(text: str) -> JointDistribution:
         if len(row) != len(header):
             raise InvalidDistribution(f"line {lineno}: expected {len(header)} columns")
         try:
-            values = tuple(int(c) for c in row[:-1])
+            values = tuple(_ascii_number(c, int) for c in row[:-1])
         except ValueError:
             raise InvalidDistribution(f"line {lineno}: categories must be integers") from None
         if any(v < 0 for v in values):
             raise InvalidDistribution(f"line {lineno}: categories must be non-negative")
         try:
-            p = float(row[-1])
+            p = _ascii_number(row[-1], float)
         except ValueError:
             raise InvalidDistribution(f"line {lineno}: mass is not a number") from None
         if not math.isfinite(p):

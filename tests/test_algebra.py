@@ -13,11 +13,14 @@ from infoshare import (
     RedundancyLattice,
     SourceLeaf,
     VariableSet,
+    chain_levels,
     compile_expression,
     enumerate_antichains,
+    enumerate_sources,
     eval_expression,
     eval_mutual,
     eval_sharing,
+    expected,
     expression_variables,
     intersection_content,
     lattice_valuation,
@@ -33,6 +36,7 @@ from infoshare import (
 )
 from infoshare import algebra
 from infoshare.cli import main
+from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 from helpers import XOR3_JSON, biased2, xor3
@@ -442,3 +446,25 @@ def test_eval_builds_no_lattice(monkeypatch, tmp_path, capsys):
     path.write_text(XOR3_JSON)
     assert main(["eval", str(path), "X oplus Y", "--about", "Z"]) == 0
     assert capsys.readouterr().out.strip().endswith("1.000000000")
+
+
+def test_coverage_is_decided_once_per_chain_mask(monkeypatch):
+    # An expected --about value reads two chains per point, plain over x, y, z
+    # and conditioned over x, y given z; each compiled test sees each mask once.
+    d = random_distribution(trial_rng(173, 0), [2, 3, 2], sparsity=0.0)
+    tested = []
+    compile_ = algebra._compile
+
+    def counting(expr, variables):
+        covers = compile_(expr, variables)
+        return lambda mask: tested.append((len(variables), mask)) or covers(mask)
+
+    monkeypatch.setattr(algebra, "_compile", counting)
+    expected(d, compile_expression(d, "x oplus y", about=[2]))
+    plain = surprisal_table(d, enumerate_sources(3))
+    conditioned = surprisal_table(d, enumerate_sources(2), given=[2])
+    chains = [(n, chain_levels(table(r))) for r, _ in d.support()
+              for n, table in ((3, plain), (2, conditioned))]
+    met = {(n, mask) for n, chain in chains for mask, _ in chain}
+    assert sorted(tested) == sorted(met)
+    assert len(tested) < sum(len(chain) for _, chain in chains)

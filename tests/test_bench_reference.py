@@ -4,8 +4,8 @@ Each workload's input comes from `bench/workloads.py`; the command's
 stdout must pass the workload's own check and hash to the digest in
 `bench/reference.json`, so a change to any reported figure fails here
 before it fails the benchmark.  Every workload is replayed at seed 0,
-and n5-expected and check-props, whose paths are the most rewritten, at
-every recorded seed.
+and n5-expected, eval-wide and check-props, whose paths have all been
+rewritten, at every recorded seed.
 """
 
 import hashlib
@@ -54,3 +54,8 @@ def test_n5_expected_matches_every_recorded_seed(seed, tmp_path, capsys):
 @pytest.mark.parametrize("seed", sorted(map(int, DIGESTS)))
 def test_check_props_matches_every_recorded_seed(seed, tmp_path, capsys):
     _replay("check-props", seed, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", sorted(map(int, DIGESTS)))
+def test_eval_wide_matches_every_recorded_seed(seed, tmp_path, capsys):
+    _replay("eval-wide", seed, tmp_path, capsys)

@@ -1,10 +1,14 @@
 import math
+from itertools import groupby
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infoshare import (
     Antichain,
     ZeroMass,
+    chain_levels,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
@@ -442,3 +446,37 @@ def test_chain_walk_matches_closed_form_n5():
         assert _bits(chain.valuation.values) == _bits(valuation.values)
         assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
         assert sum(1 for v in chain.partials if v != 0.0) <= 31
+
+
+def _chain_levels_by_groupby(h):
+    """The groupby form of `chain_levels`, kept as its oracle."""
+    levels = []
+    upset = 0
+    ranked = sorted(range(len(h)), key=h.__getitem__, reverse=True)
+    for t, group in groupby(ranked, key=h.__getitem__):
+        for k in group:
+            upset |= 1 << k
+        levels.append((t, upset))
+    lower = [t for t, _ in levels[1:]] + [0.0]
+    return [(mask, t - t_next) for (t, mask), t_next in zip(levels, lower)]
+
+
+@st.composite
+def tie_heavy_vectors(draw):
+    """Surprisal vectors over the 2^n - 1 sources of n = 0..5 variables, drawn
+    from a pool of at most five values, so that ties, and ties between 0.0
+    and -0.0, are common."""
+    pool = [0.0, -0.0, *draw(st.lists(st.floats(0.0, 16.0), min_size=1, max_size=3))]
+    n = draw(st.sampled_from((0, 1, 3, 7, 15, 31)))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_vectors())
+@example([])
+@example([-0.0, 0.0, 1.0])
+@example([0.0, -0.0, 1.0])
+def test_chain_levels_matches_the_groupby_oracle(h):
+    got, want = chain_levels(h), _chain_levels_by_groupby(h)
+    assert [mask for mask, _ in got] == [mask for mask, _ in want]
+    assert _bits(inc for _, inc in got) == _bits(inc for _, inc in want)

@@ -201,6 +201,29 @@ def test_load_csv_line_numbers_count_blank_lines():
         load_distribution("\nx,y,p\n0,0,1\n\n1,1,-1\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("X,p\n0,0.5\n1_0,0.5\n", "line 3: categories must be integers"),
+        ("X,p\n0,0.75\n1,0.2_5\n", "line 3: mass is not a number"),
+        ("X,p\n0,0.5\n١,0.5\n", "line 3: categories must be integers"),
+        ("X,p\n0,0.5\n１,0.5\n", "line 3: categories must be integers"),
+        ("X,p\n0,0.5\n1,0.٥\n", "line 3: mass is not a number"),
+    ],
+    ids=["category-underscore", "mass-underscore", "arabic-indic-category",
+         "fullwidth-category", "arabic-indic-mass"],
+)
+def test_load_csv_reads_only_ascii_numbers(text, error):
+    # int() and float() read both digit-group underscores and any Unicode digit
+    with pytest.raises(InvalidDistribution, match=error):
+        load_distribution(text, "csv")
+
+
+def test_load_csv_allows_spaces_around_numbers():
+    d = load_distribution("X,p\n 0 , 0.5\n+1,0.5 \n", "csv")
+    assert d.support() == (((0,), 0.5), ((1,), 0.5))
+
+
 def test_load_csv_reader_errors_are_invalid_distributions():
     # a lone carriage return ends a line the reader cannot split
     with pytest.raises(InvalidDistribution, match="line 1"):
