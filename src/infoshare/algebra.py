@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Sequence, Union
 from .distribution import OPERATORS, JointDistribution, identifier_end
 from .decomposition import chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
-                      enumerate_sources)
-from .measures import surprisal_table, surprisals
+                      enumerate_sources, sources_of)
+from .measures import _log_mass_layout, surprisal_table, surprisals
 from .record import Record
 
 
@@ -184,7 +184,7 @@ def _compile(expr: Expr, variables: Sequence[int]) -> Callable[[int], bool]:
     read through the sorted `variables`, so leaves keep their own indices.
     """
     n = len(variables)
-    bits = {tuple(variables[i] for i in src): k for k, src in enumerate(enumerate_sources(n))}
+    bits = {src: k for k, src in enumerate(sources_of(variables))}
 
     def holding(members: tuple[int, ...]) -> Callable[[int], bool]:
         k = bits.get(canonical_source(members))
@@ -248,7 +248,8 @@ def compile_expression(
     With `given`, the chain spans the other variables with conditioned
     surprisals, and the expression must not mention a conditioning
     variable.  With `about`, the value is the plain one minus the one
-    given `about`, both read from one log-mass vector over every source.
+    given `about`, both read from one log-mass vector over every source
+    (`measures._log_mass_layout`).
     """
     if given is not None and about is not None:
         raise ValueError("given and about are mutually exclusive")
@@ -266,20 +267,16 @@ def compile_expression(
         names = ", ".join(d.variables.names[i] for i in sorted(used))
         raise ExpressionError(f"expression mentions conditioning variable(s) {names}")
     total = _chain_total(expr, variables)
-    # The chain's joint sources, each with the conditioner: with no
-    # conditioner, every source of all variables.  The table reads them and
-    # the conditioner; `about` reads every source, which holds both chains.
-    every = enumerate_sources(d.variables.n)
-    given_src = tuple(sorted(g))
-    chain = [tuple(sorted(g.union(variables[i] for i in src)))
-             for src in enumerate_sources(len(variables))]
-    read = every if about is not None or not g else [*chain, given_src]
-    at = {src: k for k, src in enumerate(read)}
-    logs = d.log_mass_table(read)
-    ids, given_id = [at[src] for src in chain], at.get(given_src)
     if about is None:
-        return lambda realization: total(surprisals(logs(realization), ids, given_id))
-    plain_total, plain_ids = _chain_total(expr, range(d.variables.n)), range(len(every))
+        table = surprisal_table(d, sources_of(variables), g or None)
+        return lambda realization: total(table(realization))
+    # Every source plain, and the chain's sources given the target: each of those
+    # with the target, and the target itself, is a source, so the vector is every source.
+    logs, ((plain_ids, _), (ids, given_id)) = _log_mass_layout(d, [
+        (map(frozenset, enumerate_sources(d.variables.n)), frozenset()),
+        (map(frozenset, sources_of(variables)), g),
+    ])
+    plain_total = _chain_total(expr, range(d.variables.n))
 
     def value(realization: Sequence[int]) -> float:
         log_masses = logs(realization)

@@ -23,7 +23,8 @@ from .decomposition import (
     decomposition_rows,
     mi_decompose,
 )
-from .distribution import InvalidDistribution, JointDistribution, ZeroMass, load_file
+from .distribution import (InvalidDistribution, JointDistribution, ZeroMass, _ascii_number,
+                           load_file)
 from .lattice import MAX_N, enumerate_antichains, to_dot
 from .measures import expected, pair_contents, surprisal_table
 from .record import Record
@@ -58,9 +59,19 @@ def _fmt_res(value: float) -> str:
 
 def _parse_realization(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_ascii_number(part, int) for part in text.split(","))
     except ValueError:
         raise ValueError(f"realization {text!r} must be comma-separated integers") from None
+
+
+def _flag_number(parse):
+    """argparse `type` reading only ASCII numbers, refusing others in argparse's words."""
+    def read(text: str):
+        try:
+            return _ascii_number(text, parse)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+    return read
 
 
 def _parse_source(d: JointDistribution, text: str) -> frozenset[int]:
@@ -310,11 +321,7 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 def cmd_check(config: RunConfig, args) -> int:
     report = checks.run_suite(args.suite, config.seed, config.trials, config.tolerance)
-    if config.structured:
-        import json
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        sys.stdout.write(report.to_text())
+    _emit(config, report.to_text().splitlines(), report.to_json())
     return 0 if report.passed else 1
 
 
@@ -326,10 +333,11 @@ def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
 
     parser.add_argument("--base", choices=sorted(_BASES), default=default("2"),
                         help="log base for information units (default: 2)")
-    parser.add_argument("--tol", type=float, default=default(1e-9),
+    parser.add_argument("--tol", type=_flag_number(float), default=default(1e-9),
                         help="tolerance for identity checks (default: 1e-9)")
-    parser.add_argument("--seed", type=int, default=default(0), help="master RNG seed")
-    parser.add_argument("--trials", type=int, default=default(1000),
+    parser.add_argument("--seed", type=_flag_number(int), default=default(0),
+                        help="master RNG seed")
+    parser.add_argument("--trials", type=_flag_number(int), default=default(1000),
                         help="trial count for randomized suites")
     parser.add_argument("--allow-n5", action="store_true", default=default(False),
                         help="permit five-variable lattices (7579 nodes)")
@@ -375,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("lattice", parents=[common], help="export a lattice as DOT")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_flag_number(int), required=True)
     p.add_argument("--kind", choices=("redundancy", "sharing"), default="redundancy")
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=cmd_lattice)

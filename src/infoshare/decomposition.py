@@ -25,6 +25,8 @@ largest value among the covered nodes; their valuation
 (`lattice_valuation`) takes the least surprisal over each node's
 members.  The chain walk makes the same float subtractions as the closed
 form, so it matches it exactly and the recursive form within rounding.
+`mi_decompose` reads its plain and its conditioned surprisals from one
+log-mass vector (`measures._log_mass_layout`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from collections import defaultdict
 from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, variable_indices
-from .lattice import Antichain, RedundancyLattice, enumerate_antichains
-from .measures import pair_contents, surprisal_table, surprisals
+from .lattice import Antichain, RedundancyLattice, enumerate_antichains, sources_of
+from .measures import _log_mass_layout, pair_contents, surprisal_table, surprisals
 from .record import Record
 
 
@@ -87,19 +89,8 @@ def lattice_valuation(
     by default the lattice spans all variables in order.
     """
     variables = _selected(d, variables, lattice)
-    h = _lattice_table(d, lattice, variables, given)(realization)
+    h = surprisal_table(d, sources_of(variables), given)(realization)
     return LatticeValuation(lattice, [min(map(h.__getitem__, ids)) for ids in lattice.members])
-
-
-def _lattice_table(
-    d: JointDistribution,
-    lattice: RedundancyLattice,
-    variables: Sequence[int],
-    given: Iterable[int] | None,
-) -> Callable[[Sequence[int]], list[float]]:
-    """`surprisal_table` of the lattice's sources, whose members are positions
-    in `variables`, the distribution variable indices they stand for."""
-    return surprisal_table(d, [[variables[i] for i in src] for src in lattice.sources], given)
 
 
 def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
@@ -206,7 +197,7 @@ def decompose_pointwise(
     if d.marginal_mass(sel, realization) <= 0.0:
         raise ZeroMass("realization outside the support of the selected variables")
     lattice = enumerate_antichains(len(sel))
-    return _walk(lattice, _lattice_table(d, lattice, sel, given), [(realization, 1.0)])
+    return _walk(lattice, surprisal_table(d, sources_of(sel), given), [(realization, 1.0)])
 
 
 def decompose_expected(
@@ -220,7 +211,7 @@ def decompose_expected(
     """
     sel = _selected(d, variables)
     lattice = enumerate_antichains(len(sel))
-    return _walk(lattice, _lattice_table(d, lattice, sel, None), d.support())
+    return _walk(lattice, surprisal_table(d, sources_of(sel)), d.support())
 
 
 def expected_valuation(
@@ -291,19 +282,6 @@ class MutualDecomposition(Record):
         return dict(zip(self.__slots__, self._fields))
 
 
-def _mi_point(log_masses: list[float]) -> list[float]:
-    # Plain minus conditioned-on-target `pair_contents`, in the order of
-    # `MutualDecomposition`'s fields, from three plain and three conditioned
-    # surprisals, read in the order (and so with the errors) of one
-    # `surprisal`/`cond_surprisal` call each.  The log masses are of a, b,
-    # a|b, t, a|t, b|t and a|b|t (see `mi_decompose`).
-    ha, hb = surprisals(log_masses, (0, 1))
-    ca, cb = surprisals(log_masses, (4, 5), 3)
-    (hab,) = surprisals(log_masses, (2,))
-    (cab,) = surprisals(log_masses, (6,), 3)
-    return [p - c for p, c in zip(pair_contents(ha, hb, hab), pair_contents(ca, cb, cab))]
-
-
 def mi_decompose(
     d: JointDistribution,
     first,
@@ -321,10 +299,22 @@ def mi_decompose(
     t = d.variables.check_source(target)
     if a & b or a & t or b & t:
         raise ValueError("predictor and target sources must be pairwise disjoint")
-    logs = d._log_mass_table([a, b, a | b, t, a | t, b | t, a | b | t])
+    # t is laid out once, so both groups given t share its id
+    logs, ((pair, _), (pair_t, t_id), (whole, _), (whole_t, _)) = _log_mass_layout(
+        d, [([a, b], frozenset()), ([a, b], t), ([a | b], frozenset()), ([a | b], t)])
+
+    def point(r: Sequence[int]) -> list[float]:  # plain minus conditioned, field by field
+        # read in the order, and so with the errors, of one `surprisal`/`cond_surprisal` each
+        log_masses = logs(r)
+        ha, hb = surprisals(log_masses, pair)
+        ca, cb = surprisals(log_masses, pair_t, t_id)
+        (hab,) = surprisals(log_masses, whole)
+        (cab,) = surprisals(log_masses, whole_t, t_id)
+        return [p - c for p, c in zip(pair_contents(ha, hb, hab), pair_contents(ca, cb, cab))]
+
     if realization is not None:
-        return MutualDecomposition(*_mi_point(logs(realization)))
-    weighted = ([p * x for x in _mi_point(logs(r))] for r, p in d.support())
+        return MutualDecomposition(*point(realization))
+    weighted = ([p * x for x in point(r)] for r, p in d.support())
     return MutualDecomposition(*map(math.fsum, zip(*weighted)))
 
 

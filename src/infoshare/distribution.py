@@ -192,23 +192,13 @@ class JointDistribution:
         r = self._variables.check_realization(realization)
         return self._table(s).get(_key_of(s)(r), 0.0)
 
-    def log_mass_table(
-        self, sources: Sequence[Iterable[int]]
-    ) -> Callable[[Sequence[int]], list[float]]:
-        """log2 of each source's marginal mass, as a function of the realization.
-
-        Each source is validated once, here, and resolved by `_log_mass_table`,
-        which callers that have checked their sets already call directly.
-        """
-        return self._log_mass_table([self._variables.check_source(s) for s in sources])
-
     def _log_mass_table(
         self, sources: Sequence[frozenset[int]]
     ) -> Callable[[Sequence[int]], list[float]]:
-        """`log_mass_table` of sets that `VariableSet.check_source` returned:
-        each is resolved to its marginal table once, and each call validates
-        the realization once and then costs one key, one lookup and one log2
-        per source; a zero mass reads -inf."""
+        """log2 of the marginal mass of each set that `VariableSet.check_source`
+        returned, as a function of the realization: each is resolved to its
+        marginal table once, and each call validates the realization once and
+        then costs one key, one lookup and one log2 per source; a zero mass reads -inf."""
         resolved = [(_key_of(s), self._table(s).get) for s in sources]
         check, log2 = self._variables.check_realization, math.log2
 
@@ -316,8 +306,8 @@ def _load_json(text: str) -> JointDistribution:
 
 
 def _ascii_number(cell: str, parse: Callable[[str], float]) -> float:
-    """`parse` (`int` or `float`) of a CSV cell's ASCII text: both also read
-    other Unicode digits and digit-group underscores, which raise ValueError."""
+    """`parse` (`int` or `float`) of a CSV cell or a CLI value in ASCII: both
+    also read other Unicode digits and digit-group underscores, which raise ValueError."""
     text = cell.strip()
     if not text.isascii() or "_" in text:
         raise ValueError(f"not ASCII number text: {cell!r}")

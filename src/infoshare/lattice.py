@@ -46,6 +46,11 @@ def enumerate_sources(n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def sources_of(variables: Sequence[int]) -> list[tuple[int, ...]]:
+    """`enumerate_sources(len(variables))`, each position i read as `variables[i]`."""
+    return [tuple(variables[i] for i in src) for src in enumerate_sources(len(variables))]
+
+
 class Antichain(Record):
     """Canonical set of pairwise-incomparable sources.
 
@@ -133,41 +138,36 @@ def _span(alpha: Antichain, beta: Antichain) -> int:
 
 @lru_cache(maxsize=None)
 def _source_table(n: int) -> tuple[
-    tuple[tuple[int, ...], ...], dict[int, int], tuple[int, ...],
-    dict[tuple[int, ...], int], tuple[int, ...],
+    tuple[tuple[int, ...], ...], dict[int, int], tuple[int, ...], tuple[int, ...],
 ]:
     """The sources of n variables, the bit of each source's variable mask,
-    each source's up mask (the bits of the sources containing it), that up
-    mask keyed by the source, and each source's strict down mask (the bits
-    of the sources strictly inside it)."""
+    each source's up mask (the bits of the sources containing it), and each
+    source's strict down mask (the bits of the sources strictly inside it)."""
     sources = tuple(enumerate_sources(n))
     smasks = [_source_mask(s) for s in sources]
     up = tuple(sum(1 << l for l, sl in enumerate(smasks) if sk & sl == sk) for sk in smasks)
     down = tuple(sum(1 << l for l, sl in enumerate(smasks) if sl & ~sk == 0 and sl != sk)
                  for sk in smasks)
-    return sources, {m: k for k, m in enumerate(smasks)}, up, dict(zip(sources, up)), down
+    return sources, {m: k for k, m in enumerate(smasks)}, up, down
 
 
 def upset_of(alpha: Antichain, n: int) -> int:
     """Mask of the sources of n variables that contain some source of alpha
     (members may be unsorted, repeated or comparable)."""
-    _, bit, up, up_of, _ = _source_table(n)
+    _, bit, up, _ = _source_table(n)
     mask = 0
     for src in alpha.sources:
-        try:
-            mask |= up_of[src]
-        except (KeyError, TypeError):  # not a canonical source: go by its variable mask
-            k = bit.get(_source_mask(src))
-            if k is None:
-                raise ValueError(f"{src!r} is not a source of {n} variables") from None
-            mask |= up[k]
+        k = bit.get(_source_mask(src))
+        if k is None:
+            raise ValueError(f"{src!r} is not a source of {n} variables")
+        mask |= up[k]
     return mask
 
 
 def antichain_of(mask: int, n: int) -> Antichain:
     """The minimal sources in a mask, in bit order, which is canonical order:
     for an up-set, the node that generates it."""
-    sources, _, _, _, down = _source_table(n)
+    sources, _, _, down = _source_table(n)
     if not 0 < mask < 1 << len(sources):
         raise ValueError(f"{mask:#x} is not a non-empty set of sources of {n} variables")
     # a source is minimal when no source strictly inside it is in the mask
@@ -185,7 +185,7 @@ def _all_antichains(n: int) -> tuple[list[tuple[int, ...]], list[int], list[int]
     the same members but the last (-1 for one member), so it comes first.
     Bit k of a mask stands for source k.
     """
-    _, _, up, _, down = _source_table(n)
+    _, _, up, down = _source_table(n)
     # comparable[k]: the sources containing source k and those contained in it
     comparable = [u | d for u, d in zip(up, down)]
     members: list[tuple[int, ...]] = []

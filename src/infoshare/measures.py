@@ -14,6 +14,8 @@ Each content measure reads one `surprisal_table` over the sources it
 needs, which validates and resolves each source once and then pays one
 lookup and one log2 per source.  The per-call `surprisal` and
 `cond_surprisal` are kept as the tests' oracles for the table.
+`_log_mass_layout` lays out the one log-mass vector of the table, of `eval
+--about` and of the target decomposition; `surprisals` reads each group.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and
@@ -60,9 +62,9 @@ def surprisals(
     log_masses: Sequence[float], ids: Iterable[int], given_id: int | None = None
 ) -> list[float]:
     """log2 p(G) - log2 p(S u G) for each listed entry S u G of a log-mass
-    vector (`JointDistribution.log_mass_table`), where G is the entry at
-    `given_id` or, if that is None, the empty set: `surprisal` or
-    `cond_surprisal` at every entry, with its errors in its order."""
+    vector (`_log_mass_layout`), where G is the entry at `given_id` or, if
+    that is None, the empty set: `surprisal` or `cond_surprisal` at every
+    entry, with its errors in its order."""
     log_given = 0.0 if given_id is None else log_masses[given_id]
     if log_given == -math.inf:
         raise ZeroMass("conditioning event has zero mass")
@@ -71,6 +73,19 @@ def surprisals(
         what = "marginal" if given_id is None else "joint"
         raise ZeroMass(f"surprisal undefined: zero {what} mass")
     return h
+
+
+def _log_mass_layout(d: JointDistribution, groups):
+    """One log-mass vector for groups of (sources, conditioner G) that
+    `VariableSet.check_source` returned, G possibly empty: each distinct
+    S u G once and each non-empty G once.  Returns its reader
+    (`JointDistribution._log_mass_table`) and each group's (ids, given_id)."""
+    at: dict[frozenset[int], int] = {}
+    layout = []
+    for sources, g in groups:
+        ids = [at.setdefault(s | g, len(at)) for s in sources]
+        layout.append((ids, at.setdefault(g, len(at)) if g else None))
+    return d._log_mass_table(list(at)), layout
 
 
 def surprisal_table(
@@ -85,18 +100,17 @@ def surprisal_table(
     call reads one log-mass vector of the joint sources S u G, and of G
     itself when it is not empty.
     """
-    g = frozenset() if given is None else d.variables.check_source(given)
-    joint = []
+    check = d.variables.check_source
+    g = frozenset() if given is None else check(given)
+    checked = []
     for source in sources:
-        s = d.variables.check_source(source)
+        s = check(source)
         if s & g:
             raise ValueError("source and conditioning variables overlap")
-        joint.append(s | g)
-    if not joint:
+        checked.append(s)
+    if not checked:
         raise ValueError("at least one source is required")
-    given_id = len(joint) if g else None
-    logs = d._log_mass_table([*joint, g] if g else joint)
-    ids = range(len(joint))
+    logs, ((ids, given_id),) = _log_mass_layout(d, [(checked, g)])
     return lambda realization: surprisals(logs(realization), ids, given_id)
 
 

@@ -208,6 +208,49 @@ def test_an_empty_flag_value_is_an_error(xor3_file, capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, realization", [
+    (["eval", "{f}", "X cap Y", "--realization", "{r}"], "\u0661,1,1"),
+    (["eval", "{f}", "X cap Y", "--realization", "{r}"], "0,0_1,1"),
+    (["pointwise", "{f}", "--realization", "{r}", "--sources", "X", "Y"], "0,1,\u0661"),
+    (["decompose", "{f}", "--mode", "pointwise", "--realization", "{r}"], "0,1_0,1"),
+], ids=["eval-digit", "eval-underscore", "pointwise-digit", "decompose-underscore"])
+def test_a_realization_reads_only_ascii_digits(xor3_file, capsys, argv, realization):
+    # int() also reads other Unicode digits and digit-group underscores
+    assert main([a.format(f=xor3_file, r=realization) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: realization {realization!r} "
+                            "must be comma-separated integers\n")
+
+
+def test_spaces_around_a_realization_value_are_allowed(xor3_file, capsys):
+    assert main(["eval", xor3_file, "X cap Y", "--realization", "0,1,1"]) == 0
+    spaced = capsys.readouterr().out.replace("(0,1,1)", "( 0 , 1,1 )")
+    assert main(["eval", xor3_file, "X cap Y", "--realization", " 0 , 1,1 "]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+@pytest.mark.parametrize("argv, flag, kind, value", [
+    (["--seed", "\u0661", "--trials", "1", "check", "--suite", "lemmas"], "--seed", "int",
+     "\u0661"),
+    (["--trials", "1_0", "check", "--suite", "lemmas"], "--trials", "int", "1_0"),
+    (["check", "--suite", "lemmas", "--trials", "\u0661"], "--trials", "int", "\u0661"),
+    (["lattice", "--n", "\u0663"], "--n", "int", "\u0663"),
+    (["--tol", "\u0661e-9", "--trials", "1", "check", "--suite", "lemmas"], "--tol", "float",
+     "\u0661e-9"),
+    (["--tol", "1_0e-10", "--trials", "1", "check", "--suite", "lemmas"], "--tol", "float",
+     "1_0e-10"),
+], ids=["seed-digit", "trials-underscore", "trials-after-subcommand", "n-digit", "tol-digit",
+        "tol-underscore"])
+def test_a_number_flag_reads_only_ascii_digits(capsys, argv, flag, kind, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+
+
 def test_decompose_structured(xor3_file, capsys):
     assert main(["--format", "structured", "decompose", xor3_file]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -128,25 +128,22 @@ def test_mi_decompose_equals_the_per_call_arithmetic(n, k, d):
 def test_compile_expression_builds_one_log_mass_table(monkeypatch, mode):
     # One table per command in every mode; `given` reads only its chain's
     # joint sources and the conditioner, `about` every source.
-    read = []
-    original = JointDistribution.log_mass_table
-    monkeypatch.setattr(JointDistribution, "log_mass_table",
-                        lambda self, sources: read.append(list(sources)) or original(self, sources))
+    built = _count_tables(monkeypatch)
     d = random_distribution(trial_rng(12, 0), [2, 3, 2], sparsity=0.2)
     value = compile_expression(d, "x cap y", **mode)
     for r, _ in d.support():
         value(r)
-    assert len(read) == 1
-    assert len(read[0]) == (4 if "given" in mode else 7)
+    assert len(built) == 1
+    assert len(built[0]) == (4 if "given" in mode else 7)
 
 
 def test_log_mass_table_reads_minus_infinity_at_zero_mass():
     d = JointDistribution(VariableSet(("X", "Y"), (2, 2)), {(0, 0): 0.5, (1, 1): 0.5})
-    logs = d.log_mass_table([[0], [1], [0, 1], [1, 0]])
+    logs = d._log_mass_table([frozenset(s) for s in ([0], [1], [0, 1], [1, 0])])
     assert logs((0, 1)) == [-1.0, -1.0, -math.inf, -math.inf]
     assert logs((1, 1)) == [-1.0, -1.0, -1.0, -1.0]
     with pytest.raises(ValueError, match="a source must contain at least one variable"):
-        d.log_mass_table([[]])
+        surprisal_table(d, [[]])
     with pytest.raises(ValueError, match="realization has 1 values, expected 2"):
         logs((0,))
 
@@ -159,7 +156,7 @@ def test_overlapping_conditioner_is_rejected_when_the_table_is_built():
 
 def _count_tables(monkeypatch) -> list:
     # the sources of every table built, counted on the resolver that
-    # `log_mass_table`, `surprisal_table` and `mi_decompose` all reach
+    # `surprisal_table`, `compile_expression` and `mi_decompose` all reach
     built = []
     original = JointDistribution._log_mass_table
     monkeypatch.setattr(JointDistribution, "_log_mass_table",
@@ -248,6 +245,48 @@ def test_eval_errors_keep_their_messages_and_order(tmp_path, capsys, flags, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+TARGET_APART = """{"variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 2},
+                                 {"name": "Z", "cardinality": 2}],
+ "pmf": [{"assignment": [0, 1, 1], "p": 0.5}, {"assignment": [1, 0, 0], "p": 0.5}]}"""
+
+
+@pytest.mark.parametrize("doc, target, realization, message", [
+    (TWO_POINT, ["Z", "X;Y"], "0,0,1", "conditioning event has zero mass"),
+    (TWO_POINT, ["Y", "X;Z"], "0,0,1", "surprisal undefined: zero marginal mass"),
+    # a | t is read before a u b, which has zero mass here too
+    (TARGET_APART, ["Z", "X;Y"], "0,0,0", "surprisal undefined: zero joint mass"),
+    # a u b is read before a u b | t, which has zero mass here too
+    (TWO_POINT, ["Z", "X;Y"], "0,1,0", "surprisal undefined: zero marginal mass"),
+    (TWO_POINT, ["Z", "X;Y"], "0,0", "realization has 2 values, expected 3"),
+    (TWO_POINT, ["Z", "X;Y"], "0,0,2", "value 2 outside range of variable 'Z' (cardinality 2)"),
+], ids=["conditioner", "plain", "joint-before-union", "union-before-joint", "length", "range"])
+def test_decompose_target_errors_keep_their_messages_and_order(tmp_path, capsys, doc, target,
+                                                                realization, message):
+    path = tmp_path / "dist.json"
+    path.write_text(doc)
+    assert main(["decompose", str(path), "--target", target[0], "--predictors", target[1],
+                 "--mode", "pointwise", "--realization", realization]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "{f}", "X oplus Y", "--about", "Z"],
+    ["eval", "{f}", "X oplus Y", "--about", "Z", "--realization", "0,0,0"],
+    ["decompose", "{f}", "--target", "Z", "--predictors", "X;Y"],
+    ["decompose", "{f}", "--target", "Z", "--predictors", "X;Y", "--mode", "pointwise",
+     "--realization", "0,0,0"],
+], ids=["about-expected", "about-pointwise", "target-expected", "target-pointwise"])
+def test_about_and_target_build_one_table_per_command(tmp_path, monkeypatch, capsys, argv):
+    # the plain and the conditioned surprisals share one log-mass vector
+    path = tmp_path / "two.json"
+    path.write_text(TWO_POINT)
+    built = _count_tables(monkeypatch)
+    assert main([a.format(f=path) for a in argv]) == 0
+    assert len(built) == 1
 
 
 def test_about_validates_each_realization_once(monkeypatch):
