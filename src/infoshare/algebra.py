@@ -29,7 +29,7 @@ from .distribution import OPERATORS, JointDistribution, identifier_end
 from .decomposition import chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources, sources_of)
-from .measures import _log_mass_layout, surprisal_table, surprisals
+from .measures import _surprisal_reader, surprisal_table
 from .record import Record
 
 
@@ -248,8 +248,9 @@ def compile_expression(
     With `given`, the chain spans the other variables with conditioned
     surprisals, and the expression must not mention a conditioning
     variable.  With `about`, the value is the plain one minus the one
-    given `about`, both read from one log-mass vector over every source
-    (`measures._log_mass_layout`).
+    given `about`: one list holds the plain surprisals of every source,
+    then those of the chain's sources given `about`
+    (`measures._surprisal_reader`).
     """
     if given is not None and about is not None:
         raise ValueError("given and about are mutually exclusive")
@@ -272,16 +273,14 @@ def compile_expression(
         return lambda realization: total(table(realization))
     # Every source plain, and the chain's sources given the target: each of those
     # with the target, and the target itself, is a source, so the vector is every source.
-    logs, ((plain_ids, _), (ids, given_id)) = _log_mass_layout(d, [
-        (map(frozenset, enumerate_sources(d.variables.n)), frozenset()),
-        (map(frozenset, sources_of(variables)), g),
-    ])
-    plain_total = _chain_total(expr, range(d.variables.n))
+    plain = enumerate_sources(d.variables.n)
+    read = _surprisal_reader(d, [(map(frozenset, plain), frozenset()),
+                                 (map(frozenset, sources_of(variables)), g)])
+    plain_total, k = _chain_total(expr, range(d.variables.n)), len(plain)
 
     def value(realization: Sequence[int]) -> float:
-        log_masses = logs(realization)
-        return (plain_total(surprisals(log_masses, plain_ids))
-                - total(surprisals(log_masses, ids, given_id)))
+        h = read(realization)
+        return plain_total(h[:k]) - total(h[k:])
 
     return value
 

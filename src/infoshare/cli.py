@@ -225,7 +225,7 @@ def _check_lattice_size(config: RunConfig, n: int) -> int:
     nodes of n = 5 need `--allow-n5`."""
     limit = MAX_N if config.allow_n5 else MAX_N - 1
     if not 1 <= n <= limit:
-        hint = "" if config.allow_n5 else " (n = 5 needs the explicit override)"
+        hint = " (n = 5 needs the explicit override)" if n == MAX_N and not config.allow_n5 else ""
         raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
     return n
 
@@ -292,7 +292,9 @@ def cmd_lattice(config: RunConfig, args) -> int:
         sys.stdout.write(dot)
     else:
         Path(args.out).write_text(dot, encoding="utf-8")
-        print(f"wrote {args.kind} lattice for n={args.n} ({len(lattice)} nodes) to {args.out}")
+        _emit(config,
+              [f"wrote {args.kind} lattice for n={args.n} ({len(lattice)} nodes) to {args.out}"],
+              {"kind": args.kind, "n": args.n, "nodes": len(lattice), "out": args.out})
     return 0
 
 

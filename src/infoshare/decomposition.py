@@ -25,8 +25,8 @@ largest value among the covered nodes; their valuation
 (`lattice_valuation`) takes the least surprisal over each node's
 members.  The chain walk makes the same float subtractions as the closed
 form, so it matches it exactly and the recursive form within rounding.
-`mi_decompose` reads its plain and its conditioned surprisals from one
-log-mass vector (`measures._log_mass_layout`).
+`mi_decompose` reads its plain and its conditioned surprisals in one list
+(`measures._surprisal_reader`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, variable_indices
 from .lattice import Antichain, RedundancyLattice, enumerate_antichains, sources_of
-from .measures import _log_mass_layout, pair_contents, surprisal_table, surprisals
+from .measures import _surprisal_reader, pair_contents, surprisal_table
 from .record import Record
 
 
@@ -299,17 +299,12 @@ def mi_decompose(
     t = d.variables.check_source(target)
     if a & b or a & t or b & t:
         raise ValueError("predictor and target sources must be pairwise disjoint")
-    # t is laid out once, so both groups given t share its id
-    logs, ((pair, _), (pair_t, t_id), (whole, _), (whole_t, _)) = _log_mass_layout(
-        d, [([a, b], frozenset()), ([a, b], t), ([a | b], frozenset()), ([a | b], t)])
+    read = _surprisal_reader(d, [([a, b], frozenset()), ([a, b], t),
+                                 ([a | b], frozenset()), ([a | b], t)])
 
     def point(r: Sequence[int]) -> list[float]:  # plain minus conditioned, field by field
         # read in the order, and so with the errors, of one `surprisal`/`cond_surprisal` each
-        log_masses = logs(r)
-        ha, hb = surprisals(log_masses, pair)
-        ca, cb = surprisals(log_masses, pair_t, t_id)
-        (hab,) = surprisals(log_masses, whole)
-        (cab,) = surprisals(log_masses, whole_t, t_id)
+        ha, hb, ca, cb, hab, cab = read(r)
         return [p - c for p, c in zip(pair_contents(ha, hb, hab), pair_contents(ca, cb, cab))]
 
     if realization is not None:

@@ -89,9 +89,6 @@ class Antichain(Record):
         inner = "}{".join(",".join(map(names.__getitem__, src)) for src in self.sources)
         return "{" + inner + "}"
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return self.label(default_names(max(max(s) for s in self.sources) + 1))
-
 
 def precedes(alpha: Antichain, beta: Antichain) -> bool:
     """True when every source of beta contains some source of alpha."""
@@ -254,9 +251,6 @@ class RedundancyLattice:
 
     def __len__(self) -> int:
         return len(self.upsets)
-
-    def __iter__(self) -> Iterator[Antichain]:
-        return iter(self.nodes)
 
     def _find(self, alpha: object) -> int | None:
         # by up-set, then by members: a non-canonical antichain is no node

@@ -14,8 +14,9 @@ Each content measure reads one `surprisal_table` over the sources it
 needs, which validates and resolves each source once and then pays one
 lookup and one log2 per source.  The per-call `surprisal` and
 `cond_surprisal` are kept as the tests' oracles for the table.
-`_log_mass_layout` lays out the one log-mass vector of the table, of `eval
---about` and of the target decomposition; `surprisals` reads each group.
+`_surprisal_reader` is the one reader from log masses to surprisals: the
+table's, and that of `eval --about` and of the target decomposition, which
+read their plain and their conditioned surprisals in one list.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and
@@ -58,34 +59,38 @@ def cond_surprisal(
     return math.log2(p_given) - math.log2(p_joint)
 
 
-def surprisals(
-    log_masses: Sequence[float], ids: Iterable[int], given_id: int | None = None
-) -> list[float]:
-    """log2 p(G) - log2 p(S u G) for each listed entry S u G of a log-mass
-    vector (`_log_mass_layout`), where G is the entry at `given_id` or, if
-    that is None, the empty set: `surprisal` or `cond_surprisal` at every
-    entry, with its errors in its order."""
-    log_given = 0.0 if given_id is None else log_masses[given_id]
-    if log_given == -math.inf:
-        raise ZeroMass("conditioning event has zero mass")
-    h = [log_given - log_masses[k] for k in ids]
-    if math.inf in h:
-        what = "marginal" if given_id is None else "joint"
-        raise ZeroMass(f"surprisal undefined: zero {what} mass")
-    return h
+def _surprisal_reader(d: JointDistribution, groups) -> Callable[[Sequence[int]], list[float]]:
+    """Every group's surprisals log2 p(G) - log2 p(S u G), group after group in
+    one flat list, as a function of the realization, for groups of (sources,
+    conditioner G) that `VariableSet.check_source` returned, G possibly empty.
 
-
-def _log_mass_layout(d: JointDistribution, groups):
-    """One log-mass vector for groups of (sources, conditioner G) that
-    `VariableSet.check_source` returned, G possibly empty: each distinct
-    S u G once and each non-empty G once.  Returns its reader
-    (`JointDistribution._log_mass_table`) and each group's (ids, given_id)."""
+    One log-mass vector (`JointDistribution._log_mass_table`) holds each
+    distinct S u G and each non-empty G once, and one more entry, the empty
+    G of log mass 0.0; so each source costs one subtraction.  A zero mass
+    raises the `ZeroMass` that `surprisal` or `cond_surprisal` would have
+    raised first, walking the groups in order.
+    """
     at: dict[frozenset[int], int] = {}
-    layout = []
+    layout = []  # per group: the id of G (-1: the empty one, appended last), those of S u G
     for sources, g in groups:
         ids = [at.setdefault(s | g, len(at)) for s in sources]
-        layout.append((ids, at.setdefault(g, len(at)) if g else None))
-    return d._log_mass_table(list(at)), layout
+        layout.append((at.setdefault(g, len(at)) if g else -1, ids))
+    pairs = [(g, k) for g, ids in layout for k in ids]
+    logs = d._log_mass_table(list(at))
+
+    def read(realization: Sequence[int]) -> list[float]:
+        log_masses = logs(realization)
+        log_masses.append(0.0)
+        if -math.inf in log_masses:
+            for g, ids in layout:
+                if log_masses[g] == -math.inf:
+                    raise ZeroMass("conditioning event has zero mass")
+                if any(log_masses[k] == -math.inf for k in ids):
+                    what = "marginal" if g == -1 else "joint"
+                    raise ZeroMass(f"surprisal undefined: zero {what} mass")
+        return [log_masses[g] - log_masses[k] for g, k in pairs]
+
+    return read
 
 
 def surprisal_table(
@@ -110,8 +115,7 @@ def surprisal_table(
         checked.append(s)
     if not checked:
         raise ValueError("at least one source is required")
-    logs, ((ids, given_id),) = _log_mass_layout(d, [(checked, g)])
-    return lambda realization: surprisals(logs(realization), ids, given_id)
+    return _surprisal_reader(d, [(checked, g)])
 
 
 def union_content(d: JointDistribution, sources, realization, given=None) -> float:

@@ -35,8 +35,11 @@ def random_distribution(
     Each grid cell is kept with probability 1 - sparsity (redrawn until at
     least one cell survives); kept cells get independent exponential
     weights, normalized to sum to one.  Covers both dense and degenerate
-    supports.  `VariableSet` validates the cardinalities.
+    supports.  `VariableSet` validates the cardinalities; a sparsity outside
+    [0, 1), where no cell could survive, is refused before any draw.
     """
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"sparsity must lie in [0, 1), got {sparsity!r}")
     variables = VariableSet(default_names(len(cardinalities)), cardinalities)
     grid = list(product(*map(range, variables.cardinalities)))
     chosen: list[tuple[int, ...]] = []

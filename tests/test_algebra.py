@@ -330,6 +330,29 @@ def test_lemma_suite_randomized():
                 assert res.residual <= TOL
 
 
+def test_lemma_suite_agrees_with_compiled_expressions_bit_for_bit():
+    # the suite sums over precomputed mask sets; `compile_expression` decides
+    # coverage lazily on each chain: both sides must give the same floats
+    inputs = tie_heavy_distributions(3) + [random_distribution(trial_rng(17, t), [2, 3, 2])
+                                           for t in range(15)]
+    compared = 0
+    for d in inputs:
+        x, y, z = d.variables.names
+
+        def compiled(text):
+            return compile_expression(d, text.format(x=x, y=y, z=z))
+
+        lemmas = [(label, compiled(lhs), [compiled(t) for t in rhs])
+                  for label, lhs, rhs in algebra._LEMMAS]
+        for r, _ in d.support():
+            for res, (label, lhs, rhs) in zip(lemma_suite(d, r), lemmas, strict=True):
+                assert res.name == label
+                assert res.lhs.hex() == lhs(r).hex(), (label, r)
+                assert res.rhs.hex() == math.fsum(f(r) for f in rhs).hex(), (label, r)
+                compared += 2
+    assert compared > 1000
+
+
 def test_lemma_suite_parses_the_lemmas_once_for_any_names(monkeypatch):
     # the lemmas' masks do not depend on the variable names
     algebra._compiled_lemmas.cache_clear()

@@ -326,9 +326,33 @@ def test_lattice_export(tmp_path, capsys):
     assert capsys.readouterr().out.count("[label=") == 18
 
 
+def test_lattice_export_confirmation_follows_the_format(tmp_path, capsys):
+    out_path = tmp_path / "n2.dot"
+    assert main(["lattice", "--n", "2", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"wrote redundancy lattice for n=2 (4 nodes) to {out_path}\n"
+    assert main(["--format", "structured", "lattice", "--n", "2", "--out", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "kind": "redundancy", "n": 2, "nodes": 4, "out": str(out_path)}
+    # DOT on stdout is the payload itself, in either format
+    dot = out_path.read_text()
+    assert main(["--format", "structured", "lattice", "--n", "2", "--out", "-"]) == 0
+    assert capsys.readouterr().out == dot
+
+
 def test_lattice_n5_needs_override(capsys):
     assert main(["lattice", "--n", "5"]) == 2
     assert "override" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, limit", [([], 4), (["--allow-n5"], 5)])
+def test_n6_gets_no_override_hint(tmp_path, capsys, flags, limit):
+    # the override cannot help beyond n = 5, so the message does not offer it
+    error = f"error: variable count 6 outside supported range 1..{limit}\n"
+    assert main([*flags, "lattice", "--n", "6"]) == 2
+    assert capsys.readouterr().err == error
+    path, _ = _binary_file(tmp_path, 6)
+    assert main([*flags, "decompose", path, "--mode", "expected"]) == 2
+    assert capsys.readouterr().err == error
 
 
 def _binary_file(tmp_path, n):

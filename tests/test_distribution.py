@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +366,26 @@ def test_random_distribution_rejects_non_integer_cardinalities(cardinalities):
     # validated by `VariableSet`, not truncated to a smaller grid
     with pytest.raises(InvalidDistribution, match="cardinalities must be integers"):
         random_distribution(trial_rng(0, 0), cardinalities)
+
+
+@pytest.mark.parametrize("sparsity", ["1.0", "1.5", "float('nan')", "-0.1"])
+def test_random_distribution_rejects_sparsity_outside_unit_interval(sparsity):
+    # no cell could survive, so the redraw loop would never end: run each call in
+    # its own process, so that a hang fails on the timeout instead of stalling the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import random, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from infoshare.sampling import random_distribution\n"
+        "try:\n"
+        f"    random_distribution(random.Random(0), [2, 2], sparsity={sparsity})\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("sparsity must lie in [0, 1), got "), done.stdout
 
 
 @pytest.mark.parametrize(

@@ -428,7 +428,7 @@ def test_normalize_rejects_the_empty_source():
     for sources in ([(), (0,)], [()], [(1, 2), [], (0,)]):
         with pytest.raises(ValueError, match="a source must contain at least one variable"):
             A(sources)
-    assert str(A([(0,), (0, 1)])) == "{x}"
+    assert A([(0,), (0, 1)]).label(default_names(2)) == "{x}"
 
 
 def test_upset_of_and_antichain_of_reject_what_is_no_node():
