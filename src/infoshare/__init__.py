@@ -19,6 +19,7 @@ from .algebra import (
     lemma_suite,
     lower,
     parse_expression,
+    trivariate_report,
 )
 from .decomposition import (
     LatticeValuation,
@@ -33,7 +34,6 @@ from .decomposition import (
     mi_decompose,
     mobius_closed_form,
     mobius_recursive,
-    trivariate_report,
 )
 from .distribution import (
     InvalidDistribution,

@@ -10,13 +10,15 @@ parentheses because no precedence is defined among them.
 
 A node is the up-set mask its antichain generates (bit k stands for
 `enumerate_sources(n)[k]`); it lies below a source S when it holds S.
-Lowering turns an expression into a test on masks, once per command: a
-leaf S holds bit S, `cup`/`cap`/`minus` are or/and/and-not, and `oplus`
-holds the bit of all involved variables and none of its arguments.  An
-expression's value at a realization sums the increments of the nodes it
-covers; only the realization's chain (`chain_levels`, one sorted pass)
-carries any, so `compile_expression` needs no lattice, and the test runs
-once per distinct chain mask of a command, not once per level.
+Lowering turns an expression into a test on masks: a leaf S holds bit S,
+`cup`/`cap`/`minus` are or/and/and-not, and `oplus` holds the bit of all
+involved variables and none of its arguments.  An expression's value at a
+realization sums the increments of the nodes it covers; only the
+realization's chain (`chain_levels`, one sorted pass) carries any, so no
+lattice is needed.  `compile_expression` lowers once per command and tests
+each distinct chain mask once.  The named three-variable terms (the lemma
+sides, `trivariate_report`'s 18) are lowered the same way, once per text,
+to the masks they cover; each call sums those on the one chain it reads.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .distribution import OPERATORS, JointDistribution, identifier_end
+from .distribution import OPERATORS, JointDistribution, ZeroMass, identifier_end
 from .decomposition import chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources, sources_of)
@@ -356,33 +358,66 @@ class LemmaResult(Record):
         return self.residual <= 1e-9
 
 
-@lru_cache(maxsize=1)
-def _compiled_lemmas() -> tuple[tuple[str, frozenset[int], tuple[frozenset[int], ...]], ...]:
-    """Each lemma's two sides lowered to the three-variable up-set masks they
-    cover: once per process, on first use, since the masks do not depend on
-    the variable names."""
-    upsets = enumerate_antichains(3).upsets
-    names = x, y, z = ("x", "y", "z")
+@lru_cache(maxsize=None)
+def _covered(text: str) -> frozenset[int]:
+    """The n = 3 up-set masks a named term (a `_LEMMAS` side or a `_TRIVARIATE_TERMS`
+    entry) covers, lowered once per text: they do not depend on the variable names."""
+    expr = parse_expression(text.format(x="x", y="y", z="z"), ("x", "y", "z"))
+    return frozenset(filter(_compile(expr, range(3)), enumerate_antichains(3).upsets))
 
-    def masks(text: str) -> frozenset[int]:
-        covers = _compile(parse_expression(text.format(x=x, y=y, z=z), names), range(3))
-        return frozenset(filter(covers, upsets))
 
-    return tuple((label, masks(lhs), tuple(map(masks, rhs))) for label, lhs, rhs in _LEMMAS)
+def _covered_sum(d: JointDistribution, r: Sequence[int]) -> Callable[[frozenset[int]], float]:
+    """The sum of the increments a mask set covers on the chain of a three-variable
+    realization, which is read once (`chain_levels` of the seven source surprisals)."""
+    chain = chain_levels(surprisal_table(d, enumerate_sources(3))(r))
+    return lambda masks: math.fsum(inc for mask, inc in chain if mask in masks)
 
 
 def lemma_suite(d: JointDistribution, realization: Sequence[int]) -> list[LemmaResult]:
     """Evaluate both sides of the nine sharing identities at a realization."""
     if d.variables.n != 3:
         raise ValueError("the lemma suite needs exactly three variables")
-    chain = chain_levels(surprisal_table(d, enumerate_sources(3))(realization))
-
-    def total(masks: frozenset[int]) -> float:
-        return math.fsum(inc for mask, inc in chain if mask in masks)
-
+    total = _covered_sum(d, realization)
     results = []
-    for label, lhs_masks, rhs_masks in _compiled_lemmas():
-        lhs = total(lhs_masks)
-        rhs = math.fsum(map(total, rhs_masks))
+    for label, lhs_text, rhs_texts in _LEMMAS:
+        lhs = total(_covered(lhs_text))
+        rhs = math.fsum(map(total, map(_covered, rhs_texts)))
         results.append(LemmaResult(label, lhs, rhs, abs(lhs - rhs)))
     return results
+
+
+# The 18 named terms of the three-variable decomposition, bottom-up (the
+# lattice's `_topo` order); each covers exactly one node, whose increment it is.
+_TRIVARIATE_TERMS: tuple[str, ...] = (
+    "{x} cap {y} cap {z}",
+    "({x} cap {y}) minus {z}",
+    "({x} cap {z}) minus {y}",
+    "({y} cap {z}) minus {x}",
+    "{x} cap ({y} oplus {z})",
+    "{y} cap ({x} oplus {z})",
+    "{z} cap ({x} oplus {y})",
+    "{x} minus ({y},{z})",
+    "{y} minus ({x},{z})",
+    "{z} minus ({x},{y})",
+    "({x} oplus {y}) cap ({x} oplus {z}) cap ({y} oplus {z})",
+    "(({x} oplus {y}) cap ({x} oplus {z})) minus ({y},{z})",
+    "(({x} oplus {y}) cap ({y} oplus {z})) minus ({x},{z})",
+    "(({x} oplus {z}) cap ({y} oplus {z})) minus ({x},{y})",
+    "({x} oplus {y}) minus (({x},{z}) cup ({y},{z}))",
+    "({x} oplus {z}) minus (({x},{y}) cup ({y},{z}))",
+    "({y} oplus {z}) minus (({x},{y}) cup ({x},{z}))",
+    "({x},{y}) oplus ({x},{z}) oplus ({y},{z})",
+)
+
+
+def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[str, float]:
+    """The 18 named increments of a three-variable pointwise decomposition, keyed
+    by their expressions in the distribution's own variable names: each is the
+    increment of the one node its term covers, and they sum to the joint surprisal."""
+    if d.variables.n != 3:
+        raise ValueError("trivariate report needs exactly three variables")
+    if d.marginal_mass(range(3), realization) <= 0.0:
+        raise ZeroMass("realization outside the support of the selected variables")
+    total = _covered_sum(d, realization)
+    x, y, z = d.variables.names
+    return {text.format(x=x, y=y, z=z): total(_covered(text)) for text in _TRIVARIATE_TERMS}

@@ -13,7 +13,8 @@ surprisals are totally ordered, so only the up-sets {s : h(s) >= t} can
 carry a non-zero increment, and they form one chain: each gets the gap
 t - t' to the next lower surprisal, and every other node gets 0.0.
 `chain_levels` lists that chain in one pass over the sorted surprisals,
-and `algebra` sums an expression's covered levels of it.  A node's value
+and `algebra` sums the levels of it that an expression, or a named
+three-variable term of `trivariate_report`, covers.  A node's value
 is the lesser of its parent's (the node without its last member) and its
 last member's surprisal.  One walk sums both, weighted, over
 (realization, weight) points: the support for `decompose_expected`, one
@@ -37,7 +38,7 @@ from collections import defaultdict
 from typing import Callable, Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, variable_indices
-from .lattice import Antichain, RedundancyLattice, enumerate_antichains, sources_of
+from .lattice import RedundancyLattice, enumerate_antichains, sources_of
 from .measures import _surprisal_reader, pair_contents, surprisal_table
 from .record import Record
 
@@ -220,45 +221,6 @@ def expected_valuation(
 ) -> LatticeValuation:
     """Support-weighted expectation of the per-node values."""
     return decompose_expected(d, variables).valuation
-
-
-# The 18 nodes of the three-variable lattice, bottom-up and already canonical,
-# each with the expression (in the surface grammar) that its increment computes.
-_TRIVARIATE_TERMS: tuple[tuple[tuple[tuple[int, ...], ...], str], ...] = (
-    (((0,), (1,), (2,)), "{x} cap {y} cap {z}"),
-    (((0,), (1,)), "({x} cap {y}) minus {z}"),
-    (((0,), (2,)), "({x} cap {z}) minus {y}"),
-    (((1,), (2,)), "({y} cap {z}) minus {x}"),
-    (((0,), (1, 2)), "{x} cap ({y} oplus {z})"),
-    (((1,), (0, 2)), "{y} cap ({x} oplus {z})"),
-    (((2,), (0, 1)), "{z} cap ({x} oplus {y})"),
-    (((0,),), "{x} minus ({y},{z})"),
-    (((1,),), "{y} minus ({x},{z})"),
-    (((2,),), "{z} minus ({x},{y})"),
-    (((0, 1), (0, 2), (1, 2)), "({x} oplus {y}) cap ({x} oplus {z}) cap ({y} oplus {z})"),
-    (((0, 1), (0, 2)), "(({x} oplus {y}) cap ({x} oplus {z})) minus ({y},{z})"),
-    (((0, 1), (1, 2)), "(({x} oplus {y}) cap ({y} oplus {z})) minus ({x},{z})"),
-    (((0, 2), (1, 2)), "(({x} oplus {z}) cap ({y} oplus {z})) minus ({x},{y})"),
-    (((0, 1),), "({x} oplus {y}) minus (({x},{z}) cup ({y},{z}))"),
-    (((0, 2),), "({x} oplus {z}) minus (({x},{y}) cup ({y},{z}))"),
-    (((1, 2),), "({y} oplus {z}) minus (({x},{y}) cup ({x},{z}))"),
-    (((0, 1, 2),), "({x},{y}) oplus ({x},{z}) oplus ({y},{z})"),
-)
-
-
-def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[str, float]:
-    """The 18 named increments of a three-variable pointwise decomposition.
-
-    The names use the expression grammar with the distribution's own
-    variable names; each value is the increment of the matching lattice
-    node, and the values sum to the joint surprisal.
-    """
-    if d.variables.n != 3:
-        raise ValueError("trivariate report needs exactly three variables")
-    pv = decompose_pointwise(d, realization)
-    x, y, z = d.variables.names
-    return {template.format(x=x, y=y, z=z): pv.partials[pv.lattice.index(Antichain(sources))]
-            for sources, template in _TRIVARIATE_TERMS}
 
 
 class MutualDecomposition(Record):

@@ -59,6 +59,24 @@ class ZeroMass(ValueError):
     """An operation required positive probability mass and found none."""
 
 
+def _mass(value: object, where: str, at: object) -> float:
+    """A mass as a float, for the constructor and both loaders, or an `InvalidDistribution`
+    saying `where.format(at, reason)`: text and `bool` are no number, though `float` reads them."""
+    try:  # a float skips the type test, which costs more than the rest of the rule
+        if type(value) is not float and isinstance(value, (str, bytes, bytearray, bool)):
+            raise TypeError
+        p = float(value)
+    except OverflowError:
+        reason = f"mass {value} is out of range"
+    except (TypeError, ValueError):
+        reason = "mass is not a number"
+    else:
+        if 0.0 <= p < math.inf:  # NaN fails both tests
+            return p
+        reason = f"negative mass {p!r}" if math.isfinite(p) else f"non-finite mass {p!r}"
+    raise InvalidDistribution(where.format(at, reason))
+
+
 class VariableSet(Record):
     """Ordered, named finite variables together with their cardinalities."""
 
@@ -134,11 +152,7 @@ class JointDistribution:
         support: dict[tuple[int, ...], float] = {}
         for raw, mass in pmf.items():
             r = variables.check_realization(raw)
-            p = float(mass)
-            if not math.isfinite(p):
-                raise InvalidDistribution(f"non-finite mass {p!r} for assignment {r}")
-            if p < 0.0:
-                raise InvalidDistribution(f"negative mass {p!r} for assignment {r}")
+            p = _mass(mass, "{1} for assignment {0}", r)
             if r in support:
                 raise InvalidDistribution(f"duplicate assignment {r}")
             if p > 0.0:
@@ -248,7 +262,7 @@ def _load_json(text: str) -> JointDistribution:
     import json
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too long an int; deep nesting
         raise InvalidDistribution(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidDistribution("top-level JSON value must be an object")
@@ -290,18 +304,7 @@ def _load_json(text: str) -> JointDistribution:
             raise InvalidDistribution(f"pmf entry {i}: {exc}") from None
         if assignment in pmf:
             raise InvalidDistribution(f"duplicate assignment {list(assignment)} (entry {i})")
-        mass = entry["p"]
-        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
-            raise InvalidDistribution(f"pmf entry {i}: mass is not a number")
-        try:
-            p = float(mass)
-        except OverflowError:
-            raise InvalidDistribution(f"pmf entry {i}: mass {mass} is out of range") from None
-        if not math.isfinite(p):
-            raise InvalidDistribution(f"pmf entry {i}: non-finite mass {p!r}")
-        if p < 0.0:
-            raise InvalidDistribution(f"pmf entry {i}: negative mass {p!r}")
-        pmf[assignment] = p
+        pmf[assignment] = _mass(entry["p"], "pmf entry {}: {}", i)
     return JointDistribution(variables, pmf)
 
 
@@ -341,14 +344,10 @@ def _load_csv(text: str) -> JointDistribution:
         if any(v < 0 for v in values):
             raise InvalidDistribution(f"line {lineno}: categories must be non-negative")
         try:
-            p = _ascii_number(row[-1], float)
+            mass: object = _ascii_number(row[-1], float)
         except ValueError:
-            raise InvalidDistribution(f"line {lineno}: mass is not a number") from None
-        if not math.isfinite(p):
-            raise InvalidDistribution(f"line {lineno}: non-finite mass {p!r}")
-        if p < 0.0:
-            raise InvalidDistribution(f"line {lineno}: negative mass {p!r}")
-        assignments.append((lineno, values, p))
+            mass = None  # not ASCII number text, so no number
+        assignments.append((lineno, values, _mass(mass, "line {}: {}", lineno)))
     if not assignments:
         raise InvalidDistribution("CSV document lists no assignments")
 

@@ -277,6 +277,8 @@ class RedundancyLattice:
     def labels(self, names: Sequence[str]) -> list[str]:
         """`Antichain.label` of every node, in node order, joined from one
         label per source."""
+        if len(names) != self.n:
+            raise ValueError(f"expected {self.n} variable names, got {len(names)}")
         source_labels = [",".join(map(names.__getitem__, src)) for src in self.sources]
         return ["{" + "}{".join(map(source_labels.__getitem__, ids)) + "}" for ids in self.members]
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -120,14 +121,17 @@ def test_top_synergy_atoms_are_exactly_the_top_node():
 
 
 def test_trivariate_names_lower_to_single_nodes():
-    # Every named term of the three-variable decomposition is one lattice node.
-    from infoshare.decomposition import _TRIVARIATE_TERMS
-
+    # Every named term of the three-variable decomposition is one lattice node,
+    # listed bottom-up in the lattice's `_topo` order, and the cache the report
+    # reads holds that node's up-set mask.
     three = enumerate_antichains(3)
-    for sources, template in _TRIVARIATE_TERMS:
-        text = template.format(x="x", y="y", z="z")
-        atoms = lower(parse_expression(text, NAMES3), three)
-        assert atoms == frozenset({A(sources)})
+    nodes = []
+    for template in algebra._TRIVARIATE_TERMS:
+        atoms = lower(parse_expression(template.format(x="x", y="y", z="z"), NAMES3), three)
+        assert len(atoms) == 1, template
+        nodes.extend(atoms)
+        assert algebra._covered(template) == {three.upsets[three.index(nodes[-1])]}
+    assert nodes == [three.nodes[i] for i in three._topo]
 
 
 def test_eval_union_matches_direct_measure():
@@ -354,8 +358,9 @@ def test_lemma_suite_agrees_with_compiled_expressions_bit_for_bit():
 
 
 def test_lemma_suite_parses_the_lemmas_once_for_any_names(monkeypatch):
-    # the lemmas' masks do not depend on the variable names
-    algebra._compiled_lemmas.cache_clear()
+    # the lemmas' masks do not depend on the variable names, and a text that
+    # stands on several sides is lowered once
+    algebra._covered.cache_clear()
     parsed = []
     original = algebra.parse_expression
     monkeypatch.setattr(algebra, "parse_expression",
@@ -364,7 +369,24 @@ def test_lemma_suite_parses_the_lemmas_once_for_any_names(monkeypatch):
     renamed = JointDistribution(VariableSet(("q1", "w_", "e"), (2, 2, 2)), dict(d.support()))
     for r, _ in d.support():
         assert lemma_suite(renamed, r) == lemma_suite(d, r)
-    assert len(parsed) == sum(1 + len(rhs) for _, _, rhs in algebra._LEMMAS)
+    sides = [t for _, lhs, rhs in algebra._LEMMAS for t in (lhs, *rhs)]
+    assert (len(sides), len(set(sides))) == (22, 19)
+    assert sorted(parsed) == sorted({t.format(x="x", y="y", z="z") for t in sides})
+
+
+def test_each_lemma_holds_exactly_on_its_node_sets():
+    # A value sums the increments of the nodes its expression covers, so a lemma
+    # whose left side covers the multiset union of its right sides' nodes holds
+    # at every realization of every distribution: a proof, not a sample.
+    sizes = {}
+    for label, lhs, rhs in algebra._LEMMAS:
+        union = Counter()
+        for text in rhs:
+            union.update(algebra._covered(text))
+        assert Counter(algebra._covered(lhs)) == union, label
+        sizes[label] = (len(algebra._covered(lhs)), [len(algebra._covered(t)) for t in rhs])
+    assert sizes["L4"] == sizes["L6"] == (0, [])
+    assert sizes["L9"] == (8, [4, 1, 1, 1, 1])
 
 
 def test_lemma_suite_requires_three_variables():

@@ -67,6 +67,18 @@ def test_validate_negative_mass(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["p", "cardinality"])
+def test_validate_over_long_json_integer_is_malformed(tmp_path, capsys, field):
+    # json.loads refuses an integer literal past the int-to-str digit limit with a
+    # bare ValueError, not a JSONDecodeError
+    values = {"p": "1.0", "cardinality": "2", field: "1" * (sys.get_int_max_str_digits() + 1)}
+    path = tmp_path / "long.json"
+    path.write_text('{"variables": [{"name": "X", "cardinality": %(cardinality)s}], '
+                    '"pmf": [{"assignment": [0], "p": %(p)s}]}' % values)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid distribution: malformed JSON: ")
+
+
 @pytest.mark.parametrize("name, content", [
     ("big.json", '{"variables": [{"name": "X", "cardinality": 2}], "pmf": ['
                  '{"assignment": [0], "p": 1e308}, {"assignment": [1], "p": 1e308}]}'),

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,50 @@ def test_non_finite_mass_rejected(build, where):
 def test_mass_sum_beyond_the_float_range_rejected(build):
     with pytest.raises(InvalidDistribution, match="masses sum beyond the float range"):
         build()
+
+
+@pytest.mark.parametrize(
+    "mass, error",
+    [
+        ("0.5", "mass is not a number for assignment (0,)"),
+        (b"0.5", "mass is not a number for assignment (0,)"),
+        (True, "mass is not a number for assignment (0,)"),
+        (None, "mass is not a number for assignment (0,)"),
+        (10**400, f"mass {10**400} is out of range for assignment (0,)"),
+        (-0.5, "negative mass -0.5 for assignment (0,)"),
+    ],
+    ids=["str", "bytes", "bool", "none", "overflow", "negative"],
+)
+def test_constructor_mass_rule(mass, error):
+    # float() reads text and bool and overflows on a huge int; none of them is a mass
+    with pytest.raises(InvalidDistribution) as err:
+        JointDistribution(VariableSet(("X",), (2,)), {(0,): mass, (1,): 0.5})
+    assert str(err.value) == error
+
+
+def test_constructor_takes_other_reals():
+    two = VariableSet(("X",), (2,))
+    assert JointDistribution(two, {(0,): Fraction(1, 4), (1,): Fraction(3, 4)}).support() == (
+        ((0,), 0.25), ((1,), 0.75))
+    assert JointDistribution(two, {(0,): 1, (1,): 0}).support() == (((0,), 1.0),)
+
+
+@pytest.mark.parametrize(
+    "p, error",
+    [
+        ('"0.5"', "pmf entry 0: mass is not a number"),
+        ("true", "pmf entry 0: mass is not a number"),
+        ("null", "pmf entry 0: mass is not a number"),
+        ("1" + "0" * 400, f"pmf entry 0: mass {10**400} is out of range"),
+        ("-0.5", "pmf entry 0: negative mass -0.5"),
+    ],
+    ids=["string", "bool", "null", "overflow", "negative"],
+)
+def test_json_mass_rule_messages(p, error):
+    doc = '{"variables": [{"name": "X", "cardinality": 2}], "pmf": [{"assignment": [0], "p": %s}]}'
+    with pytest.raises(InvalidDistribution) as err:
+        load_distribution(doc % p)
+    assert str(err.value) == error
 
 
 def test_duplicate_assignment_rejected():

@@ -306,6 +306,15 @@ def test_max_min_identity(values):
     assert abs(max(values) - max_via_min_expansion(values)) <= 1e-9
 
 
+@pytest.mark.parametrize("names", [[], ["a"], ["a", "b", "c"]], ids=["none", "fewer", "more"])
+def test_labels_need_one_name_per_variable(names):
+    two = enumerate_antichains(2)
+    with pytest.raises(ValueError, match=f"^expected 2 variable names, got {len(names)}$"):
+        two.labels(names)
+    with pytest.raises(ValueError, match="^expected 2 variable names"):
+        to_dot(two, names=names)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lattice_labels_are_the_node_labels(n):
     lattice = enumerate_antichains(n)
