@@ -243,51 +243,42 @@ def run_pie(seed: int, trials: int, tolerance: float) -> CheckReport:
     return _report("pie", seed, trials, tolerance, residuals)
 
 
-def _check_chain(bump: Bump, d, r, closed, recursive) -> None:
+def _mobius_point(d, r, bump: Bump) -> None:
+    """Every inversion law at one support point: both oracles, and the chain walk."""
+    lattice = enumerate_antichains(d.variables.n)
+    valuation = lattice_valuation(d, lattice, r)
+    closed = mobius_closed_form(valuation)
+    recursive = mobius_recursive(valuation)
+    bump("closed_equals_recursive", max(
+        abs(x - y) for x, y in zip(closed.partials, recursive.partials)
+    ))
+    bump("partials_nonnegative", -min(closed.partials))
+    top = valuation.values[lattice.index(lattice.top)]
+    bump("partials_sum_to_top", abs(closed.total() - top))
     chain = decompose_pointwise(d, r).partials
     for c, x, y in zip(chain, closed.partials, recursive.partials):
         bump("chain_equals_closed", abs(c - x))
         bump("chain_equals_closed", abs(c - y))
 
 
-def _mobius_trial(seed: int, t: int, bump: Bump) -> None:
+def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bump) -> None:
+    # the random trials first, then one tie-heavy support point per item
+    if t >= trials:
+        _mobius_point(*tail[t - trials], bump)
+        return
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 3)] * 2)
-    lattice = enumerate_antichains(n)
     for r, _ in d.support():
-        valuation = lattice_valuation(d, lattice, r)
-        closed = mobius_closed_form(valuation)
-        recursive = mobius_recursive(valuation)
-        bump("closed_equals_recursive", max(
-            abs(x - y) for x, y in zip(closed.partials, recursive.partials)
-        ))
-        bump("partials_nonnegative", -min(closed.partials))
-        top = valuation.values[lattice.index(lattice.top)]
-        bump("partials_sum_to_top", abs(closed.total() - top))
-        _check_chain(bump, d, r, closed, recursive)
-
-
-def _tie_heavy_point(d, r, bump: Bump) -> None:
-    lattice = enumerate_antichains(d.variables.n)
-    valuation = lattice_valuation(d, lattice, r)
-    _check_chain(bump, d, r, mobius_closed_form(valuation), mobius_recursive(valuation))
-
-
-def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bump) -> None:
-    # the random trials first, then one tie-heavy support point per item
-    if t < trials:
-        _mobius_trial(seed, t, bump)
-    else:
-        _tie_heavy_point(*tail[t - trials], bump)
+        _mobius_point(d, r, bump)
 
 
 def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
     """Closed-form and chain-walk inversion against the recursive oracle.
 
-    Random valuations feed every law.  The chain law also runs on the
-    tie-heavy families for n = 2..4, where surprisals tie and the chain
-    walk merges levels.
+    Every law runs at every point: each support point of a random
+    distribution, then each support point of the tie-heavy families for
+    n = 2..4, where surprisals tie and the chain walk merges levels.
     """
     laws = (
         "closed_equals_recursive",

@@ -252,12 +252,10 @@ def cmd_decompose(config: RunConfig, args) -> int:
         partials = decompose_expected(d, variables=variables)
         header = "expected decomposition"
 
-    rows = [
-        (label, config.unit(value), config.unit(partial))
-        for label, value, partial in decomposition_rows(partials.valuation, partials, names)
-    ]
+    rows = decomposition_rows(partials, names)
+    top_bits = rows[-1][1]  # the joint value: the top node comes last
+    rows = [(label, config.unit(value), config.unit(partial)) for label, value, partial in rows]
     total_bits = partials.total()
-    top_bits = partials.valuation.values[partials.lattice.index(partials.lattice.top)]
     total, top_value = config.unit(total_bits), config.unit(top_bits)
     residual = config.unit(abs(total_bits - top_bits))
 

@@ -276,11 +276,13 @@ def mi_decompose(
 
 
 def decomposition_rows(
-    valuation: LatticeValuation,
     partials: PartialValuation,
     names: Sequence[str],
 ) -> list[tuple[str, float, float]]:
-    """(label, value, increment) per node, bottom-up, for report rendering."""
-    lattice = valuation.lattice
-    labels, values, increments = lattice.labels(names), valuation.values, partials.partials
+    """(label, value, increment) per node, bottom-up, for report rendering.
+
+    The top node, the only one whose up-set holds a single source, comes last.
+    """
+    lattice, values, increments = partials.lattice, partials.valuation.values, partials.partials
+    labels = lattice.labels(names)
     return [(labels[i], values[i], increments[i]) for i in lattice._topo]

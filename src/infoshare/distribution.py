@@ -67,7 +67,10 @@ def _mass(value: object, where: str, at: object) -> float:
             raise TypeError
         p = float(value)
     except OverflowError:
-        reason = f"mass {value} is out of range"
+        try:
+            reason = f"mass {value} is out of range"
+        except ValueError:  # an int of more digits than `str` will write
+            reason = "mass is out of range"
     except (TypeError, ValueError):
         reason = "mass is not a number"
     else:

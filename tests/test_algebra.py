@@ -513,3 +513,19 @@ def test_coverage_is_decided_once_per_chain_mask(monkeypatch):
     met = {(n, mask) for n, chain in chains for mask, _ in chain}
     assert sorted(tested) == sorted(met)
     assert len(tested) < sum(len(chain) for _, chain in chains)
+
+
+_FUZZ_THREE = random_distribution(trial_rng(179, 0), [2, 3, 2], sparsity=0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["x", "y", "z", "w", "cup", "cap", "minus", "oplus",
+                                 "(", ")", ",", "(x,y)"]), max_size=16),
+       st.sampled_from(["", " "]))
+def test_any_expression_has_a_value_or_is_refused(tokens, separator):
+    # `w` names no variable; without a separator, names and operators run together
+    try:
+        value = expected(_FUZZ_THREE, compile_expression(_FUZZ_THREE, separator.join(tokens)))
+    except ValueError:  # ExpressionError too
+        return
+    assert isinstance(value, float) and math.isfinite(value)

@@ -1,6 +1,8 @@
 """The `check` trial driver: block invariance, failures and child cleanup;
-and the props suite's node-index tables."""
+the points and laws of the mobius suite; recorded digests of the reports
+the benchmark does not pin; and the props suite's node-index tables."""
 
+import hashlib
 import json
 import os
 import random
@@ -79,14 +81,66 @@ def test_reports_do_not_depend_on_the_block_count(monkeypatch, forks, suite, see
 
 def test_mobius_checks_every_tie_heavy_point_once(monkeypatch):
     seen = []
-    monkeypatch.setattr(checks, "_tie_heavy_point", lambda d, r, bump: seen.append((d, r)))
+    monkeypatch.setattr(checks, "_mobius_point", lambda d, r, bump: seen.append((d, r)))
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    checks.run_suite("mobius", 0, 3, 1e-9)
+    checks.run_suite("mobius", 0, 0, 1e-9)
 
     def key(points):
         return [(d.variables, d.support(), r) for d, r in points]
 
     assert key(seen) == key(TIE_HEAVY_POINTS)
+
+
+def test_mobius_runs_every_law_on_the_tie_heavy_points(monkeypatch):
+    # no random trial: every law name the bump sees comes from a tie-heavy point
+    names = set()
+    real = checks._bumper
+
+    def bumper(residuals):
+        bump = real(residuals)
+
+        def recorded(name, value):
+            names.add(name)
+            bump(name, value)
+        return recorded
+
+    monkeypatch.setattr(checks, "_bumper", bumper)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    report = checks.run_suite("mobius", 0, 0, 1e-9)
+    assert names == {line.name for line in report.lines} == {
+        "closed_equals_recursive", "partials_nonnegative", "partials_sum_to_top",
+        "chain_equals_closed"}
+    assert report.passed
+
+
+# sha256 of `check` output at 40 trials, by (suite, seed, format); `props` is
+# pinned by the benchmark's reference digests
+CHECK_DIGESTS = {
+    ("mobius", 0, "text"): "da16c485e475d2d50832512e848154abe1fb2718ae21c5cdce784fb5143f7c95",
+    ("mobius", 0, "structured"):
+        "5dbd492ac3f23ae0208ab193cacf703c4b61238ced461c2f2637af847908c558",
+    ("mobius", 7, "text"): "168fade29672d3da8d83a51802399250e8f82366908fabd59d8d217647e14cb9",
+    ("mobius", 7, "structured"):
+        "21217bac4e891ce4272cc268681224bb3eb124a9d1ddda5c95366af30f72aa83",
+    ("lemmas", 0, "text"): "42cfd1432cc3aa8434d52883dea2748132cf4a6f035760526b849f6766e2abc2",
+    ("lemmas", 0, "structured"):
+        "b678ea326437eeac3bd7db64ae86aaca96c1b477c5fd9288be234b8036d9db74",
+    ("lemmas", 7, "text"): "3fb23d9bd51eeadabab2e86c5c934defc9bbf8fe173d20cdd825cc58d353301b",
+    ("lemmas", 7, "structured"):
+        "326bd10a8e7faaa35848294b31a459fb932336e6289f981c4f9ab31d97bc54b6",
+    ("pie", 0, "text"): "0ba583178e89916603de03c9d24cfd027c3995e97686263f4866caaf0c2b3ea7",
+    ("pie", 0, "structured"): "f76eb50771fae448b36db4106a0a625c6290bb51c7342462f809a1dd9326764b",
+    ("pie", 7, "text"): "3834ed086ebe8d8ffb9785b4c84a58a28ec53edd3b27db3e16b26e9f93575311",
+    ("pie", 7, "structured"): "f285d0114a95f6bfa3efbf2b23370b7d35bc67d91fbb706f66814416a2200496",
+}
+
+
+@pytest.mark.parametrize("suite, seed, fmt", CHECK_DIGESTS)
+def test_check_output_matches_its_recorded_digest(capsys, suite, seed, fmt):
+    argv = ["--seed", str(seed), "--trials", "40", "--format", fmt, "check", "--suite", suite]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_DIGESTS[suite, seed, fmt]
 
 
 def test_cli_output_does_not_depend_on_the_block_count(monkeypatch, capsys):

@@ -618,13 +618,15 @@ def test_production_paths_never_normalize(tmp_path, monkeypatch, capsys):
 
 def test_n5_decompositions_build_no_node_objects(tmp_path, monkeypatch, capsys):
     # The n = 5 lattice, its values and its report stay in node-index space:
-    # no `Antichain` is hashed or labelled, and the node tuple is never built.
+    # no `Antichain` is hashed or labelled, the node tuple is never built,
+    # and no node is looked up: the joint value is the last row's.
     def refuse(*args):
         raise AssertionError("node object used on the n = 5 path")
 
     monkeypatch.setattr(Antichain, "__hash__", refuse)
     monkeypatch.setattr(Antichain, "label", refuse)
     monkeypatch.setattr(RedundancyLattice, "nodes", property(refuse))
+    monkeypatch.setattr(RedundancyLattice, "index", refuse)
     enumerate_antichains.cache_clear()  # build the lattice under the patches too
     d = random_distribution(trial_rng(74, 0), [2] * 5, sparsity=0.75)
     n5 = tmp_path / "n5.json"

@@ -406,10 +406,11 @@ def test_decomposition_rows_order_and_shape():
     lattice = enumerate_antichains(3)
     valuation = lattice_valuation(d, lattice, (0, 0, 0))
     partials = mobius_closed_form(valuation)
-    rows = decomposition_rows(valuation, partials, d.variables.names)
+    rows = decomposition_rows(partials, d.variables.names)
     assert len(rows) == 18
     assert rows[0][0] == "{X}{Y}{Z}"
     assert rows[-1][0] == "{X,Y,Z}"
+    assert rows[-1][1] == valuation.values[lattice.index(lattice.top)]
     assert rows[0][1] == pytest.approx(1.0)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -6,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoshare import (
     InvalidDistribution,
@@ -95,8 +98,13 @@ def test_mass_sum_beyond_the_float_range_rejected(build):
         (None, "mass is not a number for assignment (0,)"),
         (10**400, f"mass {10**400} is out of range for assignment (0,)"),
         (-0.5, "negative mass -0.5 for assignment (0,)"),
+        # too many digits for str(): the reason leaves the number out
+        (10**5000, "mass is out of range for assignment (0,)"),
+        (-10**5000, "mass is out of range for assignment (0,)"),
+        (Fraction(10**5000), "mass is out of range for assignment (0,)"),
     ],
-    ids=["str", "bytes", "bool", "none", "overflow", "negative"],
+    ids=["str", "bytes", "bool", "none", "overflow", "negative",
+         "unprintable", "unprintable-negative", "unprintable-fraction"],
 )
 def test_constructor_mass_rule(mass, error):
     # float() reads text and bool and overflows on a huge int; none of them is a mass
@@ -466,3 +474,63 @@ def test_json_accepts_integer_masses():
         ' "pmf": [{"assignment": [0], "p": 1}, {"assignment": [1], "p": 0}]}'
     )
     assert d.support() == (((0,), 1.0),)
+
+
+# Pieces of JSON and CSV documents: punctuation, digits, the document keys,
+# literals `json` reads as numbers, a byte-order mark, non-ASCII digits, a
+# huge cardinality and whole valid fragments to reach the later checks.
+_DOCUMENT_PIECES = [
+    *"{}[]:,\"-+.eE_ \n\r\t", *"0123456789",
+    '"variables"', '"pmf"', '"name"', '"cardinality"', '"assignment"', '"p"',
+    "X", "Y", "p", "X,p\n", "true", "NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 30,
+    "\ufeff", "\u0663", "\u0967", "\uff11", "\U0001d7d9",
+    '{"variables": [{"name": "X", "cardinality": 2}], "pmf": [',
+    '{"assignment": [0], "p": 0.5}', "0,0.5\n", "1,0.5\n",
+]
+
+
+def _loads_or_refuses(text: str, fmt) -> None:
+    try:
+        load_distribution(text, fmt)
+    except InvalidDistribution:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_DOCUMENT_PIECES), max_size=40).map("".join),
+       st.sampled_from([None, "json", "csv"]))
+def test_any_text_loads_or_is_an_invalid_distribution(text, fmt):
+    _loads_or_refuses(text, fmt)
+
+
+_VALID_DOCUMENT = {
+    "variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 3}],
+    "pmf": [{"assignment": [0, 1], "p": 0.5}, {"assignment": [1, 2], "p": 0.5}],
+}
+# every field of the document, as the path of keys and indices that reaches it
+_FIELDS = [
+    ("variables",), ("variables", 0), ("variables", 1, "name"), ("variables", 0, "cardinality"),
+    ("pmf",), ("pmf", 1), ("pmf", 0, "assignment"), ("pmf", 0, "assignment", 1),
+    ("pmf", 1, "p"),
+]
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**20),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(-2, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["name", "p", "x"]), st.integers(-1, 2), max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_FIELDS), st.one_of(_JSON_VALUES, st.just(KeyError)),
+       st.sampled_from([None, "json"]))
+def test_a_document_with_a_wrong_field_loads_or_is_an_invalid_distribution(path, value, fmt):
+    doc = copy.deepcopy(_VALID_DOCUMENT)
+    *outer, last = path
+    field = doc
+    for key in outer:
+        field = field[key]
+    if value is KeyError:  # the field left out
+        del field[last]
+    else:
+        field[last] = value
+    _loads_or_refuses(json.dumps(doc), fmt)
