@@ -253,7 +253,7 @@ def _mobius_point(d, r, bump: Bump) -> None:
         abs(x - y) for x, y in zip(closed.partials, recursive.partials)
     ))
     bump("partials_nonnegative", -min(closed.partials))
-    top = valuation.values[lattice.index(lattice.top)]
+    top = valuation.values[lattice._topo[-1]]  # the top node comes last bottom-up
     bump("partials_sum_to_top", abs(closed.total() - top))
     chain = decompose_pointwise(d, r).partials
     for c, x, y in zip(chain, closed.partials, recursive.partials):

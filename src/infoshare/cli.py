@@ -14,10 +14,12 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import checks
 from .algebra import ExpressionError, compile_expression, parse_expression
 from .decomposition import (
+    MutualDecomposition,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
@@ -94,10 +96,10 @@ def _source_label(d: JointDistribution, source) -> str:
     return "{" + ",".join(names[i] for i in sorted(source)) + "}"
 
 
-def _emit(config: RunConfig, text_lines: list[str], structured: dict) -> None:
+def _emit(config: RunConfig, text_lines: list[str], structured: Callable[[], dict]) -> None:
     if config.structured:
         import json
-        print(json.dumps(structured, indent=2))
+        print(json.dumps(structured(), indent=2))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
@@ -119,7 +121,7 @@ def cmd_validate(config: RunConfig, args) -> int:
     _emit(
         config,
         [f"ok: {n} variables, {k} support points"],
-        {"ok": True, "variables": n, "support_points": k},
+        lambda: {"ok": True, "variables": n, "support_points": k},
     )
     return 0
 
@@ -129,31 +131,27 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     r = _parse_realization(args.realization)
     sources = [_parse_source(d, s) for s in args.sources]
     given = _parse_source(d, args.given) if args.given is not None else None
-    suffix = f"|{_source_label(d, given)}" if given else ""
     # every row from one table: each source's surprisal and the joint one
     whole = frozenset().union(*sources)
     *h, joint = surprisal_table(d, [*sources, whole], given)(r)
-    rows = [(f"h{_source_label(d, s)}{suffix}", value) for s, value in zip(sources, h)]
-    residual = None
-    if len(sources) >= 2:
-        union = max(h)
-        synergy = joint - union
-        rows.append((f"union{suffix}", union))
-        rows.append((f"intersection{suffix}", min(h)))
-        rows.append((f"synergy{suffix}", synergy))
+    rows = [(f"h{_source_label(d, s)}", value) for s, value in zip(sources, h)]
+    residual = None  # only two sources have parts that must add up
     if len(sources) == 2:
         a, b = sources
         if a & b:  # mutual content needs disjoint sources, as in `mutual_content`
             raise ValueError("sources overlap")
         la, lb = _source_label(d, a), _source_label(d, b)
-        _, unique_a, unique_b, _, _, _, mutual = pair_contents(*h, joint)
-        rows.append((f"unique {la} over {lb}{suffix}", unique_a))
-        rows.append((f"unique {lb} over {la}{suffix}", unique_b))
-        rows.append((f"mutual{suffix}", mutual))
+        pair = MutualDecomposition(*pair_contents(*h, joint))
+        rows += [("union", pair.union), ("intersection", pair.intersection),
+                 ("synergy", pair.synergy), (f"unique {la} over {lb}", pair.unique_first),
+                 (f"unique {lb} over {la}", pair.unique_second), ("mutual", pair.coinformation)]
+        residual = config.unit(abs(joint - pair.parts_sum()))  # as `decompose --target`
+    elif len(sources) > 2:
+        rows += [("union", max(h)), ("intersection", min(h)), ("synergy", joint - max(h))]
     if len(sources) >= 2:
-        rows.append((f"h{_source_label(d, whole)}{suffix}", joint))
-        residual = config.unit(abs(joint - union - synergy))
-    rows = [(label, config.unit(value)) for label, value in rows]
+        rows.append((f"h{_source_label(d, whole)}", joint))
+    suffix = f"|{_source_label(d, given)}" if given else ""
+    rows = [(label + suffix, config.unit(value)) for label, value in rows]
 
     width = max(len(label) for label, _ in rows)
     lines = [f"pointwise measures at ({args.realization})"]
@@ -163,7 +161,7 @@ def cmd_pointwise(config: RunConfig, args) -> int:
     _emit(
         config,
         lines,
-        {
+        lambda: {
             "realization": list(r),
             "measures": [{"name": label, "value": value} for label, value in rows],
             "residual": residual,
@@ -210,7 +208,7 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     _emit(
         config,
         lines,
-        {
+        lambda: {
             "mode": args.mode,
             "rows": [{"name": n, "value": v} for n, v in rows],
             "sum_of_parts": parts_sum,
@@ -235,6 +233,8 @@ def cmd_decompose(config: RunConfig, args) -> int:
     if args.target is not None or args.predictors is not None:
         if args.target is None or args.predictors is None:
             raise ValueError("--target and --predictors must be given together")
+        if args.variables is not None:
+            raise ValueError("--variables does not apply with --target and --predictors")
         return _decompose_target(config, args, d)
 
     variables = None
@@ -269,7 +269,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
     _emit(
         config,
         lines,
-        {
+        lambda: {
             "mode": args.mode,
             "rows": [
                 {"node": label, "value": value, "partial": partial}
@@ -292,7 +292,7 @@ def cmd_lattice(config: RunConfig, args) -> int:
         Path(args.out).write_text(dot, encoding="utf-8")
         _emit(config,
               [f"wrote {args.kind} lattice for n={args.n} ({len(lattice)} nodes) to {args.out}"],
-              {"kind": args.kind, "n": args.n, "nodes": len(lattice), "out": args.out})
+              lambda: {"kind": args.kind, "n": args.n, "nodes": len(lattice), "out": args.out})
     return 0
 
 
@@ -314,14 +314,14 @@ def cmd_eval(config: RunConfig, args) -> int:
     _emit(
         config,
         [f"{args.expression} [{mode}] = {_fmt(value)}"],
-        {"expression": args.expression, "mode": mode, "value": value},
+        lambda: {"expression": args.expression, "mode": mode, "value": value},
     )
     return 0
 
 
 def cmd_check(config: RunConfig, args) -> int:
     report = checks.run_suite(args.suite, config.seed, config.trials, config.tolerance)
-    _emit(config, report.to_text().splitlines(), report.to_json())
+    _emit(config, report.to_text().splitlines(), report.to_json)
     return 0 if report.passed else 1
 
 

@@ -224,12 +224,12 @@ def expected_valuation(
 
 
 class MutualDecomposition(Record):
-    """The five shared-information readings of a mutual information content.
+    """The seven two-source readings, in the field order of `pair_contents`.
 
-    Every field is an unconditioned value minus its conditioned-on-target
-    counterpart; all of them are signed.  `joint` is the mutual content of
-    the combined predictors and equals the sum of intersection, the two
-    uniques and synergy; `coinformation` equals intersection minus synergy.
+    Plain readings at one point, as `pointwise` prints them, or, from
+    `mi_decompose`, each plain value minus its conditioned-on-target one, signed.
+    Either way `joint` (the joint content) equals intersection plus both
+    uniques plus synergy, and `coinformation` is intersection minus synergy.
     """
 
     __slots__ = ("union", "unique_first", "unique_second", "intersection", "synergy",

@@ -153,8 +153,8 @@ def mutual_content(d: JointDistribution, first, second, realization, given=None)
 
 def pair_contents(h_a: float, h_b: float, h_ab: float) -> tuple[float, ...]:
     """Union, unique to a, unique to b, intersection, synergy, joint and mutual
-    content of two sources, from their surprisals and their joint one, with
-    the float operations of the measures above."""
+    content of two sources, in `MutualDecomposition`'s field order, from their
+    surprisals and joint one, with the float operations of the measures above."""
     union = max(h_a, h_b)
     return (union, max(h_a - h_b, 0.0), max(h_b - h_a, 0.0), min(h_a, h_b),
             h_ab - union, h_ab, h_a + h_b - h_ab)

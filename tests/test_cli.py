@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -325,6 +326,45 @@ def test_pointwise_conditional(xor3_file, capsys):
     }
     assert values["synergy|{Z}"] == pytest.approx(0.0)
     assert values["mutual|{Z}"] == pytest.approx(1.0)
+
+
+def test_decompose_target_refuses_a_variable_subset(xor3_file, capsys):
+    argv = ["decompose", xor3_file, "--target", "Z", "--predictors", "X,Y", "--variables", "X"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --variables does not apply with --target and --predictors\n"
+
+
+def test_pointwise_footer_checks_the_parts_it_prints(tmp_path, monkeypatch, capsys):
+    # a unique read in the wrong direction breaks intersection + uniques +
+    # synergy = joint, and the two-source footer must say so
+    from infoshare.measures import pair_contents
+
+    def wrong_way(h_a, h_b, h_ab):
+        union, _, *rest = pair_contents(h_a, h_b, h_ab)
+        return (union, max(h_b - h_a, 0.0), *rest)
+
+    monkeypatch.setattr("infoshare.cli.pair_contents", wrong_way)
+    d = random_distribution(trial_rng(2024, 0), [2, 3, 2], sparsity=0.0)
+    argv = ["pointwise", str(_dist_file(tmp_path, d)), "--realization", "1,2,0",
+            "--sources", "X", "Y"]
+    assert main(["--format", "structured", *argv]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    h = {m["name"]: m["value"] for m in doc["measures"]}
+    assert h["h{X}"] != h["h{Y}"]
+    assert doc["residual"] > 1e-9
+
+
+@pytest.mark.parametrize("sources", [["X,Y"], ["X", "Y", "Z"]])
+def test_pointwise_without_two_sources_prints_no_residual(xor3_file, capsys, sources):
+    # no parts identity to check: nothing can fail, even at a tiny tolerance
+    argv = ["--tol", "1e-300", "pointwise", xor3_file, "--realization", "0,1,1",
+            "--sources", *sources]
+    assert main(argv) == 0
+    assert "residual" not in capsys.readouterr().out
+    assert main(["--format", "structured", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["residual"] is None
 
 
 def test_lattice_export(tmp_path, capsys):
@@ -809,3 +849,59 @@ def test_cli_imports_only_the_standard_library():
     # start-up stays lean: no `dataclasses` (with the `inspect` chain it
     # pulls in), and the format libraries load only when a command uses them
     assert not loaded & {"dataclasses", "inspect", "csv", "json"}, sorted(loaded)
+
+
+def _dist_file(tmp_path, d) -> Path:
+    doc = {
+        "variables": [{"name": n, "cardinality": c}
+                      for n, c in zip(("X", "Y", "Z"), d.variables.cardinalities)],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in d.support()],
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# sha256 of stdout for reports the benchmark's reference digests leave out;
+# "{f}" is a random 2x3x2 distribution, "{n5}" the n5-expected input at seed 0
+_STRUCTURED = ("--format", "structured")
+_TARGET = ("decompose", "{f}", "--target", "Z", "--predictors", "X,Y")
+_TARGET_AT = (*_TARGET, "--mode", "pointwise", "--realization", "1,2,0")
+_ONE_SOURCE = ("pointwise", "{f}", "--realization", "1,2,0", "--sources", "X,Y")
+REPORT_DIGESTS = {
+    (*_STRUCTURED, "--allow-n5", "decompose", "{n5}", "--mode", "expected"):
+        "c98224fa53adb6ca1e7be86975736d015c60f7194ae9193f748d8f527b635a6f",
+    _TARGET:
+        "9b24e98af06929604ba8c21cdd7554bf5d968dd113820a39d8dc04113f0b76f5",
+    (*_STRUCTURED, *_TARGET):
+        "dd3e2a68ba06d2e8b39e135a4674b24b7b81493b9191a49360955ec6dd11e452",
+    _TARGET_AT:
+        "9b8d1d525d408268b8dd4a646369a9050eac95a14000eabdf521a99bda2cf9ee",
+    (*_STRUCTURED, *_TARGET_AT):
+        "5612906171d3b5d39241e1d2cd9a4774b536ebf55e249286d1329a7b784050de",
+    (*_STRUCTURED, "eval", "{f}", "X oplus Y", "--about", "Z"):
+        "0d1674d681fe66fe3f5e663b1644a2e6365aab165dfb88c0569a6fff22e40542",
+    (*_STRUCTURED, "validate", "{f}"):
+        "eaeca6a8dcd9d53444a59cf8fc56a2e9d8eb32f874a7af79327291acfcd700af",
+    (*_STRUCTURED, "lattice", "--n", "3", "--out", "lattice.dot"):
+        "1628c9e1c5de85fd08b8a80e8a3b51151e5ad3ff90b16718d26691e9d62e1bbc",
+    _ONE_SOURCE:
+        "e4058aa05e759220cda1bf0b9e06f651fd12d01afa4475a177207337d3de7b3e",
+    (*_STRUCTURED, *_ONE_SOURCE):
+        "14b5d9c789a1802a057cfa7d9d6dcd4214c67fa137c0f3770a5e1a0139a203b1",
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=" ".join)
+def test_report_matches_its_recorded_digest(argv, tmp_path, monkeypatch, capsys):
+    from test_bench_reference import WORKLOADS
+
+    monkeypatch.chdir(tmp_path)  # `lattice --out` confirms a relative path
+    paths = {
+        "f": _dist_file(tmp_path, random_distribution(trial_rng(2024, 0), [2, 3, 2],
+                                                      sparsity=0.0)),
+        "n5": WORKLOADS.make("n5-expected", 0, tmp_path).argv[2],
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[argv]
