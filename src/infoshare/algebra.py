@@ -366,10 +366,9 @@ def _covered(text: str) -> frozenset[int]:
     return frozenset(filter(_compile(expr, range(3)), enumerate_antichains(3).upsets))
 
 
-def _covered_sum(d: JointDistribution, r: Sequence[int]) -> Callable[[frozenset[int]], float]:
+def _covered_sum(chain: list[tuple[int, float]]) -> Callable[[frozenset[int]], float]:
     """The sum of the increments a mask set covers on the chain of a three-variable
-    realization, which is read once (`chain_levels` of the seven source surprisals)."""
-    chain = chain_levels(surprisal_table(d, enumerate_sources(3))(r))
+    realization (`chain_levels` of its seven source surprisals)."""
     return lambda masks: math.fsum(inc for mask, inc in chain if mask in masks)
 
 
@@ -377,7 +376,13 @@ def lemma_suite(d: JointDistribution, realization: Sequence[int]) -> list[LemmaR
     """Evaluate both sides of the nine sharing identities at a realization."""
     if d.variables.n != 3:
         raise ValueError("the lemma suite needs exactly three variables")
-    total = _covered_sum(d, realization)
+    return _lemma_results(chain_levels(surprisal_table(d, enumerate_sources(3))(realization)))
+
+
+def _lemma_results(chain: list[tuple[int, float]]) -> list[LemmaResult]:
+    """The nine identities on one realization's chain; `check --suite lemmas`
+    reads each point's chain from one table per distribution."""
+    total = _covered_sum(chain)
     results = []
     for label, lhs_text, rhs_texts in _LEMMAS:
         lhs = total(_covered(lhs_text))
@@ -418,6 +423,6 @@ def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[
         raise ValueError("trivariate report needs exactly three variables")
     if d.marginal_mass(range(3), realization) <= 0.0:
         raise ZeroMass("realization outside the support of the selected variables")
-    total = _covered_sum(d, realization)
+    total = _covered_sum(chain_levels(surprisal_table(d, enumerate_sources(3))(realization)))
     x, y, z = d.variables.names
     return {text.format(x=x, y=y, z=z): total(_covered(text)) for text in _TRIVARIATE_TERMS}

@@ -21,8 +21,9 @@ import os
 from functools import partial
 from typing import Callable, Sequence
 
-from .algebra import lemma_suite
+from .algebra import _lemma_results
 from .decomposition import (
+    chain_levels,
     decompose_pointwise,
     lattice_valuation,
     mobius_closed_form,
@@ -31,6 +32,7 @@ from .decomposition import (
 from .lattice import (
     RedundancyLattice,
     enumerate_antichains,
+    enumerate_sources,
     eval_sharing,
     max_via_min_expansion,
     sharing_join,
@@ -295,8 +297,9 @@ def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
 
 def _lemmas_trial(seed: int, t: int, bump: Bump) -> None:
     d = random_distribution(trial_rng(seed, t), [2, 2, 2])
+    table = surprisal_table(d, enumerate_sources(3))  # one table for every point
     for r, _ in d.support():
-        for result in lemma_suite(d, r):
+        for result in _lemma_results(chain_levels(table(r))):
             bump(result.name, result.residual)
 
 

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, pointwise, decompose, lattice, eval, check.
-Global flags select the log base, tolerance, seed, trial count, the n=5
-override, and text versus structured (JSON) output; they are accepted
-before or after the subcommand.  The library works in bits; each
-reported figure is converted to the `--base` unit here, and `check`
-stays unit-free.
+Global flags select the log base, tolerance, seed, trial count, and text
+versus structured (JSON) output; they are accepted before or after the
+subcommand.  `--allow-n5` has no effect: every command takes the 1 to 5
+variables the library does.  The library works in bits; each reported
+figure is converted to the `--base` unit here, and `check` stays unit-free.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .decomposition import (
 )
 from .distribution import (InvalidDistribution, JointDistribution, ZeroMass, _ascii_number,
                            load_file)
-from .lattice import MAX_N, enumerate_antichains, to_dot
+from .lattice import enumerate_antichains, to_dot
 from .measures import expected, pair_contents, surprisal_table
 from .record import Record
 
@@ -37,7 +37,7 @@ _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 class RunConfig(Record):
     """Global run options shared by every subcommand."""
 
-    __slots__ = ("base", "tolerance", "seed", "trials", "allow_n5", "structured")
+    __slots__ = ("base", "tolerance", "seed", "trials", "structured")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -218,16 +218,6 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     return 0 if residual <= config.tolerance else 1
 
 
-def _check_lattice_size(config: RunConfig, n: int) -> int:
-    """n, if the command may build the lattice of n variables: the 7,579
-    nodes of n = 5 need `--allow-n5`."""
-    limit = MAX_N if config.allow_n5 else MAX_N - 1
-    if not 1 <= n <= limit:
-        hint = " (n = 5 needs the explicit override)" if n == MAX_N and not config.allow_n5 else ""
-        raise ValueError(f"variable count {n} outside supported range 1..{limit}{hint}")
-    return n
-
-
 def cmd_decompose(config: RunConfig, args) -> int:
     d = load_file(args.file)
     if args.target is not None or args.predictors is not None:
@@ -237,14 +227,12 @@ def cmd_decompose(config: RunConfig, args) -> int:
             raise ValueError("--variables does not apply with --target and --predictors")
         return _decompose_target(config, args, d)
 
-    variables = None
+    variables, names = None, d.variables.names
     if args.variables is not None:
         variables = [d.variables.index(n.strip()) for n in args.variables.split(",")]
-    selected = variables if variables is not None else list(range(d.variables.n))
-    names = tuple(d.variables.names[i] for i in selected)
+        names = tuple(names[i] for i in variables)
 
     r = _mode_realization(args)
-    _check_lattice_size(config, len(selected))
     if r is not None:
         partials = decompose_pointwise(d, r, variables=variables)
         header = f"pointwise decomposition at ({args.realization})"
@@ -259,7 +247,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
     total, top_value = config.unit(total_bits), config.unit(top_bits)
     residual = config.unit(abs(total_bits - top_bits))
 
-    label_width = max(len(label) for label, _, _ in rows)
+    label_width = max(len("sum of partials"), *(len(label) for label, _, _ in rows))
     lines = [header, f"{'node'.ljust(label_width)}  {'value'.rjust(12)}  {'partial'.rjust(12)}"]
     for label, value, partial in rows:
         lines.append(f"{label.ljust(label_width)}  {_fmt(value).rjust(12)}  {_fmt(partial).rjust(12)}")
@@ -284,7 +272,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
 
 
 def cmd_lattice(config: RunConfig, args) -> int:
-    lattice = enumerate_antichains(_check_lattice_size(config, args.n))
+    lattice = enumerate_antichains(args.n)
     dot = to_dot(lattice, kind=args.kind)
     if args.out == "-":
         sys.stdout.write(dot)
@@ -340,7 +328,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
     parser.add_argument("--trials", type=_flag_number(int), default=default(1000),
                         help="trial count for randomized suites")
     parser.add_argument("--allow-n5", action="store_true", default=default(False),
-                        help="permit five-variable lattices (7579 nodes)")
+                        help="no effect: every command takes 1 to 5 variables")
     parser.add_argument("--format", choices=("text", "structured"), default=default("text"),
                         dest="fmt", help="output format")
 
@@ -412,7 +400,6 @@ def main(argv=None) -> int:
             tolerance=args.tol,
             seed=args.seed,
             trials=args.trials,
-            allow_n5=args.allow_n5,
             structured=args.fmt == "structured",
         )
         return args.func(config, args)

@@ -18,11 +18,10 @@ three-variable term of `trivariate_report`, covers.  A node's value
 is the lesser of its parent's (the node without its last member) and its
 last member's surprisal.  One walk sums both, weighted, over
 (realization, weight) points: the support for `decompose_expected`, one
-point of weight 1.0 for `decompose_pointwise`, whose surprisals may be
-conditioned on a `given` source.  Two oracles are kept for the tests and
-the `check` suite: the recursive form subtracts the increments of
-everything strictly below a node, and the closed form subtracts the
-largest value among the covered nodes; their valuation
+point of weight 1.0 for `decompose_pointwise`.  Two oracles are kept for
+the tests and the `check` suite: the recursive form subtracts the
+increments of everything strictly below a node, and the closed form
+subtracts the largest value among the covered nodes; their valuation
 (`lattice_valuation`) takes the least surprisal over each node's
 members.  The chain walk makes the same float subtractions as the closed
 form, so it matches it exactly and the recursive form within rounding.
@@ -185,20 +184,18 @@ def decompose_pointwise(
     d: JointDistribution,
     realization: Sequence[int],
     variables: Sequence[int] | None = None,
-    given: Iterable[int] | None = None,
 ) -> PartialValuation:
     """Node values and increments at one support realization, by the chain walk.
 
     The lattice spans `variables` (all of them by default), mapped to
     distribution variable indices as in `lattice_valuation`.  Its 2^n - 1
-    source surprisals, conditioned on `given` if set, are read once, and
-    `chain_levels` gives the increments.
+    source surprisals are read once, and `chain_levels` gives the increments.
     """
     sel = _selected(d, variables)
     if d.marginal_mass(sel, realization) <= 0.0:
         raise ZeroMass("realization outside the support of the selected variables")
     lattice = enumerate_antichains(len(sel))
-    return _walk(lattice, surprisal_table(d, sources_of(sel), given), [(realization, 1.0)])
+    return _walk(lattice, surprisal_table(d, sources_of(sel)), [(realization, 1.0)])
 
 
 def decompose_expected(

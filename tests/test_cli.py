@@ -20,6 +20,7 @@ from infoshare import (
     mobius_closed_form,
     parse_expression,
     checks,
+    to_dot,
     trivariate_report,
 )
 from infoshare.cli import main
@@ -391,20 +392,22 @@ def test_lattice_export_confirmation_follows_the_format(tmp_path, capsys):
     assert capsys.readouterr().out == dot
 
 
-def test_lattice_n5_needs_override(capsys):
-    assert main(["lattice", "--n", "5"]) == 2
-    assert "override" in capsys.readouterr().err
+def test_lattice_n5_needs_no_override(capsys):
+    # `--allow-n5` is parsed and changes nothing
+    assert main(["lattice", "--n", "5"]) == 0
+    dot = capsys.readouterr().out
+    assert main(["--allow-n5", "lattice", "--n", "5"]) == 0
+    assert capsys.readouterr().out == dot == to_dot(enumerate_antichains(5), kind="redundancy")
 
 
-@pytest.mark.parametrize("flags, limit", [([], 4), (["--allow-n5"], 5)])
-def test_n6_gets_no_override_hint(tmp_path, capsys, flags, limit):
-    # the override cannot help beyond n = 5, so the message does not offer it
-    error = f"error: variable count 6 outside supported range 1..{limit}\n"
-    assert main([*flags, "lattice", "--n", "6"]) == 2
-    assert capsys.readouterr().err == error
+@pytest.mark.parametrize("flags", [[], ["--allow-n5"]])
+def test_n_outside_1_to_5_is_refused_in_both_flag_states(tmp_path, capsys, flags):
     path, _ = _binary_file(tmp_path, 6)
-    assert main([*flags, "decompose", path, "--mode", "expected"]) == 2
-    assert capsys.readouterr().err == error
+    for argv, n in ((["lattice", "--n", "0"], 0), (["lattice", "--n", "6"], 6),
+                    (["decompose", path, "--mode", "expected"], 6)):
+        assert main([*flags, *argv]) == 2
+        error = capsys.readouterr().err
+        assert error == f"error: variable count {n} outside supported range 1..5\n"
 
 
 def _binary_file(tmp_path, n):
@@ -418,19 +421,30 @@ def _binary_file(tmp_path, n):
 
 
 @pytest.mark.parametrize("n, flags", [(5, []), (6, ["--variables", "x1,x2,x3,x5,x6"])])
-def test_decompose_n5_needs_override(tmp_path, capsys, n, flags):
-    # The gate is the CLI's: the library builds n = 5 without one.
+def test_decompose_n5_needs_no_override(tmp_path, capsys, n, flags):
+    # Five variables run as the library builds them; the flagged argv has the
+    # benchmark's shape, `--allow-n5 decompose F --mode expected`.
     path, d = _binary_file(tmp_path, n)
     r = ",".join(map(str, d.support()[0][0]))
     for mode in (["--mode", "expected"], ["--mode", "pointwise", "--realization", r]):
-        assert main(["decompose", path, *flags, *mode]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: variable count 5 outside supported range 1..4 "
-                                "(n = 5 needs the explicit override)\n")
-        assert main(["--allow-n5", "decompose", path, *flags, *mode]) == 0
+        assert main(["decompose", path, *flags, *mode]) == 0
+        out = capsys.readouterr().out
         # a header, 7,579 node rows and a three-line footer
-        assert len(capsys.readouterr().out.splitlines()) == 2 + 7579 + 3
+        assert len(out.splitlines()) == 2 + 7579 + 3
+        assert main(["--allow-n5", "decompose", path, *flags, *mode]) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_decompose_footer_lines_up_with_the_value_column(xor3_file, capsys):
+    # At n <= 2 every node label is shorter than "sum of partials".
+    assert main(["decompose", xor3_file, "--variables", "X,Y", "--mode", "pointwise",
+                 "--realization", "0,0,0"]) == 0
+    _, header, *rows, total, joint, residual = capsys.readouterr().out.splitlines()
+    value_end = header.index("value") + len("value")
+    for line in (*rows, total, joint):
+        assert re.search(r"\d\.\d{9}", line).end() == value_end, line
+    assert total.startswith("sum of partials  ") and joint.startswith("joint value  ")
+    assert re.search(r"\d\.\d{9}e", residual).start() == value_end - 12
 
 
 P3_JSON = """

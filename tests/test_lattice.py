@@ -76,13 +76,13 @@ def test_node_count_n4():
     assert brute_force_antichains(4) == 166
 
 
-def test_n5_needs_override(capsys):
-    # The library builds every n in 1..5; the n = 5 override is the CLI's.
+def test_the_library_bound_is_the_only_bound(capsys):
+    # The library builds every n in 1..5, and the CLI reports its refusal as is.
     assert len(enumerate_antichains(5)) == 7579
-    with pytest.raises(ValueError, match="outside supported range 1..5"):
+    with pytest.raises(ValueError, match="outside supported range 1..5") as refused:
         enumerate_antichains(6)
-    assert main(["lattice", "--n", "5"]) == 2
-    assert "override" in capsys.readouterr().err
+    assert main(["lattice", "--n", "6"]) == 2
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 def test_one_lattice_per_n():

@@ -34,9 +34,8 @@ RECORDS = [
      "CheckReport(suite='props', seed=3, trials=10, tolerance=1e-09, "
      "lines=(CheckLine(name='law', max_residual=1e-12, passed=True),))"),
     (RunConfig,
-     {"base": 2.0, "tolerance": 1e-9, "seed": 0, "trials": 5, "allow_n5": False,
-      "structured": True},
-     "RunConfig(base=2.0, tolerance=1e-09, seed=0, trials=5, allow_n5=False, structured=True)"),
+     {"base": 2.0, "tolerance": 1e-9, "seed": 0, "trials": 5, "structured": True},
+     "RunConfig(base=2.0, tolerance=1e-09, seed=0, trials=5, structured=True)"),
     (LatticeValuation, {"lattice": "L", "values": [1.0, 0.5]},
      "LatticeValuation(lattice='L', values=[1.0, 0.5])"),
     (PartialValuation,
