@@ -251,8 +251,9 @@ def compile_expression(
     surprisals, and the expression must not mention a conditioning
     variable.  With `about`, the value is the plain one minus the one
     given `about`: one list holds the plain surprisals of every source,
-    then those of the chain's sources given `about`
-    (`measures._surprisal_reader`).
+    then those of the chain's sources given `about`, from one closure
+    that reads the masses, the empty conditioner's as 1, and then takes
+    their logs (`measures._surprisal_reader`).
     """
     if given is not None and about is not None:
         raise ValueError("given and about are mutually exclusive")

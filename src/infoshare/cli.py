@@ -59,6 +59,15 @@ def _fmt_res(value: float) -> str:
     return f"{value:.9e}"
 
 
+def _row_lines(rows: list[tuple[str, float]], width: int) -> list[str]:
+    """Each row's label padded to `width`, then its figure right-aligned to
+    the widest in the table, so negative readings line up with positive ones."""
+    figures = [_fmt(value) for _, value in rows]
+    digits = max(map(len, figures))
+    return [f"{label.ljust(width)}  {figure.rjust(digits)}"
+            for (label, _), figure in zip(rows, figures)]
+
+
 def _parse_realization(text: str) -> tuple[int, ...]:
     try:
         return tuple(_ascii_number(part, int) for part in text.split(","))
@@ -155,7 +164,7 @@ def cmd_pointwise(config: RunConfig, args) -> int:
 
     width = max(len(label) for label, _ in rows)
     lines = [f"pointwise measures at ({args.realization})"]
-    lines += [f"{label.ljust(width)}  {_fmt(value)}" for label, value in rows]
+    lines += _row_lines(rows, width)
     if residual is not None:
         lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
     _emit(
@@ -202,8 +211,7 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     )
     width = max(len(label) for label, _ in rows)
     lines = [header]
-    lines += [f"{label.ljust(width)}  {_fmt(value)}" for label, value in rows]
-    lines.append(f"{'sum of parts'.ljust(width)}  {_fmt(parts_sum)}")
+    lines += _row_lines([*rows, ("sum of parts", parts_sum)], width)
     lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
     _emit(
         config,

@@ -26,7 +26,8 @@ subtracts the largest value among the covered nodes; their valuation
 members.  The chain walk makes the same float subtractions as the closed
 form, so it matches it exactly and the recursive form within rounding.
 `mi_decompose` reads its plain and its conditioned surprisals in one list
-(`measures._surprisal_reader`).
+from one closure (`measures._surprisal_reader`), which reads the masses,
+the empty conditioner's as 1, and then takes their logs.
 """
 
 from __future__ import annotations

@@ -209,26 +209,6 @@ class JointDistribution:
         r = self._variables.check_realization(realization)
         return self._table(s).get(_key_of(s)(r), 0.0)
 
-    def _log_mass_table(
-        self, sources: Sequence[frozenset[int]]
-    ) -> Callable[[Sequence[int]], list[float]]:
-        """log2 of the marginal mass of each set that `VariableSet.check_source`
-        returned, as a function of the realization: each is resolved to its
-        marginal table once, and each call validates the realization once and
-        then costs one key, one lookup and one log2 per source; a zero mass reads -inf."""
-        resolved = [(_key_of(s), self._table(s).get) for s in sources]
-        check, log2 = self._variables.check_realization, math.log2
-
-        def at(realization: Sequence[int]) -> list[float]:
-            r = check(realization)
-            try:
-                return [log2(get(key(r), 0.0)) for key, get in resolved]
-            except ValueError:  # log2(0.0): the only failure left once r is valid
-                return [log2(p) if p > 0.0 else -math.inf
-                        for p in (get(key(r), 0.0) for key, get in resolved)]
-
-        return at
-
 
 def load_distribution(text: str, fmt: str | None = None) -> JointDistribution:
     """Parse a JSON or CSV distribution document.

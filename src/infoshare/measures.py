@@ -6,17 +6,18 @@ weighting over the support.  Surprisal-like quantities are non-negative,
 mutual quantities are signed.  Values are in bits.
 
 Every measure is built from one surprisal, log2 p(G) - log2 p(S u G)
-for a source S and a conditioner G; a plain one has G empty, of log
-mass 0.  So each content measure takes an optional `given` conditioner,
+for a source S and a conditioner G; a plain one has G empty, of mass 1.
+So each content measure takes an optional `given` conditioner,
 and the conditional measure is the plain formula read conditioned.
 
 Each content measure reads one `surprisal_table` over the sources it
 needs, which validates and resolves each source once and then pays one
-lookup and one log2 per source.  The per-call `surprisal` and
+lookup and one log2 per set.  The per-call `surprisal` and
 `cond_surprisal` are kept as the tests' oracles for the table.
-`_surprisal_reader` is the one reader from log masses to surprisals: the
-table's, and that of `eval --about` and of the target decomposition, which
-read their plain and their conditioned surprisals in one list.
+`_surprisal_reader` is the one closure from a realization to surprisals:
+it reads the masses, the empty conditioner's as 1, then their logs.  The
+table reads through it, and so do `eval --about` and the target
+decomposition, in one list of plain and conditioned surprisals.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .distribution import JointDistribution, ZeroMass, variable_indices
+from .distribution import JointDistribution, ZeroMass, _key_of, variable_indices
 
 
 def surprisal(d: JointDistribution, source: Iterable[int], realization: Sequence[int]) -> float:
@@ -64,11 +65,12 @@ def _surprisal_reader(d: JointDistribution, groups) -> Callable[[Sequence[int]],
     one flat list, as a function of the realization, for groups of (sources,
     conditioner G) that `VariableSet.check_source` returned, G possibly empty.
 
-    One log-mass vector (`JointDistribution._log_mass_table`) holds each
-    distinct S u G and each non-empty G once, and one more entry, the empty
-    G of log mass 0.0; so each source costs one subtraction.  A zero mass
-    raises the `ZeroMass` that `surprisal` or `cond_surprisal` would have
-    raised first, walking the groups in order.
+    Each distinct S u G and each non-empty G is resolved to its marginal table
+    once.  Each call validates the realization, reads one mass per set, and
+    the empty G as mass 1.0; a zero mass raises the `ZeroMass` that
+    `surprisal` or `cond_surprisal` would have raised first, walking the
+    groups in order.  Otherwise each mass costs one log2, and each source one
+    subtraction.
     """
     at: dict[frozenset[int], int] = {}
     layout = []  # per group: the id of G (-1: the empty one, appended last), those of S u G
@@ -76,19 +78,22 @@ def _surprisal_reader(d: JointDistribution, groups) -> Callable[[Sequence[int]],
         ids = [at.setdefault(s | g, len(at)) for s in sources]
         layout.append((at.setdefault(g, len(at)) if g else -1, ids))
     pairs = [(g, k) for g, ids in layout for k in ids]
-    logs = d._log_mass_table(list(at))
+    resolved = [(_key_of(s), d._table(s).get) for s in at]
+    check, log2 = d.variables.check_realization, math.log2
 
     def read(realization: Sequence[int]) -> list[float]:
-        log_masses = logs(realization)
-        log_masses.append(0.0)
-        if -math.inf in log_masses:
+        r = check(realization)
+        masses = [get(key(r), 0.0) for key, get in resolved]
+        masses.append(1.0)
+        if 0.0 in masses:
             for g, ids in layout:
-                if log_masses[g] == -math.inf:
+                if masses[g] == 0.0:
                     raise ZeroMass("conditioning event has zero mass")
-                if any(log_masses[k] == -math.inf for k in ids):
+                if any(masses[k] == 0.0 for k in ids):
                     what = "marginal" if g == -1 else "joint"
                     raise ZeroMass(f"surprisal undefined: zero {what} mass")
-        return [log_masses[g] - log_masses[k] for g, k in pairs]
+        logs = list(map(log2, masses))
+        return [logs[g] - logs[k] for g, k in pairs]
 
     return read
 
@@ -102,8 +107,8 @@ def surprisal_table(
     of the realization: the per-command form of `surprisal`/`cond_surprisal`.
 
     Sources and conditioner are validated and resolved once, here; each
-    call reads one log-mass vector of the joint sources S u G, and of G
-    itself when it is not empty.
+    call reads one mass of each joint source S u G, and of G itself when
+    it is not empty (the empty G has mass 1), and then their logs.
     """
     check = d.variables.check_source
     g = frozenset() if given is None else check(given)

@@ -288,6 +288,17 @@ def test_decompose_target_mode(xor3_file, capsys):
     assert float(values["coinformation"]) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "pointwise", "--realization", "0,1,1"]],
+                         ids=["expected", "pointwise"])
+def test_target_figures_end_in_one_column(xor3_file, capsys, mode):
+    # on XOR the coinformation reads -1 among positive rows
+    assert main(["decompose", xor3_file, "--target", "Z", "--predictors", "X,Y", *mode]) == 0
+    *rows, residual = capsys.readouterr().out.splitlines()[1:]
+    assert residual.startswith("residual")
+    assert any(line.endswith("-1.000000000") for line in rows)
+    assert len({len(line) for line in rows}) == 1
+
+
 def test_decompose_variable_subset(xor3_file, capsys):
     assert main(["decompose", xor3_file, "--variables", "X,Y"]) == 0
     out = capsys.readouterr().out
@@ -886,7 +897,7 @@ REPORT_DIGESTS = {
     (*_STRUCTURED, "--allow-n5", "decompose", "{n5}", "--mode", "expected"):
         "c98224fa53adb6ca1e7be86975736d015c60f7194ae9193f748d8f527b635a6f",
     _TARGET:
-        "9b24e98af06929604ba8c21cdd7554bf5d968dd113820a39d8dc04113f0b76f5",
+        "6a1d1bc92c1caed76008ce44536814ca2dbd346762d85c12df59746ebefa14f0",
     (*_STRUCTURED, *_TARGET):
         "dd3e2a68ba06d2e8b39e135a4674b24b7b81493b9191a49360955ec6dd11e452",
     _TARGET_AT:

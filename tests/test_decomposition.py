@@ -1,5 +1,5 @@
 import math
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from infoshare import (
     Antichain,
+    JointDistribution,
+    VariableSet,
     ZeroMass,
     chain_levels,
+    cond_surprisal,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
+    default_names,
     entropy,
     enumerate_antichains,
+    enumerate_sources,
     expected,
     expected_valuation,
     intersection_content,
@@ -28,6 +33,7 @@ from infoshare import (
     trivariate_report,
     unique_content,
 )
+from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 from helpers import anti, biased1, biased2, copy2, copy3, indep3, point3, unif2, xor3
@@ -492,3 +498,52 @@ def test_chain_levels_matches_the_groupby_oracle(h):
     got, want = chain_levels(h), _chain_levels_by_groupby(h)
     assert [mask for mask, _ in got] == [mask for mask, _ in want]
     assert _bits(inc for _, inc in got) == _bits(inc for _, inc in want)
+
+
+@st.composite
+def tie_heavy_grids(draw):
+    """Whole tie-heavy distributions over n = 2..4 binary variables: equal
+    masses 1/k on k cells of the grid, where k = 3, 5 or 6 is not dyadic and
+    its ties can split by an ulp, or fair bits and a last variable that is a
+    function of them."""
+    n = draw(st.integers(2, 4))
+    grid = list(product((0, 1), repeat=n))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique=True))
+    else:
+        fair = list(product((0, 1), repeat=n - 1))
+        f = draw(st.lists(st.integers(0, 1), min_size=len(fair), max_size=len(fair)))
+        cells = [(*bits, y) for bits, y in zip(fair, f)]
+    return JointDistribution(VariableSet(default_names(n), (2,) * n),
+                             {cell: 1.0 / len(cells) for cell in cells})
+
+
+def _outcome(read):
+    """Exact bits of the values `read` returns, or the text of its `ZeroMass`."""
+    try:
+        return _bits(read())
+    except ZeroMass as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_grids())
+def test_drawn_tie_heavy_distributions_match_every_oracle(d):
+    n = d.variables.n
+    lattice, everything = enumerate_antichains(n), range(n)
+    for r, _ in d.support():
+        chain = decompose_pointwise(d, r)
+        valuation = lattice_valuation(d, lattice, r)
+        assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
+        if n <= 3:  # the recursive oracle is quadratic in the 166 nodes of n = 4
+            recursive = mobius_recursive(valuation).partials
+            assert all(abs(c - x) <= TOL for c, x in zip(chain.partials, recursive, strict=True))
+        assert min(chain.partials) >= 0.0
+        assert abs(chain.total() - surprisal(d, everything, r)) <= TOL
+    sources, rest, last = enumerate_sources(n), enumerate_sources(n - 1), [n - 1]
+    plain, given = surprisal_table(d, sources), surprisal_table(d, rest, given=last)
+    for r in product((0, 1), repeat=n):
+        assert _outcome(lambda: plain(r)) == _outcome(lambda: [surprisal(d, s, r)
+                                                                for s in sources])
+        assert _outcome(lambda: given(r)) == _outcome(lambda: [cond_surprisal(d, s, last, r)
+                                                                for s in rest])

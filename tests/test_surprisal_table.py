@@ -1,9 +1,10 @@
 """The per-command surprisal table against the per-call measures.
 
 `surprisal_table` and `compile_expression` resolve their sources once
-and read one log-mass vector per realization; every value must equal,
-bit for bit, the one built from per-call `surprisal`/`cond_surprisal`,
-and every error must keep its message and its order.
+and read one mass per set, then one log2 per mass, at each realization;
+every value must equal, bit for bit, the one built from per-call
+`surprisal`/`cond_surprisal`, and every error must keep its message and
+its order.
 """
 
 import json
@@ -31,8 +32,9 @@ from infoshare import (
     unique_content,
     union_content,
 )
+from infoshare import algebra, decomposition, measures
 from infoshare.cli import main
-from infoshare.measures import surprisal_table
+from infoshare.measures import _surprisal_reader, surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 
@@ -126,7 +128,7 @@ def test_mi_decompose_equals_the_per_call_arithmetic(n, k, d):
 
 @pytest.mark.parametrize("mode", [{}, {"given": [2]}, {"about": [2]}])
 def test_compile_expression_builds_one_log_mass_table(monkeypatch, mode):
-    # One table per command in every mode; `given` reads only its chain's
+    # One reader per command in every mode; `given` reads only its chain's
     # joint sources and the conditioner, `about` every source.
     built = _count_tables(monkeypatch)
     d = random_distribution(trial_rng(12, 0), [2, 3, 2], sparsity=0.2)
@@ -137,15 +139,17 @@ def test_compile_expression_builds_one_log_mass_table(monkeypatch, mode):
     assert len(built[0]) == (4 if "given" in mode else 7)
 
 
-def test_log_mass_table_reads_minus_infinity_at_zero_mass():
+def test_surprisal_reader_raises_at_zero_mass():
     d = JointDistribution(VariableSet(("X", "Y"), (2, 2)), {(0, 0): 0.5, (1, 1): 0.5})
-    logs = d._log_mass_table([frozenset(s) for s in ([0], [1], [0, 1], [1, 0])])
-    assert logs((0, 1)) == [-1.0, -1.0, -math.inf, -math.inf]
-    assert logs((1, 1)) == [-1.0, -1.0, -1.0, -1.0]
+    read = _surprisal_reader(d, [([frozenset(s) for s in ([0], [1], [0, 1], [1, 0])],
+                                  frozenset())])
+    with pytest.raises(ZeroMass, match="^surprisal undefined: zero marginal mass$"):
+        read((0, 1))
+    assert read((1, 1)) == [1.0, 1.0, 1.0, 1.0]
     with pytest.raises(ValueError, match="a source must contain at least one variable"):
         surprisal_table(d, [[]])
     with pytest.raises(ValueError, match="realization has 1 values, expected 2"):
-        logs((0,))
+        read((0,))
 
 
 def test_overlapping_conditioner_is_rejected_when_the_table_is_built():
@@ -155,12 +159,17 @@ def test_overlapping_conditioner_is_rejected_when_the_table_is_built():
 
 
 def _count_tables(monkeypatch) -> list:
-    # the sources of every table built, counted on the resolver that
-    # `surprisal_table`, `compile_expression` and `mi_decompose` all reach
+    # the distinct sets S u G and non-empty G of every surprisal reader built:
+    # `surprisal_table`, `compile_expression` and `mi_decompose` all reach one
     built = []
-    original = JointDistribution._log_mass_table
-    monkeypatch.setattr(JointDistribution, "_log_mass_table",
-                        lambda self, sources: built.append(list(sources)) or original(self, sources))
+    for module in (measures, algebra, decomposition):
+        def counted(d, groups, original=module._surprisal_reader):
+            groups = [(list(sources), g) for sources, g in groups]
+            built.append({s | g for sources, g in groups for s in sources}
+                         | {g for _, g in groups if g})
+            return original(d, groups)
+
+        monkeypatch.setattr(module, "_surprisal_reader", counted)
     return built
 
 
@@ -281,7 +290,7 @@ def test_decompose_target_errors_keep_their_messages_and_order(tmp_path, capsys,
      "--realization", "0,0,0"],
 ], ids=["about-expected", "about-pointwise", "target-expected", "target-pointwise"])
 def test_about_and_target_build_one_table_per_command(tmp_path, monkeypatch, capsys, argv):
-    # the plain and the conditioned surprisals share one log-mass vector
+    # the plain and the conditioned surprisals share one reader
     path = tmp_path / "two.json"
     path.write_text(TWO_POINT)
     built = _count_tables(monkeypatch)
