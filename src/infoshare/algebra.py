@@ -16,15 +16,19 @@ involved variables and none of its arguments.  An expression's value at a
 realization sums the increments of the nodes it covers; only the
 realization's chain (`chain_levels`, one sorted pass) carries any, so no
 lattice is needed.  `compile_expression` lowers once per command and tests
-each distinct chain mask once.  The named three-variable terms (the lemma
-sides, `trivariate_report`'s 18) are lowered the same way, once per text,
-to the masks they cover; each call sums those on the one chain it reads.
+each distinct chain mask once; its value at a realization checks that
+realization once, and its expectation reads every support point's
+surprisals in one column pass and checks none.  The named three-variable
+terms (the lemma sides, `trivariate_report`'s 18) are lowered the same
+way, once per text, to the masks they cover; each call sums those on the
+one chain it reads.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 from .distribution import OPERATORS, JointDistribution, ZeroMass, identifier_end
@@ -243,17 +247,20 @@ def compile_expression(
     given: Iterable[int] | None = None,
     about: Iterable[int] | None = None,
 ) -> Callable[[Sequence[int]], float]:
-    """The expression's value as a function of a support realization.
+    """The expression's value as a function of a support realization, or,
+    called without one, its support-weighted expectation: the `math.fsum` of
+    the same products as `expected(d, value)`, so equal to it bit for bit.
 
     Parsed, lowered and its surprisal table resolved once; each call sums
     the covered increments on the realization's chain (`chain_levels`).
+    A realization is checked once; the expectation reads every support
+    point's surprisals in one column pass and checks none.
     With `given`, the chain spans the other variables with conditioned
     surprisals, and the expression must not mention a conditioning
     variable.  With `about`, the value is the plain one minus the one
-    given `about`: one list holds the plain surprisals of every source,
-    then those of the chain's sources given `about`, from one closure
-    that reads the masses, the empty conditioner's as 1, and then takes
-    their logs (`measures._surprisal_reader`).
+    given `about`: one row holds the plain surprisals of every source,
+    then those of the chain's sources given `about`, from one reader of
+    log2 mass tables (`measures._surprisal_reader`).
     """
     if given is not None and about is not None:
         raise ValueError("given and about are mutually exclusive")
@@ -272,18 +279,27 @@ def compile_expression(
         raise ExpressionError(f"expression mentions conditioning variable(s) {names}")
     total = _chain_total(expr, variables)
     if about is None:
-        table = surprisal_table(d, sources_of(variables), g or None)
-        return lambda realization: total(table(realization))
-    # Every source plain, and the chain's sources given the target: each of those
-    # with the target, and the target itself, is a source, so the vector is every source.
-    plain = enumerate_sources(d.variables.n)
-    read = _surprisal_reader(d, [(map(frozenset, plain), frozenset()),
-                                 (map(frozenset, sources_of(variables)), g)])
-    plain_total, k = _chain_total(expr, range(d.variables.n)), len(plain)
+        read = _surprisal_reader(d, [(map(frozenset, sources_of(variables)), g)])
+        value_of = total
+    else:
+        # Every source plain, and the chain's sources given the target: each of those
+        # with the target, and the target itself, is a source, so the row is every source.
+        plain = enumerate_sources(d.variables.n)
+        read = _surprisal_reader(d, [(map(frozenset, plain), frozenset()),
+                                     (map(frozenset, sources_of(variables)), g)])
+        plain_total, k = _chain_total(expr, range(d.variables.n)), len(plain)
 
-    def value(realization: Sequence[int]) -> float:
-        h = read(realization)
-        return plain_total(h[:k]) - total(h[k:])
+        def value_of(h: tuple[float, ...]) -> float:
+            return plain_total(h[:k]) - total(h[k:])
+
+    check = d.variables.check_realization
+
+    def value(realization: Sequence[int] | None = None) -> float:
+        if realization is not None:
+            (h,) = read([check(realization)])
+            return value_of(h)
+        points, weights = zip(*d.support())
+        return math.fsum(map(mul, weights, map(value_of, read(points))))
 
     return value
 

@@ -28,7 +28,7 @@ from .decomposition import (
 from .distribution import (InvalidDistribution, JointDistribution, ZeroMass, _ascii_number,
                            load_file)
 from .lattice import enumerate_antichains, to_dot
-from .measures import expected, pair_contents, surprisal_table
+from .measures import pair_contents, surprisal_table
 from .record import Record
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
@@ -300,13 +300,9 @@ def cmd_eval(config: RunConfig, args) -> int:
     if given is not None and about is not None:
         raise ValueError("--given and --about are mutually exclusive")
     r = _parse_realization(args.realization) if args.realization is not None else None
-    value_at = compile_expression(d, expr, given=given, about=about)
-    if r is not None:
-        value = config.unit(value_at(r))
-        mode = f"at ({args.realization})"
-    else:
-        value = config.unit(expected(d, value_at))
-        mode = "expected"
+    # one call in either mode: at the realization, or the expectation without one
+    value = config.unit(compile_expression(d, expr, given=given, about=about)(r))
+    mode = "expected" if r is None else f"at ({args.realization})"
     _emit(
         config,
         [f"{args.expression} [{mode}] = {_fmt(value)}"],

@@ -16,18 +16,19 @@ t - t' to the next lower surprisal, and every other node gets 0.0.
 and `algebra` sums the levels of it that an expression, or a named
 three-variable term of `trivariate_report`, covers.  A node's value
 is the lesser of its parent's (the node without its last member) and its
-last member's surprisal.  One walk sums both, weighted, over
-(realization, weight) points: the support for `decompose_expected`, one
-point of weight 1.0 for `decompose_pointwise`.  Two oracles are kept for
-the tests and the `check` suite: the recursive form subtracts the
+last member's surprisal.  One walk sums both, weighted, over points
+given as their rows of source surprisals and their weights: the support,
+read in one column pass that checks no point, for `decompose_expected`;
+one checked point of weight 1.0 for `decompose_pointwise`.  Two oracles
+are kept for the tests and the `check` suite: the recursive form subtracts the
 increments of everything strictly below a node, and the closed form
 subtracts the largest value among the covered nodes; their valuation
 (`lattice_valuation`) takes the least surprisal over each node's
 members.  The chain walk makes the same float subtractions as the closed
 form, so it matches it exactly and the recursive form within rounding.
-`mi_decompose` reads its plain and its conditioned surprisals in one list
-from one closure (`measures._surprisal_reader`), which reads the masses,
-the empty conditioner's as 1, and then takes their logs.
+`mi_decompose` reads its plain and its conditioned surprisals in one row
+from one reader (`measures._surprisal_reader`) of log2 mass tables: the
+row of its realization, or every support point's in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, variable_indices
 from .lattice import RedundancyLattice, enumerate_antichains, sources_of
@@ -129,17 +130,16 @@ def _node_values(lattice: RedundancyLattice, h: Sequence[float]) -> list[float]:
 
 def _walk(
     lattice: RedundancyLattice,
-    table: Callable[[Sequence[int]], list[float]],
-    points: Iterable[tuple[Sequence[int], float]],
+    rows: Iterable[Sequence[float]],
+    weights: Iterable[float],
 ) -> PartialValuation:
-    """Weighted sums, over (realization, weight) points, of the node values
-    and of the chain increments of each point's source surprisals (`table`)."""
+    """Weighted sums, over points given as their rows of source surprisals and
+    their weights, of the node values and of the chain increments."""
     # One array of weighted node values per point: a list of float objects
     # per node raises the peak memory of an n = 5 run.
     values: list[array] = []
     increments: dict[int, list[float]] = defaultdict(list)
-    for r, p in points:
-        h = table(r)
+    for h, p in zip(rows, weights):
         # p > 0 keeps the order of the surprisals, so the least weighted
         # surprisal is p times the least one, bit for bit
         values.append(array("d", _node_values(lattice, [p * x for x in h])))
@@ -196,7 +196,7 @@ def decompose_pointwise(
     if d.marginal_mass(sel, realization) <= 0.0:
         raise ZeroMass("realization outside the support of the selected variables")
     lattice = enumerate_antichains(len(sel))
-    return _walk(lattice, surprisal_table(d, sources_of(sel)), [(realization, 1.0)])
+    return _walk(lattice, [surprisal_table(d, sources_of(sel))(realization)], [1.0])
 
 
 def decompose_expected(
@@ -205,12 +205,15 @@ def decompose_expected(
 ) -> PartialValuation:
     """Support-weighted expectation of the pointwise increments.
 
-    One walk over the support values each point once; the result's
-    `valuation` holds the expected node values from the same walk.
+    One walk over the support values each point once, from one column pass
+    over the support's surprisals; the result's `valuation` holds the
+    expected node values from the same walk.
     """
     sel = _selected(d, variables)
     lattice = enumerate_antichains(len(sel))
-    return _walk(lattice, surprisal_table(d, sources_of(sel)), d.support())
+    points, weights = zip(*d.support())
+    read = _surprisal_reader(d, [(map(frozenset, sources_of(sel)), frozenset())])
+    return _walk(lattice, read(points), weights)
 
 
 def expected_valuation(
@@ -262,14 +265,16 @@ def mi_decompose(
     read = _surprisal_reader(d, [([a, b], frozenset()), ([a, b], t),
                                  ([a | b], frozenset()), ([a | b], t)])
 
-    def point(r: Sequence[int]) -> list[float]:  # plain minus conditioned, field by field
+    def point(h: tuple[float, ...]) -> list[float]:  # plain minus conditioned, field by field
         # read in the order, and so with the errors, of one `surprisal`/`cond_surprisal` each
-        ha, hb, ca, cb, hab, cab = read(r)
+        ha, hb, ca, cb, hab, cab = h
         return [p - c for p, c in zip(pair_contents(ha, hb, hab), pair_contents(ca, cb, cab))]
 
     if realization is not None:
-        return MutualDecomposition(*point(realization))
-    weighted = ([p * x for x in point(r)] for r, p in d.support())
+        (h,) = read([d.variables.check_realization(realization)])
+        return MutualDecomposition(*point(h))
+    points, weights = zip(*d.support())
+    weighted = ([p * x for x in point(h)] for h, p in zip(read(points), weights))
     return MutualDecomposition(*map(math.fsum, zip(*weighted)))
 
 

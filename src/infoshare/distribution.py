@@ -3,12 +3,19 @@
 Probabilities are plain 64-bit floats.  A distribution is immutable once
 built and every query is pure, so instances are safe to share between
 threads.  Assignments absent from an input document carry zero mass.
+
+Each entry is checked once.  The constructor checks the realizations and
+masses of the mapping it is given; the JSON and CSV loaders check each
+document entry with their own messages, and they and the sampler build
+through the constructor's private core, which keeps the positive masses,
+checks their sum and sorts them.  Marginal tables are summed once per
+source, and the table of all the variables is the pmf itself.
 """
 
 from __future__ import annotations
 
 import math
-from operator import index, itemgetter
+from operator import index, itemgetter, lt
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -128,11 +135,12 @@ class VariableSet(Record):
             raise ValueError(
                 f"realization has {len(r)} values, expected {self.n}"
             )
-        for value, card, name in zip(r, self.cardinalities, self.names):
-            if not 0 <= value < card:
-                raise ValueError(
-                    f"value {value} outside range of variable {name!r} (cardinality {card})"
-                )
+        if min(r) < 0 or not all(map(lt, r, self.cardinalities)):  # one C-level pass
+            value, card, name = next(entry for entry in zip(r, self.cardinalities, self.names)
+                                     if not 0 <= entry[0] < entry[1])
+            raise ValueError(
+                f"value {value} outside range of variable {name!r} (cardinality {card})"
+            )
         return r
 
     def check_source(self, source: Iterable[int]) -> frozenset[int]:
@@ -160,6 +168,21 @@ class JointDistribution:
                 raise InvalidDistribution(f"duplicate assignment {r}")
             if p > 0.0:
                 support[r] = p
+        self._adopt(variables, support)
+
+    @classmethod
+    def _of_checked(cls, variables: VariableSet,
+                    masses: Mapping[tuple[int, ...], float]) -> JointDistribution:
+        """A distribution from masses whose realizations and values the caller
+        has already checked: the loaders, with their own messages, and the sampler."""
+        d = cls.__new__(cls)
+        d._adopt(variables, masses)
+        return d
+
+    def _adopt(self, variables: VariableSet, masses: Mapping[tuple[int, ...], float]) -> None:
+        """Keep the positive masses, sorted, once their sum is 1: the checks
+        every construction shares, after each entry has been checked once."""
+        support = {r: p for r, p in masses.items() if p > 0.0}
         if not support:
             raise InvalidDistribution("distribution has empty support")
         try:
@@ -196,10 +219,13 @@ class JointDistribution:
         # Concurrent builders would compute identical tables; the race is benign.
         table = self._marginals.get(source)
         if table is None:
-            key_of, table = _key_of(source), {}
-            for r, p in self._pmf.items():
-                key = key_of(r)
-                table[key] = table.get(key, 0.0) + p
+            if len(source) == self._variables.n:
+                table = self._pmf  # each key is its own sum, and 0.0 + p is p
+            else:
+                key_of, table = _key_of(source), {}
+                for r, p in self._pmf.items():
+                    key = key_of(r)
+                    table[key] = table.get(key, 0.0) + p
             self._marginals[source] = table
         return table
 
@@ -279,7 +305,8 @@ def _load_json(text: str) -> JointDistribution:
         if not isinstance(entry, dict) or "assignment" not in entry or "p" not in entry:
             raise InvalidDistribution(f'pmf entry {i} must carry "assignment" and "p"')
         raw = entry["assignment"]
-        if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
+        # `json` makes no int subclass but bool, so this is `_is_int` on every value
+        if not isinstance(raw, list) or not {int}.issuperset(map(type, raw)):
             raise InvalidDistribution(f"pmf entry {i}: assignment must be an array of integers")
         try:
             assignment = variables.check_realization(raw)
@@ -288,7 +315,7 @@ def _load_json(text: str) -> JointDistribution:
         if assignment in pmf:
             raise InvalidDistribution(f"duplicate assignment {list(assignment)} (entry {i})")
         pmf[assignment] = _mass(entry["p"], "pmf entry {}: {}", i)
-    return JointDistribution(variables, pmf)
+    return JointDistribution._of_checked(variables, pmf)
 
 
 def _ascii_number(cell: str, parse: Callable[[str], float]) -> float:
@@ -347,4 +374,5 @@ def _load_csv(text: str) -> JointDistribution:
         if values in pmf:
             raise InvalidDistribution(f"line {lineno}: duplicate assignment {list(values)}")
         pmf[values] = p
-    return JointDistribution(variables, pmf)
+    # integers of the header's width, non-negative, below the inferred cardinalities
+    return JointDistribution._of_checked(variables, pmf)

@@ -11,13 +11,17 @@ So each content measure takes an optional `given` conditioner,
 and the conditional measure is the plain formula read conditioned.
 
 Each content measure reads one `surprisal_table` over the sources it
-needs, which validates and resolves each source once and then pays one
-lookup and one log2 per set.  The per-call `surprisal` and
-`cond_surprisal` are kept as the tests' oracles for the table.
-`_surprisal_reader` is the one closure from a realization to surprisals:
-it reads the masses, the empty conditioner's as 1, then their logs.  The
-table reads through it, and so do `eval --about` and the target
-decomposition, in one list of plain and conditioned surprisals.
+needs, which validates and resolves each source once and then pays, per
+realization, one check and one lookup per set.  The per-call `surprisal`
+and `cond_surprisal` are kept as the tests' oracles for the table.
+`_surprisal_reader` is the one reader from realizations to surprisals: it
+turns each set's marginal table into log2 masses once, then reads a list
+of checked realizations column by column, one row each, with 0.0 for
+the empty conditioner, the log of mass 1.  The table reads one
+realization through it; the expected commands read the whole support
+through it in one pass, without checking any point again; `eval --about`
+and the target decomposition read their plain and conditioned
+surprisals from it in one row.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and
@@ -27,7 +31,9 @@ the target decomposition subtracts the conditioned ones from the plain.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from itertools import repeat
+from operator import sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .distribution import JointDistribution, ZeroMass, _key_of, variable_indices
 
@@ -60,40 +66,46 @@ def cond_surprisal(
     return math.log2(p_given) - math.log2(p_joint)
 
 
-def _surprisal_reader(d: JointDistribution, groups) -> Callable[[Sequence[int]], list[float]]:
+def _surprisal_reader(
+    d: JointDistribution, groups
+) -> Callable[[Sequence[tuple[int, ...]]], Iterator[tuple[float, ...]]]:
     """Every group's surprisals log2 p(G) - log2 p(S u G), group after group in
-    one flat list, as a function of the realization, for groups of (sources,
-    conditioner G) that `VariableSet.check_source` returned, G possibly empty.
+    one row per realization, as a function of a list of realizations that
+    `VariableSet.check_realization` returned or the support holds, for groups
+    of (sources, conditioner G) that `VariableSet.check_source` returned, G
+    possibly empty.
 
-    Each distinct S u G and each non-empty G is resolved to its marginal table
-    once.  Each call validates the realization, reads one mass per set, and
-    the empty G as mass 1.0; a zero mass raises the `ZeroMass` that
-    `surprisal` or `cond_surprisal` would have raised first, walking the
-    groups in order.  Otherwise each mass costs one log2, and each source one
-    subtraction.
+    Each distinct S u G and each non-empty G is resolved once, here, to a
+    table of log2 masses: one log2 per marginal table entry.  A call reads
+    each set's column, one lookup per realization, and streams the rows: each
+    surprisal is one subtraction, from 0.0 for the empty G (the log of mass
+    1).  A zero mass raises the `ZeroMass` that `surprisal` or
+    `cond_surprisal` would have raised first, at the first realization that
+    has one, walking the groups in order.
     """
     at: dict[frozenset[int], int] = {}
-    layout = []  # per group: the id of G (-1: the empty one, appended last), those of S u G
+    layout = []  # per group: the id of G (-1: the empty one), those of S u G
     for sources, g in groups:
         ids = [at.setdefault(s | g, len(at)) for s in sources]
         layout.append((at.setdefault(g, len(at)) if g else -1, ids))
-    pairs = [(g, k) for g, ids in layout for k in ids]
-    resolved = [(_key_of(s), d._table(s).get) for s in at]
-    check, log2 = d.variables.check_realization, math.log2
+    log2 = math.log2
+    resolved = [(_key_of(s), {key: log2(p) for key, p in d._table(s).items()}) for s in at]
 
-    def read(realization: Sequence[int]) -> list[float]:
-        r = check(realization)
-        masses = [get(key(r), 0.0) for key, get in resolved]
-        masses.append(1.0)
-        if 0.0 in masses:
-            for g, ids in layout:
-                if masses[g] == 0.0:
-                    raise ZeroMass("conditioning event has zero mass")
-                if any(masses[k] == 0.0 for k in ids):
-                    what = "marginal" if g == -1 else "joint"
-                    raise ZeroMass(f"surprisal undefined: zero {what} mass")
-        logs = list(map(log2, masses))
-        return [logs[g] - logs[k] for g, k in pairs]
+    def read(points: Sequence[tuple[int, ...]]) -> Iterator[tuple[float, ...]]:
+        try:
+            columns = [list(map(logs.__getitem__, map(key, points))) for key, logs in resolved]
+        except KeyError:  # a zero mass is absent from its table: name the first one
+            for r in points:
+                held = [key(r) in logs for key, logs in resolved]
+                for g, ids in layout:
+                    if g >= 0 and not held[g]:
+                        raise ZeroMass("conditioning event has zero mass") from None
+                    if not all(map(held.__getitem__, ids)):
+                        what = "marginal" if g == -1 else "joint"
+                        raise ZeroMass(f"surprisal undefined: zero {what} mass") from None
+            raise
+        return zip(*[map(sub, repeat(0.0) if g < 0 else columns[g], columns[k])
+                     for g, ids in layout for k in ids])
 
     return read
 
@@ -106,9 +118,10 @@ def surprisal_table(
     """Surprisal of each source, conditioned on `given` if set, as a function
     of the realization: the per-command form of `surprisal`/`cond_surprisal`.
 
-    Sources and conditioner are validated and resolved once, here; each
-    call reads one mass of each joint source S u G, and of G itself when
-    it is not empty (the empty G has mass 1), and then their logs.
+    Sources and conditioner are validated and resolved once, here, to tables
+    of log2 masses; each call validates the realization once and reads one
+    log2 mass of each joint source S u G, and of G itself when it is not
+    empty (the empty G has mass 1).
     """
     check = d.variables.check_source
     g = frozenset() if given is None else check(given)
@@ -120,7 +133,8 @@ def surprisal_table(
         checked.append(s)
     if not checked:
         raise ValueError("at least one source is required")
-    return _surprisal_reader(d, [(checked, g)])
+    read = _surprisal_reader(d, [(checked, g)])
+    return lambda realization: [*next(read([d.variables.check_realization(realization)]))]
 
 
 def union_content(d: JointDistribution, sources, realization, given=None) -> float:

@@ -47,8 +47,9 @@ def random_distribution(
         chosen = [cell for cell in grid if rng.random() >= sparsity]
     weights = [rng.expovariate(1.0) for _ in chosen]
     total = math.fsum(weights)
-    pmf = {cell: w / total for cell, w in zip(chosen, weights)}
-    return JointDistribution(variables, pmf)
+    # cells of the grid and finite non-negative masses: nothing for the constructor to check
+    return JointDistribution._of_checked(
+        variables, {cell: w / total for cell, w in zip(chosen, weights)})
 
 
 def tie_heavy_distributions(n: int) -> list[JointDistribution]:

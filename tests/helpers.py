@@ -1,6 +1,11 @@
-"""Fixed distributions and brute-force oracles shared by the test modules."""
+"""Fixed distributions, drawn tie-heavy ones and brute-force oracles shared by
+the test modules."""
 
-from infoshare import JointDistribution, VariableSet
+from itertools import product
+
+from hypothesis import strategies as st
+
+from infoshare import JointDistribution, VariableSet, default_names
 
 
 def dist(names, cards, pmf):
@@ -91,3 +96,21 @@ UNIFORM2_JSON = """
  "pmf": [{"assignment": [0, 0], "p": 0.25}, {"assignment": [0, 1], "p": 0.25},
          {"assignment": [1, 0], "p": 0.25}, {"assignment": [1, 1], "p": 0.25}]}
 """
+
+
+@st.composite
+def tie_heavy_grids(draw):
+    """Whole tie-heavy distributions over n = 2..4 binary variables: equal
+    masses 1/k on k cells of the grid, where k = 3, 5 or 6 is not dyadic and
+    its ties can split by an ulp, or fair bits and a last variable that is a
+    function of them."""
+    n = draw(st.integers(2, 4))
+    grid = list(product((0, 1), repeat=n))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique=True))
+    else:
+        fair = list(product((0, 1), repeat=n - 1))
+        f = draw(st.lists(st.integers(0, 1), min_size=len(fair), max_size=len(fair)))
+        cells = [(*bits, y) for bits, y in zip(fair, f)]
+    return JointDistribution(VariableSet(default_names(n), (2,) * n),
+                             {cell: 1.0 / len(cells) for cell in cells})

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from infoshare import (
     Antichain,
-    JointDistribution,
-    VariableSet,
     ZeroMass,
     chain_levels,
     cond_surprisal,
     decompose_expected,
     decompose_pointwise,
     decomposition_rows,
-    default_names,
     entropy,
     enumerate_antichains,
     enumerate_sources,
@@ -36,7 +33,8 @@ from infoshare import (
 from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
-from helpers import anti, biased1, biased2, copy2, copy3, indep3, point3, unif2, xor3
+from helpers import (anti, biased1, biased2, copy2, copy3, indep3, point3, tie_heavy_grids, unif2,
+                     xor3)
 
 A = Antichain.normalize
 TOL = 1e-9
@@ -498,24 +496,6 @@ def test_chain_levels_matches_the_groupby_oracle(h):
     got, want = chain_levels(h), _chain_levels_by_groupby(h)
     assert [mask for mask, _ in got] == [mask for mask, _ in want]
     assert _bits(inc for _, inc in got) == _bits(inc for _, inc in want)
-
-
-@st.composite
-def tie_heavy_grids(draw):
-    """Whole tie-heavy distributions over n = 2..4 binary variables: equal
-    masses 1/k on k cells of the grid, where k = 3, 5 or 6 is not dyadic and
-    its ties can split by an ulp, or fair bits and a last variable that is a
-    function of them."""
-    n = draw(st.integers(2, 4))
-    grid = list(product((0, 1), repeat=n))
-    if draw(st.booleans()):
-        cells = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique=True))
-    else:
-        fair = list(product((0, 1), repeat=n - 1))
-        f = draw(st.lists(st.integers(0, 1), min_size=len(fair), max_size=len(fair)))
-        cells = [(*bits, y) for bits, y in zip(fair, f)]
-    return JointDistribution(VariableSet(default_names(n), (2,) * n),
-                             {cell: 1.0 / len(cells) for cell in cells})
 
 
 def _outcome(read):

@@ -534,3 +534,133 @@ def test_a_document_with_a_wrong_field_loads_or_is_an_invalid_distribution(path,
     else:
         field[last] = value
     _loads_or_refuses(json.dumps(doc), fmt)
+
+
+def _json_pmf(*entries: str) -> str:
+    """A document over X (cardinality 2) and Y (cardinality 3) whose pmf lists `entries`."""
+    return ('{"variables": [{"name": "X", "cardinality": 2}, {"name": "Y", "cardinality": 3}],'
+            ' "pmf": [%s]}' % ", ".join(entries))
+
+
+# Every fault the two loaders refuse at a pmf entry or in the masses, with the
+# exact text: each entry is checked once, and the first fault in document order wins.
+_LOADER_FAULTS = [
+    ("json", _json_pmf('{"assignment": 0, "p": 1}'),
+     "pmf entry 0: assignment must be an array of integers"),
+    ("json", _json_pmf('{"assignment": [0, 1.0], "p": 1}'),
+     "pmf entry 0: assignment must be an array of integers"),
+    ("json", _json_pmf('{"assignment": [false, 1], "p": 1}'),
+     "pmf entry 0: assignment must be an array of integers"),
+    ("json", _json_pmf('{"assignment": ["0", 1], "p": 1}'),
+     "pmf entry 0: assignment must be an array of integers"),
+    ("json", _json_pmf('{"assignment": [0], "p": 1}'),
+     "pmf entry 0: realization has 1 values, expected 2"),
+    ("json", _json_pmf('{"assignment": [0, 3], "p": 1}'),
+     "pmf entry 0: value 3 outside range of variable 'Y' (cardinality 3)"),
+    ("json", _json_pmf('{"assignment": [-1, 0], "p": 1}'),
+     "pmf entry 0: value -1 outside range of variable 'X' (cardinality 2)"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 0}', '{"assignment": [0, 1], "p": 1}'),
+     "duplicate assignment [0, 1] (entry 1)"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": "1"}'), "pmf entry 0: mass is not a number"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": true}'), "pmf entry 0: mass is not a number"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": null}'), "pmf entry 0: mass is not a number"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": -1}'), "pmf entry 0: negative mass -1.0"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": NaN}'), "pmf entry 0: non-finite mass nan"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": -Infinity}'),
+     "pmf entry 0: non-finite mass -inf"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 1%s}' % ("0" * 400)),
+     f"pmf entry 0: mass {10**400} is out of range"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 1e308}', '{"assignment": [1, 1], "p": 1e308}'),
+     "masses sum beyond the float range, expected 1"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 0}', '{"assignment": [1, 1], "p": 0.0}'),
+     "distribution has empty support"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 0.5}', '{"assignment": [1, 1], "p": 0.4}'),
+     "masses sum to 0.9, expected 1 within 1e-12"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 0.5}',
+                       '{"assignment": [1, 1], "p": 0.5000000000011}'),
+     "masses sum to 1.0000000000011, expected 1 within 1e-12"),
+    # two faults: the later entry's range fault comes after the earlier entry's mass fault,
+    # a duplicate before its own mass fault, and any entry fault before the sum
+    ("json", _json_pmf('{"assignment": [0, 1], "p": -1}', '{"assignment": [0, 5], "p": 1}'),
+     "pmf entry 0: negative mass -1.0"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 1}', '{"assignment": [0, 1], "p": "x"}'),
+     "duplicate assignment [0, 1] (entry 1)"),
+    ("json", _json_pmf('{"assignment": [0, 1], "p": 0.25}', '{"assignment": [1, 3], "p": 0.25}'),
+     "pmf entry 1: value 3 outside range of variable 'Y' (cardinality 3)"),
+    ("csv", "X,Y,p\n0,x,1\n", "line 2: categories must be integers"),
+    ("csv", "X,Y,p\n0,1.0,1\n", "line 2: categories must be integers"),
+    ("csv", "X,Y,p\n0,-1,1\n", "line 2: categories must be non-negative"),
+    ("csv", "X,Y,p\n0,1\n", "line 2: expected 3 columns"),
+    ("csv", "X,Y,p\n0,1,0\n0,1,1\n", "line 3: duplicate assignment [0, 1]"),
+    ("csv", "X,Y,p\n0,1,x\n", "line 2: mass is not a number"),
+    ("csv", "X,Y,p\n0,1,true\n", "line 2: mass is not a number"),
+    ("csv", "X,Y,p\n0,1,\n", "line 2: mass is not a number"),
+    ("csv", "X,Y,p\n0,1,-0.5\n", "line 2: negative mass -0.5"),
+    ("csv", "X,Y,p\n0,1,nan\n", "line 2: non-finite mass nan"),
+    ("csv", "X,Y,p\n0,1,1e400\n", "line 2: non-finite mass inf"),
+    ("csv", "X,Y,p\n0,1,1e308\n1,1,1e308\n", "masses sum beyond the float range, expected 1"),
+    ("csv", "X,Y,p\n0,1,0\n1,1,0.0\n", "distribution has empty support"),
+    ("csv", "X,Y,p\n0,1,0.5\n1,1,0.4\n", "masses sum to 0.9, expected 1 within 1e-12"),
+    # two faults: every mass is read before any duplicate is sought
+    ("csv", "X,Y,p\n0,1,0.5\n0,1,0.5\n1,1,x\n", "line 4: mass is not a number"),
+    ("csv", "X,Y,p\n0,1,0.5\n1,1,0.5\n0,1,0\n", "line 4: duplicate assignment [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, error", _LOADER_FAULTS,
+                         ids=[f"{fmt}-{k}" for k, (fmt, _, _) in enumerate(_LOADER_FAULTS)])
+def test_loader_fault_texts_and_exit_codes(tmp_path, capsys, fmt, text, error):
+    with pytest.raises(InvalidDistribution) as err:
+        load_distribution(text, fmt)
+    assert str(err.value) == error
+    from infoshare.cli import main
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"invalid distribution: {error}\n"
+    assert main(["eval", str(path), "X"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+_XY = VariableSet(("X", "Y"), (2, 3))
+
+
+# The constructor's faults: a realization fault is a ValueError of `check_realization`,
+# every other an `InvalidDistribution`; entries are checked in the mapping's order.
+_CONSTRUCTOR_FAULTS = [
+    ({(0, 1.0): 1.0}, ValueError, "realization (0, 1.0) must hold integers"),
+    ({(0, "1"): 1.0}, ValueError, "realization (0, '1') must hold integers"),
+    ({(0,): 1.0}, ValueError, "realization has 1 values, expected 2"),
+    ({(0, 3): 1.0}, ValueError, "value 3 outside range of variable 'Y' (cardinality 3)"),
+    ({(-1, 0): 1.0}, ValueError, "value -1 outside range of variable 'X' (cardinality 2)"),
+    ({(0, 1): 0.5, range(2): 0.5}, InvalidDistribution, "duplicate assignment (0, 1)"),
+    ({(0, 1): "1"}, InvalidDistribution, "mass is not a number for assignment (0, 1)"),
+    ({(0, 1): True}, InvalidDistribution, "mass is not a number for assignment (0, 1)"),
+    ({(0, 1): None}, InvalidDistribution, "mass is not a number for assignment (0, 1)"),
+    ({(0, 1): -1}, InvalidDistribution, "negative mass -1.0 for assignment (0, 1)"),
+    ({(0, 1): math.nan}, InvalidDistribution, "non-finite mass nan for assignment (0, 1)"),
+    ({(0, 1): math.inf}, InvalidDistribution, "non-finite mass inf for assignment (0, 1)"),
+    ({(0, 1): 10**400}, InvalidDistribution,
+     f"mass {10**400} is out of range for assignment (0, 1)"),
+    ({(0, 1): 1e308, (1, 1): 1e308}, InvalidDistribution,
+     "masses sum beyond the float range, expected 1"),
+    ({(0, 1): 0, (1, 1): 0.0}, InvalidDistribution, "distribution has empty support"),
+    ({}, InvalidDistribution, "distribution has empty support"),
+    ({(0, 1): 0.5, (1, 1): 0.4}, InvalidDistribution,
+     "masses sum to 0.9, expected 1 within 1e-12"),
+    # two faults: a mass is checked before its duplicate, and each entry before the next
+    ({(0, 1): 0.5, range(2): "x"}, InvalidDistribution,
+     "mass is not a number for assignment (0, 1)"),
+    ({(0, 1): -1, (0, 5): 1.0}, InvalidDistribution, "negative mass -1.0 for assignment (0, 1)"),
+    ({(0, 1): 0.5, (0, 5): -1}, ValueError,
+     "value 5 outside range of variable 'Y' (cardinality 3)"),
+]
+
+
+@pytest.mark.parametrize("pmf, kind, error", _CONSTRUCTOR_FAULTS,
+                         ids=[f"constructor-{k}" for k in range(len(_CONSTRUCTOR_FAULTS))])
+def test_constructor_fault_texts(pmf, kind, error):
+    with pytest.raises(ValueError) as err:
+        JointDistribution(_XY, pmf)
+    assert type(err.value) is kind
+    assert str(err.value) == error

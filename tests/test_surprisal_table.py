@@ -12,17 +12,23 @@ import math
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from infoshare import (
     JointDistribution,
+    MutualDecomposition,
     VariableSet,
     ZeroMass,
     chain_levels,
     compile_expression,
     cond_surprisal,
+    decompose_expected,
+    decompose_pointwise,
     enumerate_antichains,
     enumerate_sources,
+    expected,
     intersection_content,
+    load_file,
     lower,
     mi_decompose,
     mutual_content,
@@ -32,10 +38,12 @@ from infoshare import (
     unique_content,
     union_content,
 )
-from infoshare import algebra, decomposition, measures
+from infoshare import algebra, decomposition, distribution, measures
 from infoshare.cli import main
 from infoshare.measures import _surprisal_reader, surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
+
+from helpers import tie_heavy_grids
 
 
 def _inputs(n):
@@ -140,16 +148,44 @@ def test_compile_expression_builds_one_log_mass_table(monkeypatch, mode):
 
 
 def test_surprisal_reader_raises_at_zero_mass():
+    # the reader takes a list of checked realizations and yields one row each
     d = JointDistribution(VariableSet(("X", "Y"), (2, 2)), {(0, 0): 0.5, (1, 1): 0.5})
     read = _surprisal_reader(d, [([frozenset(s) for s in ([0], [1], [0, 1], [1, 0])],
                                   frozenset())])
-    with pytest.raises(ZeroMass, match="^surprisal undefined: zero marginal mass$"):
-        read((0, 1))
-    assert read((1, 1)) == [1.0, 1.0, 1.0, 1.0]
+    assert list(read([(1, 1), (0, 0)])) == [(1.0, 1.0, 1.0, 1.0)] * 2
+    assert list(read([])) == []
+    for points in ([(0, 1)], [(1, 1), (0, 1)]):
+        with pytest.raises(ZeroMass, match="^surprisal undefined: zero marginal mass$"):
+            read(points)
     with pytest.raises(ValueError, match="a source must contain at least one variable"):
         surprisal_table(d, [[]])
     with pytest.raises(ValueError, match="realization has 1 values, expected 2"):
-        read((0,))
+        surprisal_table(d, [[0]])((0,))
+
+
+def test_surprisal_reader_names_the_first_point_and_group_with_a_zero_mass():
+    # Y copies X; Z = 2 never happens, nor X = 1 with Z = 1
+    d = JointDistribution(VariableSet(("X", "Y", "Z"), (2, 2, 3)),
+                          {(0, 0, 0): 0.25, (0, 0, 1): 0.25, (1, 1, 0): 0.5})
+    x, y, z = (frozenset([i]) for i in range(3))
+    read = _surprisal_reader(d, [([x, y], frozenset()), ([x], z), ([x | y], frozenset())])
+    joint = "^surprisal undefined: zero joint mass$"
+    conditioning = "^conditioning event has zero mass$"
+    marginal = "^surprisal undefined: zero marginal mass$"
+    # each point's error is the first its groups hold, in group order
+    for points, error in [
+        ([(1, 1, 1)], joint),  # X = 1 never meets Z = 1
+        ([(0, 0, 2)], conditioning),  # Z = 2 has no mass; {X}, {Y} come first and hold
+        ([(0, 1, 0)], marginal),  # only {X, Y} lacks mass
+        ([(0, 1, 0), (0, 0, 2)], marginal),  # the first point decides, though
+        ([(0, 0, 2), (0, 1, 0)], conditioning),  # its columns are read set by set
+    ]:
+        with pytest.raises(ZeroMass, match=error):
+            read(points)
+        r = points[0]
+        with pytest.raises(ZeroMass, match=error):  # the per-call measures, in group order
+            [surprisal(d, x, r), surprisal(d, y, r), cond_surprisal(d, x, z, r),
+             surprisal(d, x | y, r)]
 
 
 def test_overlapping_conditioner_is_rejected_when_the_table_is_built():
@@ -298,9 +334,9 @@ def test_about_and_target_build_one_table_per_command(tmp_path, monkeypatch, cap
     assert len(built) == 1
 
 
-def test_about_validates_each_realization_once(monkeypatch):
-    counts = {"check_realization": 0, "check_source": 0}
-    for name in counts:
+def test_about_validates_each_realization_once(monkeypatch, tmp_path):
+    counts = {"check_realization": 0, "check_source": 0, "_mass": 0}
+    for name in ("check_realization", "check_source"):
         original = getattr(VariableSet, name)
 
         def counted(self, arg, name=name, original=original):
@@ -308,16 +344,91 @@ def test_about_validates_each_realization_once(monkeypatch):
             return original(self, arg)
 
         monkeypatch.setattr(VariableSet, name, counted)
+    original_mass = distribution._mass
+
+    def counted_mass(*args):
+        counts["_mass"] += 1
+        return original_mass(*args)
+
+    monkeypatch.setattr(distribution, "_mass", counted_mass)
     d = random_distribution(trial_rng(11, 0), [3, 3, 3], sparsity=0.2)
+    points = [r for r, _ in d.support()]
+
+    # the loaders check each entry once, a zero mass too; CSV needs no realization check
+    entries = [(r, p) for r, p in d.support()] + [((2, 2, 2), 0)] * ((2, 2, 2) not in points)
+    (tmp_path / "d.json").write_text(json.dumps({
+        "variables": [{"name": n, "cardinality": 3} for n in "xyz"],
+        "pmf": [{"assignment": list(r), "p": p} for r, p in entries]}))
+    (tmp_path / "d.csv").write_text("x,y,z,p\n" + "".join(
+        f"{','.join(map(str, r))},{p!r}\n" for r, p in entries))
+    for name, checks in (("d.json", len(entries)), ("d.csv", 0)):
+        before = dict(counts)
+        assert load_file(tmp_path / name).support() == d.support()
+        assert counts["check_realization"] - before["check_realization"] == checks
+        assert counts["_mass"] - before["_mass"] == len(entries)
+
     value = compile_expression(d, "x oplus y", about=[2])
     built = dict(counts)
-    points = [r for r, _ in d.support()]
     for k in (1, len(points)):
         before = dict(counts)
         for r in points[:k]:
             value(r)
         assert counts["check_realization"] - before["check_realization"] == k
         assert counts["check_source"] == built["check_source"]
+
+    # an expected reading checks no realization; a pointwise one checks its own once
+    modes = [{}, {"given": [2]}, {"about": [2]}]
+    expected_calls = [compile_expression(d, "x oplus y", **mode) for mode in modes] + [
+        lambda: decompose_expected(d), lambda: mi_decompose(d, [0], [1], [2])]
+    pointwise_calls = [compile_expression(d, "x oplus y", **mode) for mode in modes] + [
+        lambda r: mi_decompose(d, [0], [1], [2], r), surprisal_table(d, [[0], [1, 2]])]
+    for call in expected_calls:
+        before = counts["check_realization"]
+        call()
+        assert counts["check_realization"] == before
+    for call in pointwise_calls:
+        before = counts["check_realization"]
+        call(points[-1])
+        assert counts["check_realization"] - before == 1
+
+
+def _assert_expected_equals_the_weighted_pointwise_sum(d):
+    # each expected path, bit for bit: the fsum of weight times pointwise value
+    n, support = d.variables.n, d.support()
+
+    def weighted(values) -> float:
+        return math.fsum(p * x for (_, p), x in zip(support, values, strict=True))
+
+    text = "x" if n == 2 else "(x cap y) oplus z" if n == 4 else "x oplus y"
+    for mode in ({}, {"given": [n - 1]}, {"about": [n - 1]}):
+        value_at = compile_expression(d, text, **mode)
+        assert value_at() == expected(d, value_at)
+        assert value_at() == weighted([value_at(r) for r, _ in support])
+    if n >= 3:
+        whole = mi_decompose(d, [0], [1], [n - 1])
+        points = [mi_decompose(d, [0], [1], [n - 1], r) for r, _ in support]
+        for field in MutualDecomposition.__slots__:
+            assert getattr(whole, field) == weighted([getattr(x, field) for x in points])
+    whole = decompose_expected(d)
+    points = [decompose_pointwise(d, r) for r, _ in support]
+    values = [x.valuation.values for x in points]
+    assert whole.valuation.values == list(map(weighted, zip(*values)))
+    assert whole.partials == list(map(weighted, zip(*(x.partials for x in points))))
+
+
+_EXPECTED_INPUTS = [d for n in (2, 3, 4) for d in _inputs(n)]
+
+
+@pytest.mark.parametrize("d", _EXPECTED_INPUTS,
+                         ids=[f"n{n}-{k}" for n in (2, 3, 4) for k in range(len(_inputs(n)))])
+def test_expected_paths_equal_the_weighted_pointwise_sums(d):
+    _assert_expected_equals_the_weighted_pointwise_sum(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_grids())
+def test_expected_paths_equal_the_weighted_pointwise_sums_on_drawn_grids(d):
+    _assert_expected_equals_the_weighted_pointwise_sum(d)
 
 
 @pytest.mark.parametrize("given", [[], ["--given", "Z"]], ids=["plain", "given"])
