@@ -31,8 +31,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .distribution import OPERATORS, JointDistribution, ZeroMass, identifier_end
-from .decomposition import chain_levels
+from .distribution import OPERATORS, JointDistribution, identifier_end
+from .decomposition import _support_row, chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources, sources_of)
 from .measures import _surprisal_reader, surprisal_table
@@ -438,8 +438,6 @@ def trivariate_report(d: JointDistribution, realization: Sequence[int]) -> dict[
     increment of the one node its term covers, and they sum to the joint surprisal."""
     if d.variables.n != 3:
         raise ValueError("trivariate report needs exactly three variables")
-    if d.marginal_mass(range(3), realization) <= 0.0:
-        raise ZeroMass("realization outside the support of the selected variables")
-    total = _covered_sum(chain_levels(surprisal_table(d, enumerate_sources(3))(realization)))
+    total = _covered_sum(chain_levels(_support_row(d, (0, 1, 2), realization)))
     x, y, z = d.variables.names
     return {text.format(x=x, y=y, z=z): total(_covered(text)) for text in _TRIVARIATE_TERMS}

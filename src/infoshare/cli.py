@@ -32,6 +32,8 @@ from .measures import pair_contents, surprisal_table
 from .record import Record
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
+# a `decompose` row: the label padded to a width, then value and partial, each `_fmt(x).rjust(12)`
+_DECOMPOSE_ROW = "%-*s  %12.9f  %12.9f"
 
 
 class RunConfig(Record):
@@ -227,6 +229,9 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
 
 
 def cmd_decompose(config: RunConfig, args) -> int:
+    """One row per lattice node, bottom-up, then the sum of the partials, the joint
+    value and their residual; or, with `--target`, the target decomposition.  Each
+    figure is one multiply by the `--base` factor, and each text row one `%` format."""
     d = load_file(args.file)
     if args.target is not None or args.predictors is not None:
         if args.target is None or args.predictors is None:
@@ -249,33 +254,23 @@ def cmd_decompose(config: RunConfig, args) -> int:
         header = "expected decomposition"
 
     rows = decomposition_rows(partials, names)
-    top_bits = rows[-1][1]  # the joint value: the top node comes last
-    rows = [(label, config.unit(value), config.unit(partial)) for label, value, partial in rows]
-    total_bits = partials.total()
-    total, top_value = config.unit(total_bits), config.unit(top_bits)
-    residual = config.unit(abs(total_bits - top_bits))
+    scale = config.unit(1.0)  # `unit` is a multiply by this, and x * 1.0 is x
+    top_bits, total_bits = rows[-1][1], partials.total()  # the top node comes last
+    total, top_value = total_bits * scale, top_bits * scale
+    residual = abs(total_bits - top_bits) * scale
 
     label_width = max(len("sum of partials"), *(len(label) for label, _, _ in rows))
     lines = [header, f"{'node'.ljust(label_width)}  {'value'.rjust(12)}  {'partial'.rjust(12)}"]
-    for label, value, partial in rows:
-        lines.append(f"{label.ljust(label_width)}  {_fmt(value).rjust(12)}  {_fmt(partial).rjust(12)}")
+    lines += [_DECOMPOSE_ROW % (label_width, label, value * scale, partial * scale)
+              for label, value, partial in rows]
     lines.append(f"{'sum of partials'.ljust(label_width)}  {_fmt(total).rjust(12)}")
     lines.append(f"{'joint value'.ljust(label_width)}  {_fmt(top_value).rjust(12)}")
     lines.append(f"{'residual'.ljust(label_width)}  {_fmt_res(residual)}")
-    _emit(
-        config,
-        lines,
-        lambda: {
-            "mode": args.mode,
-            "rows": [
-                {"node": label, "value": value, "partial": partial}
-                for label, value, partial in rows
-            ],
-            "sum_of_partials": total,
-            "joint_value": top_value,
-            "residual": residual,
-        },
-    )
+    _emit(config, lines, lambda: {
+        "mode": args.mode,
+        "rows": [{"node": label, "value": value * scale, "partial": partial * scale}
+                 for label, value, partial in rows],
+        "sum_of_partials": total, "joint_value": top_value, "residual": residual})
     return 0 if residual <= config.tolerance else 1
 
 

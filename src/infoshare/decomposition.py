@@ -38,7 +38,7 @@ from array import array
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from .distribution import JointDistribution, ZeroMass, variable_indices
+from .distribution import JointDistribution, ZeroMass, _key_of, variable_indices
 from .lattice import RedundancyLattice, enumerate_antichains, sources_of
 from .measures import _surprisal_reader, pair_contents, surprisal_table
 from .record import Record
@@ -193,10 +193,17 @@ def decompose_pointwise(
     source surprisals are read once, and `chain_levels` gives the increments.
     """
     sel = _selected(d, variables)
-    if d.marginal_mass(sel, realization) <= 0.0:
+    h = _support_row(d, sel, realization)  # off the support: `ZeroMass` before any n is refused
+    return _walk(enumerate_antichains(len(sel)), [h], [1.0])
+
+
+def _support_row(d: JointDistribution, sel: Sequence[int],
+                 realization: Sequence[int]) -> tuple[float, ...]:
+    """Every source's surprisal over `sel` at a realization, checked once, with mass on `sel`."""
+    r = d.variables.check_realization(realization)
+    if _key_of(sel)(r) not in d._table(frozenset(sel)):  # a table holds positive masses
         raise ZeroMass("realization outside the support of the selected variables")
-    lattice = enumerate_antichains(len(sel))
-    return _walk(lattice, [surprisal_table(d, sources_of(sel))(realization)], [1.0])
+    return next(_surprisal_reader(d, [(map(frozenset, sources_of(sel)), frozenset())])([r]))
 
 
 def decompose_expected(

@@ -160,15 +160,14 @@ class JointDistribution:
     """Sparse joint pmf; the single source of every probability query."""
 
     def __init__(self, variables: VariableSet, pmf: Mapping[Sequence[int], float]):
-        support: dict[tuple[int, ...], float] = {}
+        masses: dict[tuple[int, ...], float] = {}
         for raw, mass in pmf.items():
             r = variables.check_realization(raw)
             p = _mass(mass, "{1} for assignment {0}", r)
-            if r in support:
+            if r in masses:  # zero masses too: `_adopt` drops them after this test
                 raise InvalidDistribution(f"duplicate assignment {r}")
-            if p > 0.0:
-                support[r] = p
-        self._adopt(variables, support)
+            masses[r] = p
+        self._adopt(variables, masses)
 
     @classmethod
     def _of_checked(cls, variables: VariableSet,

@@ -275,12 +275,15 @@ class RedundancyLattice:
         return i
 
     def labels(self, names: Sequence[str]) -> list[str]:
-        """`Antichain.label` of every node, in node order, joined from one
-        label per source."""
+        """`Antichain.label` of every node, in node order: its parent's label
+        (which comes first) followed by its last member's braced label."""
         if len(names) != self.n:
             raise ValueError(f"expected {self.n} variable names, got {len(names)}")
-        source_labels = [",".join(map(names.__getitem__, src)) for src in self.sources]
-        return ["{" + "}{".join(map(source_labels.__getitem__, ids)) + "}" for ids in self.members]
+        source_labels = ["{" + ",".join(map(names.__getitem__, src)) + "}" for src in self.sources]
+        labels: list[str] = []
+        for parent, ids in zip(self.parents, self.members):
+            labels.append((labels[parent] if parent >= 0 else "") + source_labels[ids[-1]])
+        return labels
 
     def _cover_ids(self) -> list[tuple[int, ...]]:
         if self._covers is None:

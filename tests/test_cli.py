@@ -23,6 +23,7 @@ from infoshare import (
     to_dot,
     trivariate_report,
 )
+from infoshare import cli
 from infoshare.cli import main
 from infoshare.sampling import random_distribution, trial_rng
 
@@ -914,6 +915,14 @@ REPORT_DIGESTS = {
         "e4058aa05e759220cda1bf0b9e06f651fd12d01afa4475a177207337d3de7b3e",
     (*_STRUCTURED, *_ONE_SOURCE):
         "14b5d9c789a1802a057cfa7d9d6dcd4214c67fa137c0f3770a5e1a0139a203b1",
+    ("--base", "e", "decompose", "{n5}", "--mode", "expected"):
+        "e510f5c7ab8f05e30c19c61f741bba8d00e357893b51ce236e8aa9ad88f96463",
+    ("--base", "10", "decompose", "{n5}", "--mode", "expected"):
+        "2b13505e973931de0846342e374bcf7210a7193130c887a78e103427ce37ef46",
+    ("decompose", "{n5}", "--mode", "pointwise", "--realization", "0,0,0,1,0"):
+        "14fdb0b63875514fbd3219add72d286d6c478d204bce45b92a26a796ffbf4497",
+    ("lattice", "--n", "5"):
+        "ddd998a24e7e9fb6ed4f3265da56873b5c165a2b0785efff82642afd84dc103a",
 }
 
 
@@ -930,3 +939,29 @@ def test_report_matches_its_recorded_digest(argv, tmp_path, monkeypatch, capsys)
     assert main([arg.format(**paths) for arg in argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("x", [-0.0, -1.25, 0.0, 2.5e-10, 1e6, -123456789.125, math.inf,
+                               -math.inf, math.nan])
+def test_a_decompose_row_formats_each_figure_as_fmt_right_aligned_to_12(x):
+    row = cli._DECOMPOSE_ROW % (7, "{x}{y}", x, -x)
+    assert row == f"{'{x}{y}'.ljust(7)}  {cli._fmt(x).rjust(12)}  {cli._fmt(-x).rjust(12)}"
+
+
+def test_the_n5_report_builds_no_antichain_objects(monkeypatch, tmp_path, capsys):
+    from test_bench_reference import WORKLOADS
+
+    from infoshare import decomposition, load_file
+
+    # a fresh lattice: the cached one may hold the nodes an oracle built
+    lattice = RedundancyLattice(5)
+    monkeypatch.setattr(decomposition, "enumerate_antichains", lambda n: lattice)
+    path = WORKLOADS.make("n5-expected", 0, tmp_path).argv[2]
+    names = ("A", "B", "C", "D", "E")
+    rows = decomposition.decomposition_rows(decomposition.decompose_expected(load_file(path)),
+                                            names)
+    labels = lattice.labels(names)
+    assert [label for label, _, _ in rows] == [labels[i] for i in lattice._topo]
+    assert main(["decompose", path, "--mode", "expected"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(lattice) + 5
+    assert "nodes" not in vars(lattice)

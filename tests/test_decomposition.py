@@ -180,6 +180,28 @@ def test_decompose_pointwise_outside_support():
         decompose_pointwise(xor3(), (0, 0, 1))
 
 
+def test_pointwise_faults_come_in_order():
+    # the realization is checked, then the support, and only then the variable count
+    six = random_distribution(trial_rng(76, 6), [2] * 6, sparsity=0.75)
+    on = six.support()[0][0]
+    off = next(r for r in product(range(2), repeat=6) if six.mass(r) == 0.0)
+    outside = "realization outside the support of the selected variables"
+    cases = [
+        (decompose_pointwise, six, (0,) * 5, ValueError, "realization has 5 values, expected 6"),
+        (decompose_pointwise, six, (0,) * 5 + (2,), ValueError,
+         "value 2 outside range of variable 'x6' (cardinality 2)"),
+        (decompose_pointwise, six, off, ZeroMass, outside),
+        (decompose_pointwise, six, on, ValueError, "variable count 6 outside supported range 1..5"),
+        (trivariate_report, xor3(), (0, 0, 2), ValueError,
+         "value 2 outside range of variable 'Z' (cardinality 2)"),
+        (trivariate_report, xor3(), (0, 0, 1), ZeroMass, outside),
+    ]
+    for fn, d, r, kind, text in cases:
+        with pytest.raises(ValueError) as err:
+            fn(d, r)
+        assert (type(err.value), str(err.value)) == (kind, text)
+
+
 def test_decompose_pointwise_variable_subset():
     d = xor3()
     pv = decompose_pointwise(d, (0, 1, 1), variables=[0, 1])

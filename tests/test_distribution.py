@@ -654,6 +654,9 @@ _CONSTRUCTOR_FAULTS = [
     ({(0, 1): -1, (0, 5): 1.0}, InvalidDistribution, "negative mass -1.0 for assignment (0, 1)"),
     ({(0, 1): 0.5, (0, 5): -1}, ValueError,
      "value 5 outside range of variable 'Y' (cardinality 3)"),
+    # a zero mass is an entry too: its duplicate is refused in either order
+    ({(0, 1): 0.0, range(2): 1.0}, InvalidDistribution, "duplicate assignment (0, 1)"),
+    ({(0, 1): 1.0, range(2): 0.0}, InvalidDistribution, "duplicate assignment (0, 1)"),
 ]
 
 

@@ -381,7 +381,9 @@ def test_about_validates_each_realization_once(monkeypatch, tmp_path):
     expected_calls = [compile_expression(d, "x oplus y", **mode) for mode in modes] + [
         lambda: decompose_expected(d), lambda: mi_decompose(d, [0], [1], [2])]
     pointwise_calls = [compile_expression(d, "x oplus y", **mode) for mode in modes] + [
-        lambda r: mi_decompose(d, [0], [1], [2], r), surprisal_table(d, [[0], [1, 2]])]
+        lambda r: mi_decompose(d, [0], [1], [2], r), surprisal_table(d, [[0], [1, 2]]),
+        lambda r: decompose_pointwise(d, r), lambda r: decompose_pointwise(d, r, [2, 0]),
+        lambda r: algebra.trivariate_report(d, r)]
     for call in expected_calls:
         before = counts["check_realization"]
         call()
