@@ -16,9 +16,9 @@ involved variables and none of its arguments.  An expression's value at a
 realization sums the increments of the nodes it covers; only the
 realization's chain (`chain_levels`, one sorted pass) carries any, so no
 lattice is needed.  `compile_expression` lowers once per command and tests
-each distinct chain mask once; its value at a realization checks that
-realization once, and its expectation reads every support point's
-surprisals in one column pass and checks none.  The named three-variable
+each distinct chain mask once; its value is one weighted sum over the
+points `measures._points` gives, a realization's point mass or the support,
+whose surprisals it reads in one column pass.  The named three-variable
 terms (the lemma sides, `trivariate_report`'s 18) are lowered the same
 way, once per text, to the masks they cover; each call sums those on the
 one chain it reads.
@@ -35,7 +35,7 @@ from .distribution import OPERATORS, JointDistribution, identifier_end
 from .decomposition import _support_row, chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources, sources_of)
-from .measures import _surprisal_reader, surprisal_table
+from .measures import _points, _surprisal_reader, surprisal_table
 from .record import Record
 
 
@@ -251,10 +251,10 @@ def compile_expression(
     called without one, its support-weighted expectation: the `math.fsum` of
     the same products as `expected(d, value)`, so equal to it bit for bit.
 
-    Parsed, lowered and its surprisal table resolved once; each call sums
-    the covered increments on the realization's chain (`chain_levels`).
-    A realization is checked once; the expectation reads every support
-    point's surprisals in one column pass and checks none.
+    Parsed, lowered and its surprisal table resolved once; each call sums,
+    weighted, the covered increments on each point's chain (`chain_levels`)
+    over the points `measures._points` gives: a realization's point mass,
+    checked once, or the support, read in one column pass and checked not at all.
     With `given`, the chain spans the other variables with conditioned
     surprisals, and the expression must not mention a conditioning
     variable.  With `about`, the value is the plain one minus the one
@@ -292,13 +292,8 @@ def compile_expression(
         def value_of(h: tuple[float, ...]) -> float:
             return plain_total(h[:k]) - total(h[k:])
 
-    check = d.variables.check_realization
-
     def value(realization: Sequence[int] | None = None) -> float:
-        if realization is not None:
-            (h,) = read([check(realization)])
-            return value_of(h)
-        points, weights = zip(*d.support())
+        points, weights = _points(d, realization)
         return math.fsum(map(mul, weights, map(value_of, read(points))))
 
     return value

@@ -38,7 +38,7 @@ from .lattice import (
     sharing_join,
     sharing_meet,
 )
-from .measures import _surprisal_reader, surprisal_table
+from .measures import _points, _surprisal_reader, surprisal_table
 from .record import Record
 from .sampling import random_distribution, tie_heavy_distributions, trial_rng
 
@@ -299,7 +299,7 @@ def _lemmas_trial(seed: int, t: int, bump: Bump) -> None:
     d = random_distribution(trial_rng(seed, t), [2, 2, 2])
     # every support point's surprisals in one pass
     read = _surprisal_reader(d, [(map(frozenset, enumerate_sources(3)), frozenset())])
-    for h in read([r for r, _ in d.support()]):
+    for h in read(_points(d)[0]):
         for result in _lemma_results(chain_levels(h)):
             bump(result.name, result.residual)
 

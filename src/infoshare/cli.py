@@ -48,9 +48,10 @@ class RunConfig(Record):
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
 
-    def unit(self, bits: float) -> float:
-        """A figure in bits expressed in the configured unit; bits pass unchanged."""
-        return bits if self.base == 2.0 else bits * (1.0 / math.log2(self.base))
+    @property
+    def scale(self) -> float:
+        """Bits to the configured unit: each figure is `bits * scale`, `bits` itself at base 2."""
+        return 1.0 / math.log2(self.base)
 
 
 def _fmt(value: float) -> str:
@@ -156,13 +157,13 @@ def cmd_pointwise(config: RunConfig, args) -> int:
         rows += [("union", pair.union), ("intersection", pair.intersection),
                  ("synergy", pair.synergy), (f"unique {la} over {lb}", pair.unique_first),
                  (f"unique {lb} over {la}", pair.unique_second), ("mutual", pair.coinformation)]
-        residual = config.unit(abs(joint - pair.parts_sum()))  # as `decompose --target`
+        residual = abs(joint - pair.parts_sum()) * config.scale  # as `decompose --target`
     elif len(sources) > 2:
         rows += [("union", max(h)), ("intersection", min(h)), ("synergy", joint - max(h))]
     if len(sources) >= 2:
         rows.append((f"h{_source_label(d, whole)}", joint))
     suffix = f"|{_source_label(d, given)}" if given else ""
-    rows = [(label + suffix, config.unit(value)) for label, value in rows]
+    rows = [(label + suffix, value * config.scale) for label, value in rows]
 
     width = max(len(label) for label, _ in rows)
     lines = [f"pointwise measures at ({args.realization})"]
@@ -202,9 +203,9 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
     target = _parse_source(d, args.target)
     realization = _mode_realization(args)
     result = mi_decompose(d, predictors[0], predictors[1], target, realization)
-    rows = [(name, config.unit(getattr(result, name))) for name in _MI_ROWS]
-    parts_sum = config.unit(result.parts_sum())
-    residual = config.unit(abs(result.joint - result.parts_sum()))
+    rows = [(name, getattr(result, name) * config.scale) for name in _MI_ROWS]
+    parts_sum = result.parts_sum() * config.scale
+    residual = abs(result.joint - result.parts_sum()) * config.scale
 
     header = (
         f"mutual decomposition [{args.mode}] predictors "
@@ -254,7 +255,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
         header = "expected decomposition"
 
     rows = decomposition_rows(partials, names)
-    scale = config.unit(1.0)  # `unit` is a multiply by this, and x * 1.0 is x
+    scale = config.scale
     top_bits, total_bits = rows[-1][1], partials.total()  # the top node comes last
     total, top_value = total_bits * scale, top_bits * scale
     residual = abs(total_bits - top_bits) * scale
@@ -296,7 +297,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise ValueError("--given and --about are mutually exclusive")
     r = _parse_realization(args.realization) if args.realization is not None else None
     # one call in either mode: at the realization, or the expectation without one
-    value = config.unit(compile_expression(d, expr, given=given, about=about)(r))
+    value = compile_expression(d, expr, given=given, about=about)(r) * config.scale
     mode = "expected" if r is None else f"at ({args.realization})"
     _emit(
         config,

@@ -27,8 +27,8 @@ subtracts the largest value among the covered nodes; their valuation
 members.  The chain walk makes the same float subtractions as the closed
 form, so it matches it exactly and the recursive form within rounding.
 `mi_decompose` reads its plain and its conditioned surprisals in one row
-from one reader (`measures._surprisal_reader`) of log2 mass tables: the
-row of its realization, or every support point's in one pass.
+from one reader (`measures._surprisal_reader`) of log2 mass tables, at
+each point `measures._points` gives: its realization, or the support.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, _key_of, variable_indices
 from .lattice import RedundancyLattice, enumerate_antichains, sources_of
-from .measures import _surprisal_reader, pair_contents, surprisal_table
+from .measures import _points, _surprisal_reader, pair_contents, surprisal_table
 from .record import Record
 
 
@@ -218,7 +218,7 @@ def decompose_expected(
     """
     sel = _selected(d, variables)
     lattice = enumerate_antichains(len(sel))
-    points, weights = zip(*d.support())
+    points, weights = _points(d)
     read = _surprisal_reader(d, [(map(frozenset, sources_of(sel)), frozenset())])
     return _walk(lattice, read(points), weights)
 
@@ -261,8 +261,8 @@ def mi_decompose(
 ) -> MutualDecomposition:
     """Decompose what two predictor sources say about a target source.
 
-    With a realization this is pointwise; without one, every component is
-    averaged over the support.
+    Every component is averaged over the points `measures._points` gives:
+    a realization's point mass, so the pointwise reading, or the support.
     """
     a = d.variables.check_source(first)
     b = d.variables.check_source(second)
@@ -277,10 +277,7 @@ def mi_decompose(
         ha, hb, ca, cb, hab, cab = h
         return [p - c for p, c in zip(pair_contents(ha, hb, hab), pair_contents(ca, cb, cab))]
 
-    if realization is not None:
-        (h,) = read([d.variables.check_realization(realization)])
-        return MutualDecomposition(*point(h))
-    points, weights = zip(*d.support())
+    points, weights = _points(d, realization)
     weighted = ([p * x for x in point(h)] for h, p in zip(read(points), weights))
     return MutualDecomposition(*map(math.fsum, zip(*weighted)))
 

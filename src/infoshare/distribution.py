@@ -261,11 +261,6 @@ def load_file(path: str | Path) -> JointDistribution:
     return load_distribution(text, fmt)
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer; `bool` is a subclass of `int` but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _load_json(text: str) -> JointDistribution:
     import json
     try:
@@ -290,7 +285,7 @@ def _load_json(text: str) -> JointDistribution:
         if not isinstance(entry["name"], str):
             raise InvalidDistribution(f"name of variable entry {i} is not a string")
         names.append(entry["name"])
-        if not _is_int(entry["cardinality"]):
+        if type(entry["cardinality"]) is not int:  # `json` makes no int subclass but bool
             raise InvalidDistribution(
                 f"cardinality of variable {entry['name']!r} is not an integer"
             )
@@ -304,7 +299,7 @@ def _load_json(text: str) -> JointDistribution:
         if not isinstance(entry, dict) or "assignment" not in entry or "p" not in entry:
             raise InvalidDistribution(f'pmf entry {i} must carry "assignment" and "p"')
         raw = entry["assignment"]
-        # `json` makes no int subclass but bool, so this is `_is_int` on every value
+        # `type(x) is int` on every value, as for a cardinality
         if not isinstance(raw, list) or not {int}.issuperset(map(type, raw)):
             raise InvalidDistribution(f"pmf entry {i}: assignment must be an array of integers")
         try:

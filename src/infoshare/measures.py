@@ -2,8 +2,11 @@
 
 Every function here evaluates at a single realization of a joint
 distribution; `expected` lifts any of them to the distribution level by
-weighting over the support.  Surprisal-like quantities are non-negative,
-mutual quantities are signed.  Values are in bits.
+weighting over the support.  A figure with an optional realization sums
+over the points `_points` gives: that realization's point mass, of weight
+1.0 (`fsum([1.0 * x])` is `x`, as no reading is -0.0), or the support.
+Surprisal-like quantities are non-negative, mutual quantities are signed.
+Values are in bits.
 
 Every measure is built from one surprisal, log2 p(G) - log2 p(S u G)
 for a source S and a conditioner G; a plain one has G empty, of mass 1.
@@ -18,10 +21,10 @@ and `cond_surprisal` are kept as the tests' oracles for the table.
 turns each set's marginal table into log2 masses once, then reads a list
 of checked realizations column by column, one row each, with 0.0 for
 the empty conditioner, the log of mass 1.  The table reads one
-realization through it; the expected commands read the whole support
-through it in one pass, without checking any point again; `eval --about`
-and the target decomposition read their plain and conditioned
-surprisals from it in one row.
+realization through it; the figures read the points `_points` gives
+through it in one pass, the whole support without checking any point
+again; `eval --about` and the target decomposition read their plain and
+conditioned surprisals from it in one row.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and
@@ -179,9 +182,18 @@ def pair_contents(h_a: float, h_b: float, h_ab: float) -> tuple[float, ...]:
             h_ab - union, h_ab, h_a + h_b - h_ab)
 
 
+def _points(
+    d: JointDistribution, realization: Sequence[int] | None = None
+) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+    """Points and weights: the checked realization's point mass, or the support's masses."""
+    if realization is not None:
+        return (d.variables.check_realization(realization),), (1.0,)
+    return tuple(d._pmf), tuple(d._pmf.values())
+
+
 def expected(d: JointDistribution, fn: Callable[[tuple[int, ...]], float]) -> float:
     """Support-weighted mean of a per-realization functional."""
-    return math.fsum(p * fn(r) for r, p in d.support())
+    return math.fsum(p * fn(r) for r, p in zip(*_points(d)))
 
 
 def entropy(d: JointDistribution, source) -> float:

@@ -889,10 +889,15 @@ def _dist_file(tmp_path, d) -> Path:
 
 
 # sha256 of stdout for reports the benchmark's reference digests leave out;
-# "{f}" is a random 2x3x2 distribution, "{n5}" the n5-expected input at seed 0
+# "{f}" is a random 2x3x2 distribution, "{xor}" `XOR3_JSON`, "{n5}" the
+# n5-expected input at seed 0
 _STRUCTURED = ("--format", "structured")
 _TARGET = ("decompose", "{f}", "--target", "Z", "--predictors", "X,Y")
 _TARGET_AT = (*_TARGET, "--mode", "pointwise", "--realization", "1,2,0")
+_XOR_TARGET_AT = ("decompose", "{xor}", "--target", "Z", "--predictors", "X,Y",
+                  "--mode", "pointwise", "--realization", "0,1,1")
+_EVAL_AT = ("eval", "{f}", "X oplus Y", "--realization", "1,2,0")
+_XOR_EVAL_AT = ("eval", "{xor}", "X oplus Y", "--realization", "0,1,1")
 _ONE_SOURCE = ("pointwise", "{f}", "--realization", "1,2,0", "--sources", "X,Y")
 REPORT_DIGESTS = {
     (*_STRUCTURED, "--allow-n5", "decompose", "{n5}", "--mode", "expected"):
@@ -923,6 +928,35 @@ REPORT_DIGESTS = {
         "14fdb0b63875514fbd3219add72d286d6c478d204bce45b92a26a796ffbf4497",
     ("lattice", "--n", "5"):
         "ddd998a24e7e9fb6ed4f3265da56873b5c165a2b0785efff82642afd84dc103a",
+    # the pointwise figures: each is the weighted sum over one realization's point mass
+    _EVAL_AT:
+        "0727a83ecdcc9ff4fb9f79ebc835db29e5cb6a14a0566c39865140a9369a6aa2",
+    (*_STRUCTURED, *_EVAL_AT):
+        "15241b402dcc3644991e80ecdb4ee1f15572f401d0fa7a8eff9637a1a021fe7e",
+    (*_EVAL_AT, "--given", "Z"):
+        "45fe3157f1797bb4f79ef35f9b46f49a3e92e5436752cccec8ceaa6765159a5c",
+    (*_STRUCTURED, *_EVAL_AT, "--given", "Z"):
+        "04d4edae5d1c609540c13f82e6fcc9fdd3f701a028b88938f7eade8200a5a67b",
+    (*_EVAL_AT, "--about", "Z"):
+        "a152211206a2f3724817b15c7202e1a1cdb7bf086ebc1949064b8dc1df0375fb",
+    (*_STRUCTURED, *_EVAL_AT, "--about", "Z"):
+        "a98d21abaf34b687641761e5714b0b8a99aa40844078b80a9057ee957024303b",
+    _XOR_EVAL_AT:
+        "f2048cc7bf775c8af557ac98213e6685bb155aa9cb0b709576d25db0f193a988",
+    (*_STRUCTURED, *_XOR_EVAL_AT):
+        "2746f2d48c1a3c72195cecf2399b97fe971abceb5c555d2bdfc765e1ea209a3a",
+    (*_XOR_EVAL_AT, "--given", "Z"):
+        "678790dbd0f44667421f4f58d4201beca5008cd7092dc2b4e924ae4402a83328",
+    (*_STRUCTURED, *_XOR_EVAL_AT, "--given", "Z"):
+        "766cd96f81883ce360279b075e181d137f278c9d052a8ecb885d456d613bc328",
+    (*_XOR_EVAL_AT, "--about", "Z"):
+        "f2048cc7bf775c8af557ac98213e6685bb155aa9cb0b709576d25db0f193a988",
+    (*_STRUCTURED, *_XOR_EVAL_AT, "--about", "Z"):
+        "2746f2d48c1a3c72195cecf2399b97fe971abceb5c555d2bdfc765e1ea209a3a",
+    _XOR_TARGET_AT:
+        "2b072afc5d97a8f8706be3b240812e69882ceabb699cffedbe991a9bc58261e0",
+    (*_STRUCTURED, *_XOR_TARGET_AT):
+        "13e8b2f4eda313b51a0007b4964435cfbc8bc6aa6dc65343f054b766ba46a958",
 }
 
 
@@ -931,9 +965,11 @@ def test_report_matches_its_recorded_digest(argv, tmp_path, monkeypatch, capsys)
     from test_bench_reference import WORKLOADS
 
     monkeypatch.chdir(tmp_path)  # `lattice --out` confirms a relative path
+    (tmp_path / "xor.json").write_text(XOR3_JSON)
     paths = {
         "f": _dist_file(tmp_path, random_distribution(trial_rng(2024, 0), [2, 3, 2],
                                                       sparsity=0.0)),
+        "xor": tmp_path / "xor.json",
         "n5": WORKLOADS.make("n5-expected", 0, tmp_path).argv[2],
     }
     assert main([arg.format(**paths) for arg in argv]) == 0
