@@ -10,8 +10,11 @@ CPU: the first block in this process and each other block in a forked
 child, whose worst residuals are merged by maximum.  The report does not
 depend on the CPU count; a system without `fork` runs one block.
 
-`props` builds its join and meet tables of node indices once per command,
-before the blocks fork, and values every node once per trial.
+`props` builds its join and meet tables of node indices, and resolves its
+single-variable sources, once per command, before the blocks fork.  Each
+trial reads its support point's surprisals through one surprisal reader,
+checking neither sources nor realization again, values every node once
+and measures connexity only for a value that is not one of the surprisals.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .lattice import (
     sharing_join,
     sharing_meet,
 )
-from .measures import _points, _surprisal_reader, surprisal_table
+from .measures import _points, _surprisal_reader
 from .record import Record
 from .sampling import random_distribution, tie_heavy_distributions, trial_rng
 
@@ -189,15 +192,24 @@ def _node_tables(n: int) -> tuple[RedundancyLattice, list[list[int]], list[list[
     return lattice, table(sharing_join), table(sharing_meet)
 
 
-def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
+def _props_draws(seed: int, tables: dict, t: int) -> tuple:
+    """Trial t's draws: n = 2 or 3, the surprisals of the n single variables
+    at a random support point of a random distribution, read through one
+    surprisal reader, and three node indices a, b, c."""
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
-    support = d.support()
-    r, _ = support[rng.randrange(len(support))]
-    h = surprisal_table(d, [(i,) for i in range(n)])(r)
-    lattice, join_t, meet_t = tables[n]
+    points = _points(d)[0]
+    r = points[rng.randrange(len(points))]
+    lattice, _, _, groups = tables[n]
+    h = next(_surprisal_reader(d, groups)([r]))
     a, b, c = (rng.randrange(len(lattice)) for _ in range(3))
+    return n, h, a, b, c
+
+
+def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
+    n, h, a, b, c = _props_draws(seed, tables, t)
+    lattice, join_t, meet_t, _ = tables[n]
     v = [eval_sharing(node, h) for node in lattice.nodes]
 
     # each law for sharing_join against sharing_meet, then the other way round
@@ -209,15 +221,18 @@ def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
         bump("distributivity",
              abs(v[op[a][dual[b][c]]] - v[dual[op[a][b]][op[a][c]]]))
     for value in v:
-        bump("connexity", min(abs(value - hi) for hi in h))
+        if value not in h:  # a surprisal's own distance is 0.0, which bumps nothing
+            bump("connexity", min(abs(value - hi) for hi in h))
 
 
 def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
     """Lattice laws of the max-of-mins evaluation on random operands.
 
     `sharing_join` and `sharing_meet` run once on every pair of nodes for
-    n = 2 and 3, into tables of node indices; each trial then values every
-    node once and reads each law from those values.
+    n = 2 and 3, into tables of node indices, and the n single-variable
+    sources are resolved once next to them.  Each trial then reads its
+    support point's surprisals in one pass, values every node once and
+    reads each law from those values.
     """
     laws = (
         "idempotence",
@@ -227,7 +242,9 @@ def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
         "distributivity",
         "connexity",
     )
-    tables = {n: _node_tables(n) for n in (2, 3)}
+    # and the surprisal reader's one group: each single variable, unconditioned
+    tables = {n: (*_node_tables(n), [([frozenset((i,)) for i in range(n)], frozenset())])
+              for n in (2, 3)}
     residuals = _worst_residuals(laws, trials, partial(_props_trial, seed, tables))
     return _report("props", seed, trials, tolerance, residuals)
 

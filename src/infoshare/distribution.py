@@ -87,6 +87,15 @@ def _mass(value: object, where: str, at: object) -> float:
     raise InvalidDistribution(where.format(at, reason))
 
 
+def _cardinalities(values: Iterable[int]) -> tuple[int, ...]:
+    """Cardinalities as exact integers (`operator.index`: no float, text or list),
+    or an `InvalidDistribution`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InvalidDistribution("cardinalities must be integers") from None
+
+
 class VariableSet(Record):
     """Ordered, named finite variables together with their cardinalities."""
 
@@ -94,10 +103,7 @@ class VariableSet(Record):
 
     def __init__(self, names: Iterable[str], cardinalities: Iterable[int]) -> None:
         object.__setattr__(self, "names", tuple(map(str, names)))
-        try:
-            object.__setattr__(self, "cardinalities", tuple(map(index, cardinalities)))
-        except TypeError:
-            raise InvalidDistribution("cardinalities must be integers") from None
+        object.__setattr__(self, "cardinalities", _cardinalities(cardinalities))
         if not self.names:
             raise InvalidDistribution("at least one variable is required")
         if len(self.names) != len(self.cardinalities):

@@ -1,13 +1,20 @@
-"""Seeded random and fixed tie-heavy joint distributions for the suites."""
+"""Seeded random and fixed tie-heavy joint distributions for the suites.
+
+`random_distribution` builds the `VariableSet` and the outcome grid of a
+cardinality shape once per process, keyed on the cardinalities as exact
+integers, so a suite that draws thousands of small distributions
+validates each shape once.
+"""
 
 from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
-from .distribution import JointDistribution, VariableSet
+from .distribution import JointDistribution, VariableSet, _cardinalities
 from .lattice import default_names
 
 _MASK64 = (1 << 64) - 1
@@ -35,13 +42,13 @@ def random_distribution(
     Each grid cell is kept with probability 1 - sparsity (redrawn until at
     least one cell survives); kept cells get independent exponential
     weights, normalized to sum to one.  Covers both dense and degenerate
-    supports.  `VariableSet` validates the cardinalities; a sparsity outside
-    [0, 1), where no cell could survive, is refused before any draw.
+    supports.  Non-integer cardinalities and a sparsity outside [0, 1),
+    where no cell could survive, are refused before any draw.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must lie in [0, 1), got {sparsity!r}")
-    variables = VariableSet(default_names(len(cardinalities)), cardinalities)
-    grid = list(product(*map(range, variables.cardinalities)))
+    # exact integers for the key: 3.0 must not find the grid of 3
+    variables, grid = _shape(_cardinalities(cardinalities))
     chosen: list[tuple[int, ...]] = []
     while not chosen:
         chosen = [cell for cell in grid if rng.random() >= sparsity]
@@ -50,6 +57,14 @@ def random_distribution(
     # cells of the grid and finite non-negative masses: nothing for the constructor to check
     return JointDistribution._of_checked(
         variables, {cell: w / total for cell, w in zip(chosen, weights)})
+
+
+@lru_cache(maxsize=64)
+def _shape(cardinalities: tuple[int, ...]) -> tuple[VariableSet, tuple[tuple[int, ...], ...]]:
+    """The variables on the default names and every cell of their grid;
+    `VariableSet` validates the cardinalities."""
+    variables = VariableSet(default_names(len(cardinalities)), cardinalities)
+    return variables, tuple(product(*map(range, cardinalities)))
 
 
 def tie_heavy_distributions(n: int) -> list[JointDistribution]:

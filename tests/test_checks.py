@@ -1,15 +1,17 @@
 """The `check` trial driver: block invariance, failures and child cleanup;
-the points and laws of the mobius suite; recorded digests of the reports
-the benchmark does not pin; and the props suite's node-index tables."""
+the points and laws of the mobius suite; recorded digests of every suite's
+report; the props suite's node-index tables, its draws and the work each of
+its trials does; and one sampler shape per process."""
 
 import hashlib
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
-from infoshare import checks
+from infoshare import checks, sampling
 from infoshare.cli import main
 from infoshare.lattice import (
     Antichain,
@@ -20,7 +22,9 @@ from infoshare.lattice import (
     sharing_join,
     sharing_meet,
 )
-from infoshare.sampling import tie_heavy_distributions
+from infoshare.distribution import VariableSet
+from infoshare.measures import surprisal_table
+from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 TRIALS = {"props": 40, "lemmas": 12, "mobius": 10, "pie": 60}
 # mobius adds one work item per support point of its tie-heavy families
@@ -113,9 +117,15 @@ def test_mobius_runs_every_law_on_the_tie_heavy_points(monkeypatch):
     assert report.passed
 
 
-# sha256 of `check` output at 40 trials, by (suite, seed, format); `props` is
-# pinned by the benchmark's reference digests
+# sha256 of `check` output at 40 trials, by (suite, seed, format); the benchmark's
+# reference digests pin only the `props` text output, and only at 2,000 trials
 CHECK_DIGESTS = {
+    ("props", 0, "text"): "55214e7638e5c5fbc2292541ef50c5f5428c132a8794ad3b456130fd046e8c38",
+    ("props", 0, "structured"):
+        "e645a0ee6ea3321ba18d53e44933362ff33287fd8f86cb8d7f36f52351105dae",
+    ("props", 7, "text"): "e6f6ecf5a943e1a43f1c3ff7f593bbc0540e7d0a53b3573c9c780ef55cef48aa",
+    ("props", 7, "structured"):
+        "c89554a0352d9b083870b7663a38183cd9981a238e306e6581ff369a680dcc3f",
     ("mobius", 0, "text"): "da16c485e475d2d50832512e848154abe1fb2718ae21c5cdce784fb5143f7c95",
     ("mobius", 0, "structured"):
         "5dbd492ac3f23ae0208ab193cacf703c4b61238ced461c2f2637af847908c558",
@@ -287,3 +297,110 @@ def test_props_rejects_a_result_that_is_no_node(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_props_trials_draw_what_the_public_path_draws(monkeypatch, seed):
+    drawn = []
+    real = checks._props_draws
+
+    def recorded(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(checks, "_props_draws", recorded)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    checks.run_props(seed, 300, 1e-9)
+    assert len(drawn) == 300
+    for t, (n, h, a, b, c) in enumerate(drawn):
+        rng = trial_rng(seed, t)
+        m = rng.choice((2, 3))
+        d = random_distribution(rng, [2] * m if m == 3 else [rng.randint(2, 4)] * 2)
+        support = d.support()
+        r, _ = support[rng.randrange(len(support))]
+        public = surprisal_table(d, [(i,) for i in range(m)])(r)
+        size = len(enumerate_antichains(m))
+        # bit for bit: hex tells -0.0 from 0.0
+        assert (n, [x.hex() for x in h], a, b, c) == (
+            m, [x.hex() for x in public], *(rng.randrange(size) for _ in range(3))), t
+
+
+def _inside(monkeypatch, name: str) -> list:
+    """Wrap `checks.<name>`, the per-trial function a suite binds when it runs;
+    the list returned is non-empty while a trial runs."""
+    inside = []
+    real = getattr(checks, name)
+
+    def trial(*args):
+        inside.append(name)
+        try:
+            real(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(checks, name, trial)
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    return inside
+
+
+def test_props_trials_value_each_node_once_and_check_nothing_again(monkeypatch):
+    inside = _inside(monkeypatch, "_props_trial")
+    valued = []  # per eval_sharing call: the node and the surprisals it read
+    checked = []
+
+    def eval_sharing(node, values):
+        assert inside
+        valued.append((node, values))
+        return real_eval(node, values)
+
+    def counted(method):
+        def wrapper(self, *args):
+            if inside:
+                checked.append(method.__name__)
+            return method(self, *args)
+        return wrapper
+
+    real_eval = checks.eval_sharing
+    monkeypatch.setattr(checks, "eval_sharing", eval_sharing)
+    for name in ("check_realization", "check_source"):
+        monkeypatch.setattr(VariableSet, name, counted(getattr(VariableSet, name)))
+    trials = 60
+    checks.run_props(0, trials, 1e-9)
+    assert not checked
+    # trial by trial: every node of the lattice over len(h) variables, once, in order
+    seen = 0
+    for _ in range(trials):
+        h = valued[seen][1]
+        nodes = enumerate_antichains(len(h)).nodes
+        assert [node for node, _ in valued[seen:seen + len(nodes)]] == list(nodes)
+        assert all(values is h for _, values in valued[seen:seen + len(nodes)])
+        seen += len(nodes)
+    assert seen == len(valued)
+
+
+@pytest.mark.parametrize("suite, trial, trials", [
+    ("props", "_props_trial", 60), ("lemmas", "_lemmas_trial", 12), ("mobius", "_mobius_item", 6),
+])
+def test_trials_build_one_variable_set_per_shape(monkeypatch, suite, trial, trials):
+    inside = _inside(monkeypatch, trial)
+    built = Counter()
+    real_init = VariableSet.__init__
+
+    def init(self, names, cardinalities):
+        real_init(self, names, cardinalities)
+        if inside:
+            built[self.cardinalities] += 1
+
+    monkeypatch.setattr(VariableSet, "__init__", init)
+    sampling._shape.cache_clear()
+    checks.run_suite(suite, 0, trials, 1e-9)
+    assert built and set(built.values()) == {1}, built
+
+
+@pytest.mark.xfail(strict=True, reason="every props law is self-dual, so the suite cannot "
+                   "tell join from meet until it ties the tables to the node values")
+def test_props_fails_with_join_and_meet_swapped(monkeypatch):
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(checks, "sharing_join", sharing_meet)
+    monkeypatch.setattr(checks, "sharing_meet", sharing_join)
+    assert not checks.run_props(0, 200, 1e-9).passed

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -419,6 +420,27 @@ def test_random_distribution_rejects_non_integer_cardinalities(cardinalities):
     # validated by `VariableSet`, not truncated to a smaller grid
     with pytest.raises(InvalidDistribution, match="cardinalities must be integers"):
         random_distribution(trial_rng(0, 0), cardinalities)
+
+
+class _NoDraws(random.Random):
+    """An rng whose every draw fails: a refusal must come before the first."""
+
+    def random(self):
+        raise AssertionError("drew before refusing")
+
+
+@pytest.mark.parametrize("cardinalities, sparsity, error, text", [
+    # equal and of equal hash to the cached (2, 3), or unhashable: neither may reach the cache
+    ([2, 3.0], 0.5, InvalidDistribution, "cardinalities must be integers"),
+    ([[2], 3], 0.5, InvalidDistribution, "cardinalities must be integers"),
+    ([2, 3], 1.0, ValueError, "sparsity must lie"),
+    ([2, 3], float("nan"), ValueError, "sparsity must lie"),
+    ([2, 3], -0.1, ValueError, "sparsity must lie"),
+])
+def test_a_cached_shape_still_refuses_before_any_draw(cardinalities, sparsity, error, text):
+    random_distribution(trial_rng(0, 0), [2, 3])  # the shape of [2, 3] is now cached
+    with pytest.raises(error, match=text):
+        random_distribution(_NoDraws(0), cardinalities, sparsity)
 
 
 @pytest.mark.parametrize("sparsity", ["1.0", "1.5", "float('nan')", "-0.1"])
