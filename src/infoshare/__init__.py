@@ -33,7 +33,7 @@ from .decomposition import (
     lattice_valuation,
     mi_decompose,
     mobius_closed_form,
-    mobius_recursive,
+    mobius_inversion,
 )
 from .distribution import (
     InvalidDistribution,

@@ -20,17 +20,20 @@ and measures connexity only for a value that is not one of the surprisals.
 from __future__ import annotations
 
 import marshal
+import math
 import os
 from functools import partial
 from typing import Callable, Sequence
 
 from .algebra import _lemma_results
 from .decomposition import (
+    LatticeValuation,
     chain_levels,
+    decompose_expected,
     decompose_pointwise,
     lattice_valuation,
     mobius_closed_form,
-    mobius_recursive,
+    mobius_inversion,
 )
 from .lattice import (
     RedundancyLattice,
@@ -262,22 +265,20 @@ def run_pie(seed: int, trials: int, tolerance: float) -> CheckReport:
     return _report("pie", seed, trials, tolerance, residuals)
 
 
-def _mobius_point(d, r, bump: Bump) -> None:
-    """Every inversion law at one support point: both oracles, and the chain walk."""
+def _mobius_point(d, r, bump: Bump) -> LatticeValuation:
+    """Every inversion law at one support point; returns the point's valuation."""
     lattice = enumerate_antichains(d.variables.n)
     valuation = lattice_valuation(d, lattice, r)
     closed = mobius_closed_form(valuation)
-    recursive = mobius_recursive(valuation)
-    bump("closed_equals_recursive", max(
-        abs(x - y) for x, y in zip(closed.partials, recursive.partials)
+    bump("closed_equals_inversion", max(
+        abs(x - y) for x, y in zip(closed.partials, mobius_inversion(valuation).partials)
     ))
     bump("partials_nonnegative", -min(closed.partials))
     top = valuation.values[lattice._topo[-1]]  # the top node comes last bottom-up
     bump("partials_sum_to_top", abs(closed.total() - top))
-    chain = decompose_pointwise(d, r).partials
-    for c, x, y in zip(chain, closed.partials, recursive.partials):
+    for c, x in zip(decompose_pointwise(d, r).partials, closed.partials):
         bump("chain_equals_closed", abs(c - x))
-        bump("chain_equals_closed", abs(c - y))
+    return valuation
 
 
 def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bump) -> None:
@@ -288,22 +289,26 @@ def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bu
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 3)] * 2)
-    for r, _ in d.support():
-        _mobius_point(d, r, bump)
+    weighted = [[p * x for x in _mobius_point(d, r, bump).values] for r, p in d.support()]
+    expected = LatticeValuation(enumerate_antichains(n), list(map(math.fsum, zip(*weighted))))
+    bump("expected_equals_inversion", max(abs(x - y) for x, y in zip(
+        decompose_expected(d).partials, mobius_inversion(expected).partials)))
 
 
 def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
-    """Closed-form and chain-walk inversion against the recursive oracle.
+    """Closed-form and chain-walk inversion against the Boolean-interval one.
 
-    Every law runs at every point: each support point of a random
+    Every per-point law runs at every point: each support point of a random
     distribution, then each support point of the tie-heavy families for
-    n = 2..4, where surprisals tie and the chain walk merges levels.
+    n = 2..4, where surprisals tie and the chain walk merges levels.  The
+    expected law inverts each random distribution's mass-weighted valuations.
     """
     laws = (
-        "closed_equals_recursive",
+        "closed_equals_inversion",
         "partials_nonnegative",
         "partials_sum_to_top",
         "chain_equals_closed",
+        "expected_equals_inversion",
     )
     tail = [(d, r) for n in (2, 3, 4) for d in tie_heavy_distributions(n) for r, _ in d.support()]
     residuals = _worst_residuals(

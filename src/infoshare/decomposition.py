@@ -19,13 +19,12 @@ is the lesser of its parent's (the node without its last member) and its
 last member's surprisal.  One walk sums both, weighted, over points
 given as their rows of source surprisals and their weights: the support,
 read in one column pass that checks no point, for `decompose_expected`;
-one checked point of weight 1.0 for `decompose_pointwise`.  Two oracles
-are kept for the tests and the `check` suite: the recursive form subtracts the
-increments of everything strictly below a node, and the closed form
-subtracts the largest value among the covered nodes; their valuation
-(`lattice_valuation`) takes the least surprisal over each node's
-members.  The chain walk makes the same float subtractions as the closed
-form, so it matches it exactly and the recursive form within rounding.
+one checked point of weight 1.0 for `decompose_pointwise`.  Two inversions
+are kept for the tests and the `check` suite: the closed form subtracts the
+largest value among the covered nodes, which holds at one realization, and
+`mobius_inversion` inverts any valuation, expected ones too; the
+per-realization valuation (`lattice_valuation`) takes the least surprisal
+over each node's members.  All three agree bit for bit at one realization.
 `mi_decompose` reads its plain and its conditioned surprisals in one row
 from one reader (`measures._surprisal_reader`) of log2 mass tables, at
 each point `measures._points` gives: its realization, or the support.
@@ -155,29 +154,31 @@ def _walk(
     )
 
 
-def mobius_recursive(valuation: LatticeValuation) -> PartialValuation:
-    """Bottom-up inversion: node value minus the strictly-lower increments."""
-    lattice, values, upsets = valuation.lattice, valuation.values, valuation.lattice.upsets
-    partials = [0.0] * len(lattice)
-    for i in lattice._topo:
-        # the nodes strictly below, whose up-sets strictly contain this one
-        below = (j for j, m in enumerate(upsets) if upsets[i] & ~m == 0 and j != i)
-        partials[i] = values[i] - math.fsum(map(partials.__getitem__, below))
-    return PartialValuation(lattice, partials, valuation)
-
-
 def mobius_closed_form(valuation: LatticeValuation) -> PartialValuation:
-    """Closed-form inversion: node value minus the max over covered nodes.
-
-    Valid for per-realization valuations, where node values inherit the
-    total order of the underlying surprisals.
-    """
+    """Closed-form inversion: node value minus the max over covered nodes, valid
+    at one realization, whose node values inherit the total order of the
+    surprisals; `mobius_inversion` inverts expected valuations."""
     lattice, values = valuation.lattice, valuation.values
     covers = lattice._cover_ids()
     partials = [0.0] * len(lattice)
     for i in lattice._topo:
         covered = covers[i]
         partials[i] = values[i] - max(values[j] for j in covered) if covered else values[i]
+    return PartialValuation(lattice, partials, valuation)
+
+
+def mobius_inversion(valuation: LatticeValuation) -> PartialValuation:
+    """Inversion of any valuation: the sum, over each set T of the nodes a node
+    covers (distributivity leaves no other terms), of (-1)^|T| times the value
+    at the union of their up-sets and its own; at one realization, the closed
+    form rounded once."""
+    lattice, values = valuation.lattice, valuation.values
+    upsets, by_upset, partials = lattice.upsets, lattice._by_upset, []
+    for upset, covered in zip(upsets, lattice._cover_ids()):
+        terms = [(1.0, upset)]  # (sign, up-set) of each union so far
+        for j in covered:  # each cover adds one source: the unions are distinct
+            terms += [(-sign, union | upsets[j]) for sign, union in terms]
+        partials.append(math.fsum(sign * values[by_upset[union]] for sign, union in terms))
     return PartialValuation(lattice, partials, valuation)
 
 

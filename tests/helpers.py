@@ -1,11 +1,13 @@
-"""Fixed distributions, drawn tie-heavy ones and brute-force oracles shared by
-the test modules."""
+"""Fixed distributions, drawn tie-heavy ones and brute-force oracles, the
+cover-free recursive Möbius inversion among them, shared by the test modules."""
 
+import math
 from itertools import product
 
 from hypothesis import strategies as st
 
-from infoshare import JointDistribution, VariableSet, default_names
+from infoshare import (JointDistribution, LatticeValuation, PartialValuation, VariableSet,
+                       default_names)
 
 
 def dist(names, cards, pmf):
@@ -79,6 +81,17 @@ def marginal_oracle(d, source, realization):
     """Brute-force marginal: sum the pmf rows agreeing on the source."""
     idx = sorted(source)
     return sum(p for r, p in d.support() if all(r[i] == realization[i] for i in idx))
+
+
+def mobius_recursive(valuation: LatticeValuation) -> PartialValuation:
+    """Bottom-up inversion: node value minus the strictly-lower increments."""
+    lattice, values, upsets = valuation.lattice, valuation.values, valuation.lattice.upsets
+    partials = [0.0] * len(lattice)
+    for i in lattice._topo:
+        # the nodes strictly below, whose up-sets strictly contain this one
+        below = (j for j, m in enumerate(upsets) if upsets[i] & ~m == 0 and j != i)
+        partials[i] = values[i] - math.fsum(map(partials.__getitem__, below))
+    return PartialValuation(lattice, partials, valuation)
 
 
 XOR3_JSON = """

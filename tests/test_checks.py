@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from infoshare import checks, sampling
+from infoshare import PartialValuation, checks, decomposition, sampling
 from infoshare.cli import main
 from infoshare.lattice import (
     Antichain,
@@ -95,26 +95,60 @@ def test_mobius_checks_every_tie_heavy_point_once(monkeypatch):
     assert key(seen) == key(TIE_HEAVY_POINTS)
 
 
-def test_mobius_runs_every_law_on_the_tie_heavy_points(monkeypatch):
-    # no random trial: every law name the bump sees comes from a tie-heavy point
-    names = set()
+def _law_bumps(monkeypatch) -> Counter:
+    """Count the bumps of each law name over runs of one block."""
+    bumps = Counter()
     real = checks._bumper
 
     def bumper(residuals):
         bump = real(residuals)
 
         def recorded(name, value):
-            names.add(name)
+            bumps[name] += 1
             bump(name, value)
         return recorded
 
     monkeypatch.setattr(checks, "_bumper", bumper)
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    return bumps
+
+
+def test_mobius_runs_every_law_on_the_tie_heavy_points(monkeypatch):
+    # no random trial: every law name the bump sees comes from a tie-heavy point,
+    # and the expected law, which only a random distribution runs, is not seen
+    bumps = _law_bumps(monkeypatch)
     report = checks.run_suite("mobius", 0, 0, 1e-9)
-    assert names == {line.name for line in report.lines} == {
-        "closed_equals_recursive", "partials_nonnegative", "partials_sum_to_top",
-        "chain_equals_closed"}
+    per_point = {"closed_equals_inversion", "partials_nonnegative", "partials_sum_to_top",
+                 "chain_equals_closed"}
+    assert set(bumps) == per_point
+    assert {line.name for line in report.lines} == per_point | {"expected_equals_inversion"}
     assert report.passed
+
+
+def test_mobius_runs_the_expected_law_once_per_random_trial(monkeypatch):
+    bumps = _law_bumps(monkeypatch)
+    assert checks.run_suite("mobius", 0, 7, 1e-9).passed
+    assert bumps["expected_equals_inversion"] == 7
+
+
+def test_mobius_fails_when_the_walk_drops_its_weights(monkeypatch, capsys):
+    # a mutant `_walk` that weights its node values but sums the chain
+    # increments unweighted: no per-point law can see it, the expected law does
+    real = decomposition._walk
+
+    def walk(lattice, rows, weights):
+        rows, weights = list(rows), list(weights)
+        unweighted = real(lattice, rows, [1.0] * len(rows)).partials
+        return PartialValuation(lattice, unweighted, real(lattice, rows, weights).valuation)
+
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    assert checks.run_mobius(0, 40, 1e-9).passed
+    monkeypatch.setattr(decomposition, "_walk", walk)
+    report = checks.run_mobius(0, 40, 1e-9)
+    assert [line.name for line in report.lines if not line.passed] == [
+        "expected_equals_inversion"]
+    assert main(["--trials", "40", "check", "--suite", "mobius"]) == 1
+    assert capsys.readouterr().out == report.to_text()
 
 
 # sha256 of `check` output at 40 trials, by (suite, seed, format); the benchmark's
@@ -126,12 +160,12 @@ CHECK_DIGESTS = {
     ("props", 7, "text"): "e6f6ecf5a943e1a43f1c3ff7f593bbc0540e7d0a53b3573c9c780ef55cef48aa",
     ("props", 7, "structured"):
         "c89554a0352d9b083870b7663a38183cd9981a238e306e6581ff369a680dcc3f",
-    ("mobius", 0, "text"): "da16c485e475d2d50832512e848154abe1fb2718ae21c5cdce784fb5143f7c95",
+    ("mobius", 0, "text"): "3b2a3124ca17a3adee30220b7219545a4542949d40bac5759750914f618fd511",
     ("mobius", 0, "structured"):
-        "5dbd492ac3f23ae0208ab193cacf703c4b61238ced461c2f2637af847908c558",
-    ("mobius", 7, "text"): "168fade29672d3da8d83a51802399250e8f82366908fabd59d8d217647e14cb9",
+        "6c99c01e4829a0d9e2705647e2ed77be83eb2113bebc6846eaf1e1e6856826f4",
+    ("mobius", 7, "text"): "44426cee929d5ef70f0c2587e093800178a17f4619975446bbc9823027292dc6",
     ("mobius", 7, "structured"):
-        "21217bac4e891ce4272cc268681224bb3eb124a9d1ddda5c95366af30f72aa83",
+        "63787b05d50075210d7d7f0aae821f4cc6c1cf1bf06d26bc14cf8fab26beb9e7",
     ("lemmas", 0, "text"): "42cfd1432cc3aa8434d52883dea2748132cf4a6f035760526b849f6766e2abc2",
     ("lemmas", 0, "structured"):
         "b678ea326437eeac3bd7db64ae86aaca96c1b477c5fd9288be234b8036d9db74",
