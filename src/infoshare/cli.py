@@ -62,15 +62,6 @@ def _fmt_res(value: float) -> str:
     return f"{value:.9e}"
 
 
-def _row_lines(rows: list[tuple[str, float]], width: int) -> list[str]:
-    """Each row's label padded to `width`, then its figure right-aligned to
-    the widest in the table, so negative readings line up with positive ones."""
-    figures = [_fmt(value) for _, value in rows]
-    digits = max(map(len, figures))
-    return [f"{label.ljust(width)}  {figure.rjust(digits)}"
-            for (label, _), figure in zip(rows, figures)]
-
-
 def _parse_realization(text: str) -> tuple[int, ...]:
     try:
         return tuple(_ascii_number(part, int) for part in text.split(","))
@@ -114,6 +105,23 @@ def _emit(config: RunConfig, text_lines: list[str], structured: Callable[[], dic
         print(json.dumps(structured(), indent=2))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
+
+
+def _table(config: RunConfig, header: str, rows: list[tuple[str, float]],
+           residual: float | None, structured: Callable[[], dict]) -> int:
+    """A two-column report: under `header`, each label padded to the widest and
+    each figure right-aligned to the widest, so negative readings line up with
+    positive ones, then the residual line if there is one.  Returns 1 only
+    when that residual exceeds `--tol`."""
+    width = max(len(label) for label, _ in rows)
+    figures = [_fmt(value) for _, value in rows]
+    digits = max(map(len, figures))
+    lines = [header, *(f"{label.ljust(width)}  {figure.rjust(digits)}"
+                       for (label, _), figure in zip(rows, figures))]
+    if residual is not None:
+        lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
+    _emit(config, lines, structured)
+    return 0 if residual is None or residual <= config.tolerance else 1
 
 
 def cmd_validate(config: RunConfig, args) -> int:
@@ -164,22 +172,10 @@ def cmd_pointwise(config: RunConfig, args) -> int:
         rows.append((f"h{_source_label(d, whole)}", joint))
     suffix = f"|{_source_label(d, given)}" if given else ""
     rows = [(label + suffix, value * config.scale) for label, value in rows]
-
-    width = max(len(label) for label, _ in rows)
-    lines = [f"pointwise measures at ({args.realization})"]
-    lines += _row_lines(rows, width)
-    if residual is not None:
-        lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
-    _emit(
-        config,
-        lines,
-        lambda: {
-            "realization": list(r),
-            "measures": [{"name": label, "value": value} for label, value in rows],
-            "residual": residual,
-        },
-    )
-    return 0 if residual is None or residual <= config.tolerance else 1
+    return _table(config, f"pointwise measures at ({args.realization})", rows, residual,
+                  lambda: {"realization": list(r),
+                           "measures": [{"name": label, "value": value} for label, value in rows],
+                           "residual": residual})
 
 
 def _mode_realization(args) -> tuple[int, ...] | None:
@@ -212,21 +208,9 @@ def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
         f"{_source_label(d, predictors[0])},{_source_label(d, predictors[1])} "
         f"target {_source_label(d, target)}"
     )
-    width = max(len(label) for label, _ in rows)
-    lines = [header]
-    lines += _row_lines([*rows, ("sum of parts", parts_sum)], width)
-    lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
-    _emit(
-        config,
-        lines,
-        lambda: {
-            "mode": args.mode,
-            "rows": [{"name": n, "value": v} for n, v in rows],
-            "sum_of_parts": parts_sum,
-            "residual": residual,
-        },
-    )
-    return 0 if residual <= config.tolerance else 1
+    return _table(config, header, [*rows, ("sum of parts", parts_sum)], residual,
+                  lambda: {"mode": args.mode, "rows": [{"name": n, "value": v} for n, v in rows],
+                           "sum_of_parts": parts_sum, "residual": residual})
 
 
 def cmd_decompose(config: RunConfig, args) -> int:

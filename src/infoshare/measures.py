@@ -46,7 +46,7 @@ def surprisal(d: JointDistribution, source: Iterable[int], realization: Sequence
     p = d.marginal_mass(source, realization)
     if p <= 0.0:
         raise ZeroMass("surprisal undefined: zero marginal mass")
-    return 0.0 - math.log2(p)  # +0.0, not -0.0, at mass 1
+    return 0.0 - math.log2(p) if p <= 1.0 else 0.0  # +0.0, not -0.0, at mass 1 or above
 
 
 def cond_surprisal(
@@ -66,7 +66,8 @@ def cond_surprisal(
     p_joint = d.marginal_mass(s | g, realization)
     if p_joint <= 0.0:
         raise ZeroMass("surprisal undefined: zero joint mass")
-    return math.log2(p_given) - math.log2(p_joint)
+    return ((math.log2(p_given) if p_given <= 1.0 else 0.0)
+            - (math.log2(p_joint) if p_joint <= 1.0 else 0.0))
 
 
 def _surprisal_reader(
@@ -79,12 +80,13 @@ def _surprisal_reader(
     possibly empty.
 
     Each distinct S u G and each non-empty G is resolved once, here, to a
-    table of log2 masses: one log2 per marginal table entry.  A call reads
-    each set's column, one lookup per realization, and streams the rows: each
-    surprisal is one subtraction, from 0.0 for the empty G (the log of mass
-    1).  A zero mass raises the `ZeroMass` that `surprisal` or
-    `cond_surprisal` would have raised first, at the first realization that
-    has one, walking the groups in order.
+    table of log2 masses: one log2 per marginal table entry, and 0.0 for a
+    mass that rounding reads above 1.  A call reads each set's column, one
+    lookup per realization, and streams the rows: each surprisal is one
+    subtraction, from 0.0 for the empty G (the log of mass 1).  A zero mass
+    raises the `ZeroMass` that `surprisal` or `cond_surprisal` would have
+    raised first, at the first realization that has one, walking the groups
+    in order.
     """
     at: dict[frozenset[int], int] = {}
     layout = []  # per group: the id of G (-1: the empty one), those of S u G
@@ -92,7 +94,8 @@ def _surprisal_reader(
         ids = [at.setdefault(s | g, len(at)) for s in sources]
         layout.append((at.setdefault(g, len(at)) if g else -1, ids))
     log2 = math.log2
-    resolved = [(_key_of(s), {key: log2(p) for key, p in d._table(s).items()}) for s in at]
+    resolved = [(_key_of(s), {key: log2(p) if p <= 1.0 else 0.0 for key, p in d._table(s).items()})
+                for s in at]
 
     def read(points: Sequence[tuple[int, ...]]) -> Iterator[tuple[float, ...]]:
         try:

@@ -349,6 +349,15 @@ def test_decompose_target_refuses_a_variable_subset(xor3_file, capsys):
     assert captured.err == "error: --variables does not apply with --target and --predictors\n"
 
 
+def test_decompose_target_footer_fails_above_the_tolerance(xor3_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli.MutualDecomposition, "parts_sum", lambda self: self.joint + 0.5)
+    argv = ["decompose", xor3_file, "--target", "Z", "--predictors", "X,Y"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "residual       5.000000000e-01"
+    assert main(["--format", "structured", *argv]) == 1
+    assert json.loads(capsys.readouterr().out)["residual"] == 0.5
+
+
 def test_pointwise_footer_checks_the_parts_it_prints(tmp_path, monkeypatch, capsys):
     # a unique read in the wrong direction breaks intersection + uniques +
     # synergy = joint, and the two-source footer must say so
@@ -899,6 +908,7 @@ _XOR_TARGET_AT = ("decompose", "{xor}", "--target", "Z", "--predictors", "X,Y",
 _EVAL_AT = ("eval", "{f}", "X oplus Y", "--realization", "1,2,0")
 _XOR_EVAL_AT = ("eval", "{xor}", "X oplus Y", "--realization", "0,1,1")
 _ONE_SOURCE = ("pointwise", "{f}", "--realization", "1,2,0", "--sources", "X,Y")
+_TWO_SOURCES = ("pointwise", "{f}", "--realization", "1,2,0", "--sources", "X", "Y")
 REPORT_DIGESTS = {
     (*_STRUCTURED, "--allow-n5", "decompose", "{n5}", "--mode", "expected"):
         "c98224fa53adb6ca1e7be86975736d015c60f7194ae9193f748d8f527b635a6f",
@@ -957,6 +967,28 @@ REPORT_DIGESTS = {
         "2b072afc5d97a8f8706be3b240812e69882ceabb699cffedbe991a9bc58261e0",
     (*_STRUCTURED, *_XOR_TARGET_AT):
         "13e8b2f4eda313b51a0007b4964435cfbc8bc6aa6dc65343f054b766ba46a958",
+    # the two-column tables that `cli._table` writes: a two-source residual, more
+    # than two sources, a conditioner, and the other units
+    _TWO_SOURCES:
+        "aedccd89087daa250ac47a3c5e26e3fb47d67a8317bd2458a5aa2f7b987362a0",
+    (*_STRUCTURED, *_TWO_SOURCES):
+        "7fb967a843e820542baf4498ad542fe99b330fd7c67d989bad5ad116b3aeb7b4",
+    (*_TWO_SOURCES, "Z"):
+        "1a8fd2337ad5281007b3f15ebe1470710e3c0fdf153518962ff63f3d5ad14200",
+    (*_STRUCTURED, *_TWO_SOURCES, "Z"):
+        "9865a0c890180962d91c95b9327da6a033de88330c13ef504dcb133034c21e95",
+    (*_TWO_SOURCES, "--given", "Z"):
+        "97bbac8f3f4f2459e668b7c89f476fb252fb0b32946b2782069fd42ae1938424",
+    (*_STRUCTURED, *_TWO_SOURCES, "--given", "Z"):
+        "981faa6ac4009ffc4f08cc011e77dabc76e910d0aaa8af65358424d89d6900b0",
+    ("--base", "e", *_TWO_SOURCES):
+        "59cb7e799596be1a82d4ef6a5ffd09ad847b6eda873510b31a6090cb0c336be2",
+    (*_STRUCTURED, "--base", "e", *_TWO_SOURCES):
+        "d67b05ee66597f10baa20699bfd3d18e3e8c4781301882261bc75ed466880006",
+    ("--base", "10", *_TARGET_AT):
+        "5528f8091be3e104d7f938b39597dea1064e4d1ca6e558829d4d9465a4530cdb",
+    (*_STRUCTURED, "--base", "10", *_TARGET_AT):
+        "c9df967e46e093b298510508097caf68596a7923e38b082921cdd14e09ad3c60",
 }
 
 
@@ -1001,3 +1033,23 @@ def test_the_n5_report_builds_no_antichain_objects(monkeypatch, tmp_path, capsys
     assert main(["decompose", path, "--mode", "expected"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(lattice) + 5
     assert "nodes" not in vars(lattice)
+
+
+def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    runs = [step.get("run", "") for step in workflow["jobs"]["test"]["steps"]]
+    install = next(i for i, run in enumerate(runs) if "pip install" in run)
+    script = next(i for i, run in enumerate(runs) if run.startswith("infoshare "))
+    assert install < script
+    lines = runs[script].splitlines()
+    assert lines == ["infoshare --seed 0 --trials 40 check --suite props", "infoshare lattice --n 3"]
+    # the same argv through the module the console script names
+    assert 'infoshare = "infoshare.cli:main"' in (root / "pyproject.toml").read_text()
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for line in lines:
+        done = subprocess.run([sys.executable, "-m", "infoshare.cli", *shlex.split(line)[1:]],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (line, done.stderr)
+        assert done.stdout

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -14,6 +15,8 @@ from infoshare import (
     unique_content,
     union_content,
 )
+from infoshare import checks, decompose_pointwise, load_file
+from infoshare.cli import main
 from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, trial_rng
 
@@ -256,3 +259,36 @@ def test_point_mass_measures_vanish():
     assert synergy_content(p, [[0], [1], [2]], r) == 0.0
     assert mutual_content(p, [0], [1], r) == 0.0
 
+
+# four masses (`check --suite mobius`, seed 0, trial 481) whose z-marginal,
+# the whole support, sums to 1.0000000000000002: the mass stays as given
+_ABOVE_ONE_JSON = json.dumps({
+    "variables": [{"name": n, "cardinality": 2} for n in "xyz"],
+    "pmf": [{"assignment": [x, y, 1], "p": p} for (x, y), p in zip(
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        [0.026734817870466478, 0.34026767855790885, 0.5342596106194145, 0.09873789295221028])],
+})
+
+
+def test_a_mass_read_above_one_has_surprisal_plus_zero(tmp_path, capsys):
+    path = tmp_path / "above_one.json"
+    path.write_text(_ABOVE_ONE_JSON)
+    d, r = load_file(path), (0, 0, 1)
+    assert d.marginal_mass([2], r) > 1.0
+    h = surprisal(d, [2], r)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    for h in (cond_surprisal(d, [2], [0], r),
+              *surprisal_table(d, [[2], [0, 2]])(r), *surprisal_table(d, [[2]], given=[0])(r)):
+        assert h >= 0.0 and math.copysign(1.0, h) == 1.0
+    partials = decompose_pointwise(d, r)
+    assert min(partials.valuation.values) >= 0.0 and min(partials.partials) >= 0.0
+    for argv in (["decompose", str(path), "--mode", "pointwise", "--realization", "0,0,1"],
+                 ["pointwise", str(path), "--realization", "0,0,1", "--sources", "z", "x"]):
+        assert main(argv) == 0
+        assert "-0.000000000" not in capsys.readouterr().out
+    worst = {}
+    checks._mobius_point(d, r, lambda law, x: worst.__setitem__(law, max(x, worst.get(law, x))))
+    assert worst["partials_nonnegative"] == 0.0
+    law = next(law for law in checks.run_suite("mobius", 0, 1000, 1e-9).to_json()["laws"]
+               if law["name"] == "partials_nonnegative")
+    assert law["max_residual"] == 0.0
