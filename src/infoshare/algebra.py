@@ -35,7 +35,7 @@ from .distribution import OPERATORS, JointDistribution, identifier_end
 from .decomposition import _support_row, chain_levels
 from .lattice import (Antichain, RedundancyLattice, canonical_source, enumerate_antichains,
                       enumerate_sources, sources_of)
-from .measures import _points, _surprisal_reader, surprisal_table
+from .measures import _points, _surprisal_reader
 from .record import Record
 
 
@@ -388,7 +388,7 @@ def lemma_suite(d: JointDistribution, realization: Sequence[int]) -> list[LemmaR
     """Evaluate both sides of the nine sharing identities at a realization."""
     if d.variables.n != 3:
         raise ValueError("the lemma suite needs exactly three variables")
-    return _lemma_results(chain_levels(surprisal_table(d, enumerate_sources(3))(realization)))
+    return _lemma_results(chain_levels(_support_row(d, (0, 1, 2), realization)))
 
 
 def _lemma_results(chain: list[tuple[int, float]]) -> list[LemmaResult]:

@@ -5,10 +5,13 @@ reports pass/fail against the configured tolerance.  Per-trial seeds are
 derived from the master seed by index, so results never depend on
 execution order.
 
-One driver runs every suite's trials in contiguous blocks, one per usable
-CPU: the first block in this process and each other block in a forked
-child, whose worst residuals are merged by maximum.  The report does not
-depend on the CPU count; a system without `fork` runs one block.
+A suite is data in `SUITES`: its law names and a setup that builds what
+its trials share and returns the work-item count and the trial to run on
+each.  One runner, `run_suite`, runs every suite's items in contiguous
+blocks, one per usable CPU: the first block in this process and each other
+block in a forked child, whose worst residuals are merged by maximum.  The
+report does not depend on the CPU count; a system without `fork` runs one
+block.
 
 `props` builds its join and meet tables of node indices, and resolves its
 single-variable sources, once per command, before the blocks fork.  Each
@@ -89,13 +92,6 @@ class CheckReport(Record):
             ],
             "pass": self.passed,
         }
-
-
-def _report(suite, seed, trials, tolerance, residuals) -> CheckReport:
-    lines = tuple(
-        CheckLine(name, res, res <= tolerance) for name, res in residuals.items()
-    )
-    return CheckReport(suite, seed, trials, tolerance, lines)
 
 
 def _usable_cpus() -> int:
@@ -228,7 +224,7 @@ def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
             bump("connexity", min(abs(value - hi) for hi in h))
 
 
-def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
+def _props_setup(seed: int, trials: int) -> tuple[int, Trial]:
     """Lattice laws of the max-of-mins evaluation on random operands.
 
     `sharing_join` and `sharing_meet` run once on every pair of nodes for
@@ -237,32 +233,18 @@ def run_props(seed: int, trials: int, tolerance: float) -> CheckReport:
     support point's surprisals in one pass, values every node once and
     reads each law from those values.
     """
-    laws = (
-        "idempotence",
-        "commutativity",
-        "associativity",
-        "absorption",
-        "distributivity",
-        "connexity",
-    )
     # and the surprisal reader's one group: each single variable, unconditioned
     tables = {n: (*_node_tables(n), [([frozenset((i,)) for i in range(n)], frozenset())])
               for n in (2, 3)}
-    residuals = _worst_residuals(laws, trials, partial(_props_trial, seed, tables))
-    return _report("props", seed, trials, tolerance, residuals)
+    return trials, partial(_props_trial, seed, tables)
 
 
 def _pie_trial(seed: int, t: int, bump: Bump) -> None:
+    """Maximum equals the alternating sum of subset minima."""
     rng = trial_rng(seed, t)
     n = rng.randint(2, 5)
     values = [rng.uniform(0.0, 4.0) for _ in range(n)]
     bump("max_min_identity", abs(max(values) - max_via_min_expansion(values)))
-
-
-def run_pie(seed: int, trials: int, tolerance: float) -> CheckReport:
-    """Maximum equals the alternating sum of subset minima."""
-    residuals = _worst_residuals(("max_min_identity",), trials, partial(_pie_trial, seed))
-    return _report("pie", seed, trials, tolerance, residuals)
 
 
 def _mobius_point(d, r, bump: Bump) -> LatticeValuation:
@@ -295,7 +277,7 @@ def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bu
         decompose_expected(d).partials, mobius_inversion(expected).partials)))
 
 
-def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
+def _mobius_setup(seed: int, trials: int) -> tuple[int, Trial]:
     """Closed-form and chain-walk inversion against the Boolean-interval one.
 
     Every per-point law runs at every point: each support point of a random
@@ -303,21 +285,12 @@ def run_mobius(seed: int, trials: int, tolerance: float) -> CheckReport:
     n = 2..4, where surprisals tie and the chain walk merges levels.  The
     expected law inverts each random distribution's mass-weighted valuations.
     """
-    laws = (
-        "closed_equals_inversion",
-        "partials_nonnegative",
-        "partials_sum_to_top",
-        "chain_equals_closed",
-        "expected_equals_inversion",
-    )
     tail = [(d, r) for n in (2, 3, 4) for d in tie_heavy_distributions(n) for r, _ in d.support()]
-    residuals = _worst_residuals(
-        laws, trials + len(tail), partial(_mobius_item, seed, trials, tail)
-    )
-    return _report("mobius", seed, trials, tolerance, residuals)
+    return trials + len(tail), partial(_mobius_item, seed, trials, tail)
 
 
 def _lemmas_trial(seed: int, t: int, bump: Bump) -> None:
+    """The nine three-variable sharing identities on a random distribution."""
     d = random_distribution(trial_rng(seed, t), [2, 2, 2])
     # every support point's surprisals in one pass
     read = _surprisal_reader(d, [(map(frozenset, enumerate_sources(3)), frozenset())])
@@ -326,18 +299,26 @@ def _lemmas_trial(seed: int, t: int, bump: Bump) -> None:
             bump(result.name, result.residual)
 
 
-def run_lemmas(seed: int, trials: int, tolerance: float) -> CheckReport:
-    """The nine three-variable sharing identities on random distributions."""
-    laws = [f"L{i}" for i in range(1, 10)]
-    residuals = _worst_residuals(laws, trials, partial(_lemmas_trial, seed))
-    return _report("lemmas", seed, trials, tolerance, residuals)
-
-
-# Each suite's runner, by the name `check --suite` takes.
-SUITES = {"props": run_props, "lemmas": run_lemmas, "mobius": run_mobius, "pie": run_pie}
+# Each suite by the name `check --suite` takes: its law names, in report order,
+# and its setup `(seed, trials) -> (work items, trial)`, which builds what every
+# trial block shares before the blocks fork.
+SUITES = {
+    "props": (("idempotence", "commutativity", "associativity", "absorption",
+               "distributivity", "connexity"), _props_setup),
+    "lemmas": (tuple(f"L{i}" for i in range(1, 10)),
+               lambda seed, trials: (trials, partial(_lemmas_trial, seed))),
+    "mobius": (("closed_equals_inversion", "partials_nonnegative", "partials_sum_to_top",
+                "chain_equals_closed", "expected_equals_inversion"), _mobius_setup),
+    "pie": (("max_min_identity",), lambda seed, trials: (trials, partial(_pie_trial, seed))),
+}
 
 
 def run_suite(suite: str, seed: int, trials: int, tolerance: float) -> CheckReport:
+    """Run a suite's work items in trial blocks and judge each law's worst
+    residual against `tolerance`."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return SUITES[suite](seed, trials, tolerance)
+    laws, setup = SUITES[suite]
+    residuals = _worst_residuals(laws, *setup(seed, trials))
+    lines = tuple(CheckLine(name, res, res <= tolerance) for name, res in residuals.items())
+    return CheckReport(suite, seed, trials, tolerance, lines)

@@ -4,8 +4,11 @@ Subcommands: validate, pointwise, decompose, lattice, eval, check.
 Global flags select the log base, tolerance, seed, trial count, and text
 versus structured (JSON) output; they are accepted before or after the
 subcommand.  `--allow-n5` has no effect: every command takes the 1 to 5
-variables the library does.  The library works in bits; each reported
-figure is converted to the `--base` unit here, and `check` stays unit-free.
+variables the library does.  `main` checks the tolerance and the trial
+count once, before any command runs, and every command takes the parsed
+arguments alone.  The library works in bits; each reported figure is
+converted to the `--base` unit here, by the one `scale` factor `main`
+works out, and `check` stays unit-free.
 """
 
 from __future__ import annotations
@@ -29,29 +32,10 @@ from .distribution import (InvalidDistribution, JointDistribution, ZeroMass, _as
                            load_file)
 from .lattice import enumerate_antichains, to_dot
 from .measures import pair_contents, surprisal_table
-from .record import Record
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
 # a `decompose` row: the label padded to a width, then value and partial, each `_fmt(x).rjust(12)`
 _DECOMPOSE_ROW = "%-*s  %12.9f  %12.9f"
-
-
-class RunConfig(Record):
-    """Global run options shared by every subcommand."""
-
-    __slots__ = ("base", "tolerance", "seed", "trials", "structured")
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if not 0.0 < self.tolerance < math.inf:  # NaN fails too
-            raise ValueError("tolerance must be positive and finite")
-        if self.trials < 1:
-            raise ValueError("trial count must be at least 1")
-
-    @property
-    def scale(self) -> float:
-        """Bits to the configured unit: each figure is `bits * scale`, `bits` itself at base 2."""
-        return 1.0 / math.log2(self.base)
 
 
 def _fmt(value: float) -> str:
@@ -99,15 +83,15 @@ def _source_label(d: JointDistribution, source) -> str:
     return "{" + ",".join(names[i] for i in sorted(source)) + "}"
 
 
-def _emit(config: RunConfig, text_lines: list[str], structured: Callable[[], dict]) -> None:
-    if config.structured:
+def _emit(args, text_lines: list[str], structured: Callable[[], dict]) -> None:
+    if args.fmt == "structured":
         import json
         print(json.dumps(structured(), indent=2))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _table(config: RunConfig, header: str, rows: list[tuple[str, float]],
+def _table(args, header: str, rows: list[tuple[str, float]],
            residual: float | None, structured: Callable[[], dict]) -> int:
     """A two-column report: under `header`, each label padded to the widest and
     each figure right-aligned to the widest, so negative readings line up with
@@ -120,11 +104,11 @@ def _table(config: RunConfig, header: str, rows: list[tuple[str, float]],
                        for (label, _), figure in zip(rows, figures))]
     if residual is not None:
         lines.append(f"{'residual'.ljust(width)}  {_fmt_res(residual)}")
-    _emit(config, lines, structured)
-    return 0 if residual is None or residual <= config.tolerance else 1
+    _emit(args, lines, structured)
+    return 0 if residual is None or residual <= args.tol else 1
 
 
-def cmd_validate(config: RunConfig, args) -> int:
+def cmd_validate(args) -> int:
     try:
         d = load_file(args.file)
     except FileNotFoundError:
@@ -139,14 +123,14 @@ def cmd_validate(config: RunConfig, args) -> int:
     n = d.variables.n
     k = len(d.support())
     _emit(
-        config,
+        args,
         [f"ok: {n} variables, {k} support points"],
         lambda: {"ok": True, "variables": n, "support_points": k},
     )
     return 0
 
 
-def cmd_pointwise(config: RunConfig, args) -> int:
+def cmd_pointwise(args) -> int:
     d = load_file(args.file)
     r = _parse_realization(args.realization)
     sources = [_parse_source(d, s) for s in args.sources]
@@ -165,14 +149,14 @@ def cmd_pointwise(config: RunConfig, args) -> int:
         rows += [("union", pair.union), ("intersection", pair.intersection),
                  ("synergy", pair.synergy), (f"unique {la} over {lb}", pair.unique_first),
                  (f"unique {lb} over {la}", pair.unique_second), ("mutual", pair.coinformation)]
-        residual = abs(joint - pair.parts_sum()) * config.scale  # as `decompose --target`
+        residual = abs(joint - pair.parts_sum()) * args.scale  # as `decompose --target`
     elif len(sources) > 2:
         rows += [("union", max(h)), ("intersection", min(h)), ("synergy", joint - max(h))]
     if len(sources) >= 2:
         rows.append((f"h{_source_label(d, whole)}", joint))
     suffix = f"|{_source_label(d, given)}" if given else ""
-    rows = [(label + suffix, value * config.scale) for label, value in rows]
-    return _table(config, f"pointwise measures at ({args.realization})", rows, residual,
+    rows = [(label + suffix, value * args.scale) for label, value in rows]
+    return _table(args, f"pointwise measures at ({args.realization})", rows, residual,
                   lambda: {"realization": list(r),
                            "measures": [{"name": label, "value": value} for label, value in rows],
                            "residual": residual})
@@ -192,28 +176,28 @@ _MI_ROWS = ("intersection", "unique_first", "unique_second", "synergy", "union",
             "coinformation")
 
 
-def _decompose_target(config: RunConfig, args, d: JointDistribution) -> int:
+def _decompose_target(args, d: JointDistribution) -> int:
     predictors = _parse_predictors(d, args.predictors)
     if len(predictors) != 2:
         raise ValueError("exactly two predictor sources are required")
     target = _parse_source(d, args.target)
     realization = _mode_realization(args)
     result = mi_decompose(d, predictors[0], predictors[1], target, realization)
-    rows = [(name, getattr(result, name) * config.scale) for name in _MI_ROWS]
-    parts_sum = result.parts_sum() * config.scale
-    residual = abs(result.joint - result.parts_sum()) * config.scale
+    rows = [(name, getattr(result, name) * args.scale) for name in _MI_ROWS]
+    parts_sum = result.parts_sum() * args.scale
+    residual = abs(result.joint - result.parts_sum()) * args.scale
 
     header = (
         f"mutual decomposition [{args.mode}] predictors "
         f"{_source_label(d, predictors[0])},{_source_label(d, predictors[1])} "
         f"target {_source_label(d, target)}"
     )
-    return _table(config, header, [*rows, ("sum of parts", parts_sum)], residual,
+    return _table(args, header, [*rows, ("sum of parts", parts_sum)], residual,
                   lambda: {"mode": args.mode, "rows": [{"name": n, "value": v} for n, v in rows],
                            "sum_of_parts": parts_sum, "residual": residual})
 
 
-def cmd_decompose(config: RunConfig, args) -> int:
+def cmd_decompose(args) -> int:
     """One row per lattice node, bottom-up, then the sum of the partials, the joint
     value and their residual; or, with `--target`, the target decomposition.  Each
     figure is one multiply by the `--base` factor, and each text row one `%` format."""
@@ -223,7 +207,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
             raise ValueError("--target and --predictors must be given together")
         if args.variables is not None:
             raise ValueError("--variables does not apply with --target and --predictors")
-        return _decompose_target(config, args, d)
+        return _decompose_target(args, d)
 
     variables, names = None, d.variables.names
     if args.variables is not None:
@@ -239,7 +223,7 @@ def cmd_decompose(config: RunConfig, args) -> int:
         header = "expected decomposition"
 
     rows = decomposition_rows(partials, names)
-    scale = config.scale
+    scale = args.scale
     top_bits, total_bits = rows[-1][1], partials.total()  # the top node comes last
     total, top_value = total_bits * scale, top_bits * scale
     residual = abs(total_bits - top_bits) * scale
@@ -251,28 +235,28 @@ def cmd_decompose(config: RunConfig, args) -> int:
     lines.append(f"{'sum of partials'.ljust(label_width)}  {_fmt(total).rjust(12)}")
     lines.append(f"{'joint value'.ljust(label_width)}  {_fmt(top_value).rjust(12)}")
     lines.append(f"{'residual'.ljust(label_width)}  {_fmt_res(residual)}")
-    _emit(config, lines, lambda: {
+    _emit(args, lines, lambda: {
         "mode": args.mode,
         "rows": [{"node": label, "value": value * scale, "partial": partial * scale}
                  for label, value, partial in rows],
         "sum_of_partials": total, "joint_value": top_value, "residual": residual})
-    return 0 if residual <= config.tolerance else 1
+    return 0 if residual <= args.tol else 1
 
 
-def cmd_lattice(config: RunConfig, args) -> int:
+def cmd_lattice(args) -> int:
     lattice = enumerate_antichains(args.n)
     dot = to_dot(lattice, kind=args.kind)
     if args.out == "-":
         sys.stdout.write(dot)
     else:
         Path(args.out).write_text(dot, encoding="utf-8")
-        _emit(config,
+        _emit(args,
               [f"wrote {args.kind} lattice for n={args.n} ({len(lattice)} nodes) to {args.out}"],
               lambda: {"kind": args.kind, "n": args.n, "nodes": len(lattice), "out": args.out})
     return 0
 
 
-def cmd_eval(config: RunConfig, args) -> int:
+def cmd_eval(args) -> int:
     d = load_file(args.file)
     expr = parse_expression(args.expression, d.variables.names)
     given = _parse_source(d, args.given) if args.given is not None else None
@@ -281,19 +265,19 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise ValueError("--given and --about are mutually exclusive")
     r = _parse_realization(args.realization) if args.realization is not None else None
     # one call in either mode: at the realization, or the expectation without one
-    value = compile_expression(d, expr, given=given, about=about)(r) * config.scale
+    value = compile_expression(d, expr, given=given, about=about)(r) * args.scale
     mode = "expected" if r is None else f"at ({args.realization})"
     _emit(
-        config,
+        args,
         [f"{args.expression} [{mode}] = {_fmt(value)}"],
         lambda: {"expression": args.expression, "mode": mode, "value": value},
     )
     return 0
 
 
-def cmd_check(config: RunConfig, args) -> int:
-    report = checks.run_suite(args.suite, config.seed, config.trials, config.tolerance)
-    _emit(config, report.to_text().splitlines(), report.to_json)
+def cmd_check(args) -> int:
+    report = checks.run_suite(args.suite, args.seed, args.trials, args.tol)
+    _emit(args, report.to_text().splitlines(), report.to_json)
     return 0 if report.passed else 1
 
 
@@ -379,14 +363,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            base=_BASES[args.base],
-            tolerance=args.tol,
-            seed=args.seed,
-            trials=args.trials,
-            structured=args.fmt == "structured",
-        )
-        return args.func(config, args)
+        if not 0.0 < args.tol < math.inf:  # NaN fails too
+            raise ValueError("tolerance must be positive and finite")
+        if args.trials < 1:
+            raise ValueError("trial count must be at least 1")
+        # bits to the `--base` unit: each figure is `bits * scale`, `bits` itself at base 2
+        args.scale = 1.0 / math.log2(_BASES[args.base])
+        return args.func(args)
     except (InvalidDistribution, ZeroMass, ExpressionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

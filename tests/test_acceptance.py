@@ -29,7 +29,7 @@ from infoshare import (
     unique_content,
     union_content,
 )
-from infoshare.checks import run_lemmas, run_props
+from infoshare.checks import run_suite
 from infoshare.cli import main
 from infoshare.sampling import random_distribution, trial_rng
 
@@ -163,7 +163,7 @@ def test_criterion_04_lattice_combinatorics():
 
 
 def test_criterion_05_lattice_laws_and_max_min():
-    report = run_props(seed=SWEEP_SEED, trials=1000, tolerance=TOL)
+    report = run_suite("props", seed=SWEEP_SEED, trials=1000, tolerance=TOL)
     worst = max(line.max_residual for line in report.lines)
     connex_ok = True
     lattice = enumerate_antichains(3)
@@ -236,7 +236,7 @@ def test_criterion_07_trivariate_identity():
 
 
 def test_criterion_08_lemma_suite():
-    report = run_lemmas(seed=SWEEP_SEED + 4, trials=1000, tolerance=TOL)
+    report = run_suite("lemmas", seed=SWEEP_SEED + 4, trials=1000, tolerance=TOL)
     worst = max(line.max_residual for line in report.lines)
     from infoshare import lemma_suite
 

@@ -83,6 +83,13 @@ def test_reports_do_not_depend_on_the_block_count(monkeypatch, forks, suite, see
     _assert_no_child_left()
 
 
+def test_an_unknown_suite_is_refused_before_any_trial(forks):
+    with pytest.raises(ValueError) as err:
+        checks.run_suite("nope", 0, 10, 1e-9)
+    assert str(err.value) == "unknown suite 'nope'; choose from props, lemmas, mobius, pie"
+    assert not forks
+
+
 def test_mobius_checks_every_tie_heavy_point_once(monkeypatch):
     seen = []
     monkeypatch.setattr(checks, "_mobius_point", lambda d, r, bump: seen.append((d, r)))
@@ -142,9 +149,9 @@ def test_mobius_fails_when_the_walk_drops_its_weights(monkeypatch, capsys):
         return PartialValuation(lattice, unweighted, real(lattice, rows, weights).valuation)
 
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    assert checks.run_mobius(0, 40, 1e-9).passed
+    assert checks.run_suite("mobius", 0, 40, 1e-9).passed
     monkeypatch.setattr(decomposition, "_walk", walk)
-    report = checks.run_mobius(0, 40, 1e-9)
+    report = checks.run_suite("mobius", 0, 40, 1e-9)
     assert [line.name for line in report.lines if not line.passed] == [
         "expected_equals_inversion"]
     assert main(["--trials", "40", "check", "--suite", "mobius"]) == 1
@@ -316,9 +323,9 @@ def test_props_runs_the_sharing_ops_once_per_pair_per_command(monkeypatch, cpus,
 ])
 def test_props_fails_on_a_wrong_node_algebra(monkeypatch, capsys, op, mutant):
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    assert checks.run_props(0, 200, 1e-9).passed
+    assert checks.run_suite("props", 0, 200, 1e-9).passed
     monkeypatch.setattr(checks, op, mutant)
-    report = checks.run_props(0, 200, 1e-9)
+    report = checks.run_suite("props", 0, 200, 1e-9)
     assert not report.passed
     assert main(["--trials", "200", "check", "--suite", "props"]) == 1
     assert capsys.readouterr().out == report.to_text()
@@ -344,7 +351,7 @@ def test_props_trials_draw_what_the_public_path_draws(monkeypatch, seed):
 
     monkeypatch.setattr(checks, "_props_draws", recorded)
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    checks.run_props(seed, 300, 1e-9)
+    checks.run_suite("props", seed, 300, 1e-9)
     assert len(drawn) == 300
     for t, (n, h, a, b, c) in enumerate(drawn):
         rng = trial_rng(seed, t)
@@ -399,7 +406,7 @@ def test_props_trials_value_each_node_once_and_check_nothing_again(monkeypatch):
     for name in ("check_realization", "check_source"):
         monkeypatch.setattr(VariableSet, name, counted(getattr(VariableSet, name)))
     trials = 60
-    checks.run_props(0, trials, 1e-9)
+    checks.run_suite("props", 0, trials, 1e-9)
     assert not checked
     # trial by trial: every node of the lattice over len(h) variables, once, in order
     seen = 0
@@ -437,4 +444,4 @@ def test_props_fails_with_join_and_meet_swapped(monkeypatch):
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(checks, "sharing_join", sharing_meet)
     monkeypatch.setattr(checks, "sharing_meet", sharing_join)
-    assert not checks.run_props(0, 200, 1e-9).passed
+    assert not checks.run_suite("props", 0, 200, 1e-9).passed

@@ -862,6 +862,19 @@ def test_tolerance_must_be_positive_and_finite(capsys, tol, argv):
     assert captured.err == "error: tolerance must be positive and finite\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["decompose", "x.json"], ["check", "--suite", "pie"]])
+def test_trial_count_must_be_at_least_one(capsys, trials, argv):
+    # checked before any command runs: the missing file is never opened
+    assert main(["--trials", trials, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trial count must be at least 1\n"
+    # the tolerance is checked first
+    assert main(["--tol", "0", "--trials", trials, *argv]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be positive and finite\n"
+
+
 def test_cli_imports_only_the_standard_library():
     # The runtime is pure stdlib: a fresh isolated interpreter that imports the
     # CLI loads no module beyond the standard library and infoshare itself.
@@ -1044,12 +1057,21 @@ def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
     script = next(i for i, run in enumerate(runs) if run.startswith("infoshare "))
     assert install < script
     lines = runs[script].splitlines()
-    assert lines == ["infoshare --seed 0 --trials 40 check --suite props", "infoshare lattice --n 3"]
-    # the same argv through the module the console script names
+    assert lines == ["infoshare --seed 0 --trials 40 check --suite props", "infoshare lattice --n 3",
+                     r"printf 'X,Y,p\n0,0,0.5\n1,1,0.5\n' > copy.csv",
+                     "infoshare --base e --format structured decompose copy.csv"]
+    # in order, in one directory: the shell line through bash, and each `infoshare`
+    # argv through the module the console script names
     assert 'infoshare = "infoshare.cli:main"' in (root / "pyproject.toml").read_text()
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for line in lines:
-        done = subprocess.run([sys.executable, "-m", "infoshare.cli", *shlex.split(line)[1:]],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        if line.startswith("infoshare "):
+            argv = [sys.executable, "-m", "infoshare.cli", *shlex.split(line)[1:]]
+        else:
+            argv = ["bash", "-c", line]
+        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
         assert done.returncode == 0, (line, done.stderr)
-        assert done.stdout
+        assert done.stdout or argv[0] == "bash", line
+    # the decompose report, in nats: COPY's joint surprisal is ln 2 at either point
+    assert json.loads(done.stdout)["joint_value"] == math.log(2)

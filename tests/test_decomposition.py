@@ -22,6 +22,7 @@ from infoshare import (
     expected_valuation,
     intersection_content,
     lattice_valuation,
+    lemma_suite,
     mi_decompose,
     mobius_closed_form,
     mobius_inversion,
@@ -200,6 +201,9 @@ def test_pointwise_faults_come_in_order():
         (trivariate_report, xor3(), (0, 0, 2), ValueError,
          "value 2 outside range of variable 'Z' (cardinality 2)"),
         (trivariate_report, xor3(), (0, 0, 1), ZeroMass, outside),
+        (lemma_suite, xor3(), (0, 0, 2), ValueError,
+         "value 2 outside range of variable 'Z' (cardinality 2)"),
+        (lemma_suite, xor3(), (0, 0, 1), ZeroMass, outside),
     ]
     for fn, d, r, kind, text in cases:
         with pytest.raises(ValueError) as err:

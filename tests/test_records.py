@@ -15,7 +15,6 @@ from infoshare import (
     VariableSet,
 )
 from infoshare.checks import CheckLine, CheckReport
-from infoshare.cli import RunConfig
 
 _LINE = {"name": "law", "max_residual": 1e-12, "passed": True}
 
@@ -33,9 +32,6 @@ RECORDS = [
       "lines": (CheckLine(**_LINE),)},
      "CheckReport(suite='props', seed=3, trials=10, tolerance=1e-09, "
      "lines=(CheckLine(name='law', max_residual=1e-12, passed=True),))"),
-    (RunConfig,
-     {"base": 2.0, "tolerance": 1e-9, "seed": 0, "trials": 5, "structured": True},
-     "RunConfig(base=2.0, tolerance=1e-09, seed=0, trials=5, structured=True)"),
     (LatticeValuation, {"lattice": "L", "values": [1.0, 0.5]},
      "LatticeValuation(lattice='L', values=[1.0, 0.5])"),
     (PartialValuation,
