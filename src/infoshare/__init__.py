@@ -22,7 +22,6 @@ from .algebra import (
     trivariate_report,
 )
 from .decomposition import (
-    LatticeValuation,
     MutualDecomposition,
     PartialValuation,
     chain_levels,

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 from .algebra import _lemma_results
 from .decomposition import (
-    LatticeValuation,
     chain_levels,
     decompose_expected,
     decompose_pointwise,
@@ -247,20 +246,20 @@ def _pie_trial(seed: int, t: int, bump: Bump) -> None:
     bump("max_min_identity", abs(max(values) - max_via_min_expansion(values)))
 
 
-def _mobius_point(d, r, bump: Bump) -> LatticeValuation:
-    """Every inversion law at one support point; returns the point's valuation."""
+def _mobius_point(d, r, bump: Bump) -> list[float]:
+    """Every inversion law at one support point; returns the point's node values."""
     lattice = enumerate_antichains(d.variables.n)
-    valuation = lattice_valuation(d, lattice, r)
-    closed = mobius_closed_form(valuation)
+    values = lattice_valuation(d, r)
+    closed = mobius_closed_form(lattice, values)
     bump("closed_equals_inversion", max(
-        abs(x - y) for x, y in zip(closed.partials, mobius_inversion(valuation).partials)
+        abs(x - y) for x, y in zip(closed.partials, mobius_inversion(lattice, values).partials)
     ))
     bump("partials_nonnegative", -min(closed.partials))
-    top = valuation.values[lattice._topo[-1]]  # the top node comes last bottom-up
+    top = values[lattice._topo[-1]]  # the top node comes last bottom-up
     bump("partials_sum_to_top", abs(closed.total() - top))
     for c, x in zip(decompose_pointwise(d, r).partials, closed.partials):
         bump("chain_equals_closed", abs(c - x))
-    return valuation
+    return values
 
 
 def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bump) -> None:
@@ -271,10 +270,10 @@ def _mobius_item(seed: int, trials: int, tail: Sequence[tuple], t: int, bump: Bu
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 3)] * 2)
-    weighted = [[p * x for x in _mobius_point(d, r, bump).values] for r, p in d.support()]
-    expected = LatticeValuation(enumerate_antichains(n), list(map(math.fsum, zip(*weighted))))
+    weighted = [[p * x for x in _mobius_point(d, r, bump)] for r, p in d.support()]
+    inverted = mobius_inversion(enumerate_antichains(n), list(map(math.fsum, zip(*weighted))))
     bump("expected_equals_inversion", max(abs(x - y) for x, y in zip(
-        decompose_expected(d).partials, mobius_inversion(expected).partials)))
+        decompose_expected(d).partials, inverted.partials)))
 
 
 def _mobius_setup(seed: int, trials: int) -> tuple[int, Trial]:

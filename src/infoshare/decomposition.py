@@ -6,7 +6,8 @@ node values into per-node increments.
 
 Values and increments are float lists in node order, indexed like
 `lattice.nodes`, `lattice.members` and `lattice.upsets`; read one node's
-entry through `lattice.index(node)`.
+entry through `lattice.index(node)`.  Every decomposition, the walk's and
+each inversion's, is one `PartialValuation(lattice, values, partials)`.
 
 The production path is the chain walk.  At one realization the source
 surprisals are totally ordered, so only the up-sets {s : h(s) >= t} can
@@ -20,11 +21,12 @@ last member's surprisal.  One walk sums both, weighted, over points
 given as their rows of source surprisals and their weights: the support,
 read in one column pass that checks no point, for `decompose_expected`;
 one checked point of weight 1.0 for `decompose_pointwise`.  Two inversions
-are kept for the tests and the `check` suite: the closed form subtracts the
-largest value among the covered nodes, which holds at one realization, and
-`mobius_inversion` inverts any valuation, expected ones too; the
-per-realization valuation (`lattice_valuation`) takes the least surprisal
-over each node's members.  All three agree bit for bit at one realization.
+of `(lattice, values)` are kept for the tests and the `check` suite: the
+closed form subtracts the largest value among the covered nodes, which
+holds at one realization, and `mobius_inversion` inverts any valuation,
+expected ones too; the per-realization valuation (`lattice_valuation`)
+takes the least surprisal over each node's members, on the lattice of the
+selected variables.  All three agree bit for bit at one realization.
 `mi_decompose` reads its plain and its conditioned surprisals in one row
 from one reader (`measures._surprisal_reader`) of log2 mass tables, at
 each point `measures._points` gives: its realization, or the support.
@@ -43,55 +45,43 @@ from .measures import _points, _surprisal_reader, pair_contents, surprisal_table
 from .record import Record
 
 
-class LatticeValuation(Record):
-    """Per-node values h(alpha) for one realization, or their expectations,
-    in node order: `values[i]` belongs to `lattice.nodes[i]`."""
-
-    __slots__ = ("lattice", "values")
-
-
 class PartialValuation(Record):
-    """Per-node increments, in node order, whose down-set sums reproduce the
-    node values.
+    """A decomposition: per-node values h(alpha) at one realization, or their
+    expectations, and the increments inverted from them, whose down-set sums
+    reproduce the values.
 
-    `valuation` holds the node values the increments were inverted from.
+    Both are in node order: `values[i]` and `partials[i]` belong to
+    `lattice.nodes[i]`.
     """
 
-    __slots__ = ("lattice", "partials", "valuation")
+    __slots__ = ("lattice", "values", "partials")
 
     def total(self) -> float:
         return math.fsum(self.partials)
 
 
-def _selected(
-    d: JointDistribution,
-    variables: Sequence[int] | None,
-    lattice: RedundancyLattice | None = None,
-) -> tuple[int, ...]:
-    """Distinct distribution variable indices, as many as `lattice` spans if set."""
+def _selected(d: JointDistribution, variables: Sequence[int] | None) -> tuple[int, ...]:
+    """Distinct distribution variable indices, all of them by default."""
     sel = tuple(range(d.variables.n)) if variables is None else variable_indices(variables)
     if len(sel) != len(d.variables.check_source(sel)):
         raise ValueError("selected variables must be distinct")
-    if lattice is not None and len(sel) != lattice.n:
-        raise ValueError(f"lattice spans {lattice.n} variables but {len(sel)} were selected")
     return sel
 
 
 def lattice_valuation(
     d: JointDistribution,
-    lattice: RedundancyLattice,
     realization: Sequence[int],
     variables: Sequence[int] | None = None,
     given: Iterable[int] | None = None,
-) -> LatticeValuation:
-    """Value every lattice node at one realization (the oracle's valuation).
+) -> list[float]:
+    """Every node's value at one realization, in node order (the oracle's valuation).
 
-    `variables` maps lattice positions to distribution variable indices;
-    by default the lattice spans all variables in order.
+    `variables` maps lattice positions to distribution variable indices, all
+    of them in order by default; the lattice is the one over that selection.
     """
-    variables = _selected(d, variables, lattice)
-    h = surprisal_table(d, sources_of(variables), given)(realization)
-    return LatticeValuation(lattice, [min(map(h.__getitem__, ids)) for ids in lattice.members])
+    sel = _selected(d, variables)
+    h = surprisal_table(d, sources_of(sel), given)(realization)
+    return [min(map(h.__getitem__, ids)) for ids in enumerate_antichains(len(sel)).members]
 
 
 def chain_levels(h: Sequence[float]) -> list[tuple[int, float]]:
@@ -149,37 +139,33 @@ def _walk(
     partials = [0.0] * len(lattice)
     for i, weighted in increments.items():
         partials[i] = math.fsum(weighted)
-    return PartialValuation(
-        lattice, partials, LatticeValuation(lattice, list(map(math.fsum, zip(*values))))
-    )
+    return PartialValuation(lattice, list(map(math.fsum, zip(*values))), partials)
 
 
-def mobius_closed_form(valuation: LatticeValuation) -> PartialValuation:
+def mobius_closed_form(lattice: RedundancyLattice, values: Sequence[float]) -> PartialValuation:
     """Closed-form inversion: node value minus the max over covered nodes, valid
     at one realization, whose node values inherit the total order of the
     surprisals; `mobius_inversion` inverts expected valuations."""
-    lattice, values = valuation.lattice, valuation.values
     covers = lattice._cover_ids()
     partials = [0.0] * len(lattice)
     for i in lattice._topo:
         covered = covers[i]
         partials[i] = values[i] - max(values[j] for j in covered) if covered else values[i]
-    return PartialValuation(lattice, partials, valuation)
+    return PartialValuation(lattice, values, partials)
 
 
-def mobius_inversion(valuation: LatticeValuation) -> PartialValuation:
+def mobius_inversion(lattice: RedundancyLattice, values: Sequence[float]) -> PartialValuation:
     """Inversion of any valuation: the sum, over each set T of the nodes a node
     covers (distributivity leaves no other terms), of (-1)^|T| times the value
     at the union of their up-sets and its own; at one realization, the closed
     form rounded once."""
-    lattice, values = valuation.lattice, valuation.values
     upsets, by_upset, partials = lattice.upsets, lattice._by_upset, []
     for upset, covered in zip(upsets, lattice._cover_ids()):
         terms = [(1.0, upset)]  # (sign, up-set) of each union so far
         for j in covered:  # each cover adds one source: the unions are distinct
             terms += [(-sign, union | upsets[j]) for sign, union in terms]
         partials.append(math.fsum(sign * values[by_upset[union]] for sign, union in terms))
-    return PartialValuation(lattice, partials, valuation)
+    return PartialValuation(lattice, values, partials)
 
 
 def decompose_pointwise(
@@ -189,7 +175,7 @@ def decompose_pointwise(
 ) -> PartialValuation:
     """Node values and increments at one support realization, by the chain walk.
 
-    The lattice spans `variables` (all of them by default), mapped to
+    The lattice is the one over `variables` (all of them by default), mapped to
     distribution variable indices as in `lattice_valuation`.  Its 2^n - 1
     source surprisals are read once, and `chain_levels` gives the increments.
     """
@@ -214,8 +200,8 @@ def decompose_expected(
     """Support-weighted expectation of the pointwise increments.
 
     One walk over the support values each point once, from one column pass
-    over the support's surprisals; the result's `valuation` holds the
-    expected node values from the same walk.
+    over the support's surprisals; the result's `values` are the expected
+    node values from the same walk.
     """
     sel = _selected(d, variables)
     lattice = enumerate_antichains(len(sel))
@@ -227,9 +213,9 @@ def decompose_expected(
 def expected_valuation(
     d: JointDistribution,
     variables: Sequence[int] | None = None,
-) -> LatticeValuation:
-    """Support-weighted expectation of the per-node values."""
-    return decompose_expected(d, variables).valuation
+) -> list[float]:
+    """Support-weighted expectation of the per-node values, in node order."""
+    return decompose_expected(d, variables).values
 
 
 class MutualDecomposition(Record):
@@ -291,6 +277,6 @@ def decomposition_rows(
 
     The top node, the only one whose up-set holds a single source, comes last.
     """
-    lattice, values, increments = partials.lattice, partials.valuation.values, partials.partials
+    lattice, values, increments = partials.lattice, partials.values, partials.partials
     labels = lattice.labels(names)
     return [(labels[i], values[i], increments[i]) for i in lattice._topo]

@@ -261,7 +261,7 @@ def load_file(path: str | Path) -> JointDistribution:
     p = Path(path)
     fmt = {".json": "json", ".csv": "csv"}.get(p.suffix.lower())
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is no data
     except UnicodeDecodeError as exc:
         raise InvalidDistribution(f"file is not UTF-8 text: {exc}") from None
     return load_distribution(text, fmt)

@@ -6,8 +6,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from infoshare import (JointDistribution, LatticeValuation, PartialValuation, VariableSet,
-                       default_names)
+from infoshare import JointDistribution, PartialValuation, VariableSet, default_names
 
 
 def dist(names, cards, pmf):
@@ -83,15 +82,15 @@ def marginal_oracle(d, source, realization):
     return sum(p for r, p in d.support() if all(r[i] == realization[i] for i in idx))
 
 
-def mobius_recursive(valuation: LatticeValuation) -> PartialValuation:
+def mobius_recursive(lattice, values) -> PartialValuation:
     """Bottom-up inversion: node value minus the strictly-lower increments."""
-    lattice, values, upsets = valuation.lattice, valuation.values, valuation.lattice.upsets
+    upsets = lattice.upsets
     partials = [0.0] * len(lattice)
     for i in lattice._topo:
         # the nodes strictly below, whose up-sets strictly contain this one
         below = (j for j, m in enumerate(upsets) if upsets[i] & ~m == 0 and j != i)
         partials[i] = values[i] - math.fsum(map(partials.__getitem__, below))
-    return PartialValuation(lattice, partials, valuation)
+    return PartialValuation(lattice, values, partials)
 
 
 XOR3_JSON = """

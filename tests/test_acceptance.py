@@ -192,16 +192,16 @@ def test_criterion_06_closed_form_inversion():
         d = random_distribution(rng, [rng.randint(2, 3)] * 2 if n == 2 else [2, 2, 2])
         lattice = enumerate_antichains(n)
         for r, _ in d.support():
-            valuation = lattice_valuation(d, lattice, r)
-            closed = mobius_closed_form(valuation)
-            for other in (mobius_recursive(valuation), mobius_inversion(valuation)):
+            values = lattice_valuation(d, r)
+            closed = mobius_closed_form(lattice, values)
+            for other in (mobius_recursive(lattice, values), mobius_inversion(lattice, values)):
                 worst_gap = max(
                     worst_gap,
                     max(abs(c - x) for c, x in zip(closed.partials, other.partials, strict=True)),
                 )
             worst_negative = max(worst_negative, -min(closed.partials))
             worst_total = max(
-                worst_total, abs(closed.total() - valuation.values[lattice.index(lattice.top)])
+                worst_total, abs(closed.total() - values[lattice.index(lattice.top)])
             )
     ok = worst_gap <= TOL and worst_negative <= TOL and worst_total <= TOL
     _line(6, "closed-form Möbius inversion", ok,

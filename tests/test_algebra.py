@@ -449,8 +449,8 @@ def _eval_by_closed_form(d, text, r, cond=None):
     keep = [i for i in range(d.variables.n) if cond is None or i not in cond]
     lattice = enumerate_antichains(len(keep))
     atoms = lower(parse_expression(text, [d.variables.names[i] for i in keep]), lattice)
-    valuation = lattice_valuation(d, lattice, r, variables=keep, given=cond)
-    partials = mobius_closed_form(valuation).partials
+    values = lattice_valuation(d, r, variables=keep, given=cond)
+    partials = mobius_closed_form(lattice, values).partials
     return math.fsum(partials[lattice.index(a)] for a in atoms)
 
 

@@ -146,7 +146,7 @@ def test_mobius_fails_when_the_walk_drops_its_weights(monkeypatch, capsys):
     def walk(lattice, rows, weights):
         rows, weights = list(rows), list(weights)
         unweighted = real(lattice, rows, [1.0] * len(rows)).partials
-        return PartialValuation(lattice, unweighted, real(lattice, rows, weights).valuation)
+        return PartialValuation(lattice, real(lattice, rows, weights).values, unweighted)
 
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
     assert checks.run_suite("mobius", 0, 40, 1e-9).passed

@@ -577,9 +577,9 @@ def test_n5_expected_rows_match_the_oracles(tmp_path, capsys):
     values = {node: [] for node in lattice.nodes}
     partials = {node: [] for node in lattice.nodes}
     for r, p in d.support():
-        valuation = lattice_valuation(d, lattice, r)
-        for node, partial in zip(lattice.nodes, mobius_closed_form(valuation).partials):
-            values[node].append(p * valuation.values[lattice.index(node)])
+        valuation = lattice_valuation(d, r)
+        for node, partial in zip(lattice.nodes, mobius_closed_form(lattice, valuation).partials):
+            values[node].append(p * valuation[lattice.index(node)])
             partials[node].append(p * partial)
     expected = [
         {
@@ -607,7 +607,7 @@ def test_n5_eval_needs_no_override(tmp_path, capsys):
     atoms = lower(parse_expression(text, d.variables.names), lattice)
 
     def oracle(r):
-        partials = mobius_closed_form(lattice_valuation(d, lattice, r)).partials
+        partials = mobius_closed_form(lattice, lattice_valuation(d, r)).partials
         return math.fsum(partials[lattice.index(a)] for a in atoms)
 
     r = d.support()[0][0]
@@ -1057,7 +1057,8 @@ def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
     script = next(i for i, run in enumerate(runs) if run.startswith("infoshare "))
     assert install < script
     lines = runs[script].splitlines()
-    assert lines == ["infoshare --seed 0 --trials 40 check --suite props", "infoshare lattice --n 3",
+    assert lines == ["infoshare --seed 0 --trials 40 check --suite props",
+                     "infoshare --seed 0 --trials 40 check --suite mobius", "infoshare lattice --n 3",
                      r"printf 'X,Y,p\n0,0,0.5\n1,1,0.5\n' > copy.csv",
                      "infoshare --base e --format structured decompose copy.csv"]
     # in order, in one directory: the shell line through bash, and each `infoshare`

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import groupby, product
+from itertools import groupby, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from infoshare import (
     Antichain,
-    LatticeValuation,
     ZeroMass,
     chain_levels,
     cond_surprisal,
@@ -67,8 +66,8 @@ def test_mobius_inversion_copy_pair():
     d = copy2()
     lattice = enumerate_antichains(2)
     for r, _ in d.support():
-        valuation = lattice_valuation(d, lattice, r)
-        partials = mobius_inversion(valuation)
+        values = lattice_valuation(d, r)
+        partials = mobius_inversion(lattice, values)
         got = _partials_by_label(partials, d.variables.names)
         assert got == {
             "{X}{Y}": pytest.approx(1.0),
@@ -81,8 +80,8 @@ def test_mobius_inversion_copy_pair():
 def test_mobius_inversion_independent_pair():
     d = unif2()
     lattice = enumerate_antichains(2)
-    valuation = lattice_valuation(d, lattice, (0, 0))
-    got = _partials_by_label(mobius_inversion(valuation), d.variables.names)
+    values = lattice_valuation(d, (0, 0))
+    got = _partials_by_label(mobius_inversion(lattice, values), d.variables.names)
     assert got == {
         "{X}{Y}": pytest.approx(1.0),
         "{X}": pytest.approx(0.0),
@@ -94,33 +93,33 @@ def test_mobius_inversion_independent_pair():
 def test_mobius_single_node_lattice():
     lattice = enumerate_antichains(1)
     d = random_distribution(trial_rng(5, 1), [3], sparsity=0.0)
-    valuation = lattice_valuation(d, lattice, d.support()[0][0])
+    values = lattice_valuation(d, d.support()[0][0])
     only = lattice.index(lattice.nodes[0])
-    assert mobius_recursive(valuation).partials[only] == valuation.values[only]
-    assert mobius_inversion(valuation).partials[only] == valuation.values[only]
-    assert mobius_closed_form(valuation).partials[only] == valuation.values[only]
+    assert mobius_recursive(lattice, values).partials[only] == values[only]
+    assert mobius_inversion(lattice, values).partials[only] == values[only]
+    assert mobius_closed_form(lattice, values).partials[only] == values[only]
 
 
 def test_closed_form_matches_recursive_on_fixtures():
     for d in (copy2(), unif2(), xor3()):
         lattice = enumerate_antichains(d.variables.n)
         for r, _ in d.support():
-            valuation = lattice_valuation(d, lattice, r)
-            rec = mobius_recursive(valuation)
-            closed = mobius_closed_form(valuation)
+            values = lattice_valuation(d, r)
+            rec = mobius_recursive(lattice, values)
+            closed = mobius_closed_form(lattice, values)
             for c, x in zip(closed.partials, rec.partials, strict=True):
                 assert c == pytest.approx(x, abs=TOL)
-            assert _bits(mobius_inversion(valuation).partials) == _bits(closed.partials)
+            assert _bits(mobius_inversion(lattice, values).partials) == _bits(closed.partials)
 
 
 def test_closed_form_bottom_and_xor_top():
     d = xor3()
     lattice = enumerate_antichains(3)
     for r, _ in d.support():
-        valuation = lattice_valuation(d, lattice, r)
-        closed = mobius_closed_form(valuation)
+        values = lattice_valuation(d, r)
+        closed = mobius_closed_form(lattice, values)
         bottom, top = lattice.index(lattice.bottom), lattice.index(lattice.top)
-        assert closed.partials[bottom] == valuation.values[bottom]
+        assert closed.partials[bottom] == values[bottom]
         assert closed.partials[top] == pytest.approx(0.0)
 
 
@@ -131,25 +130,25 @@ def test_mobius_randomized(trial):
     d = random_distribution(rng, [rng.randint(2, 3)] * 2 if n == 2 else [2, 2, 2])
     lattice = enumerate_antichains(n)
     for r, _ in d.support():
-        valuation = lattice_valuation(d, lattice, r)
+        values = lattice_valuation(d, r)
         # valuation is monotone along the order
         for a in lattice.nodes:
             for b in lattice.nodes:
                 if precedes(a, b):
-                    assert (valuation.values[lattice.index(a)]
-                            <= valuation.values[lattice.index(b)] + TOL)
-        rec = mobius_recursive(valuation)
-        closed = mobius_closed_form(valuation)
+                    assert (values[lattice.index(a)]
+                            <= values[lattice.index(b)] + TOL)
+        rec = mobius_recursive(lattice, values)
+        closed = mobius_closed_form(lattice, values)
         for x, c in zip(rec.partials, closed.partials, strict=True):
             assert abs(x - c) <= TOL
             assert c >= -TOL
-        assert _bits(mobius_inversion(valuation).partials) == _bits(closed.partials)
-        assert abs(closed.total() - valuation.values[lattice.index(lattice.top)]) <= TOL
+        assert _bits(mobius_inversion(lattice, values).partials) == _bits(closed.partials)
+        assert abs(closed.total() - values[lattice.index(lattice.top)]) <= TOL
         # reconstruction: down-set sums reproduce the node values
         for i, up in enumerate(lattice.upsets):
             below = (j for j, m in enumerate(lattice.upsets) if up & ~m == 0)
             acc = math.fsum(rec.partials[j] for j in below)
-            assert abs(acc - valuation.values[i]) <= TOL
+            assert abs(acc - values[i]) <= TOL
 
 
 def test_decompose_pointwise_copy():
@@ -221,16 +220,30 @@ def test_decompose_pointwise_variable_subset():
 def test_every_entry_point_rejects_repeated_variables():
     d = xor3()
     r = (0, 1, 1)
-    two = enumerate_antichains(2)
     for call in (
-        lambda: lattice_valuation(d, two, r, variables=(0, 0)),
+        lambda: lattice_valuation(d, r, variables=(0, 0)),
         lambda: decompose_pointwise(d, r, variables=[0, 0]),
         lambda: decompose_expected(d, variables=[0, 0]),
     ):
         with pytest.raises(ValueError, match="distinct"):
             call()
-    with pytest.raises(ValueError, match="lattice spans 2 variables but 3 were selected"):
-        lattice_valuation(d, two, r)
+
+
+def test_oracle_matches_the_walk_at_every_selection():
+    # Every selection of one to three variables, in every order: the oracle's
+    # node values and both inversions of them against the chain walk, bit for bit.
+    inputs = [*tie_heavy_distributions(3),
+              *(random_distribution(trial_rng(73, t), [2, 3, 2]) for t in range(5))]
+    for d in inputs:
+        for k in (1, 2, 3):
+            lattice = enumerate_antichains(k)
+            for sel in permutations(range(3), k):
+                for r, _ in d.support():
+                    chain = decompose_pointwise(d, r, variables=sel)
+                    values = lattice_valuation(d, r, variables=sel)
+                    assert _bits(values) == _bits(chain.values)
+                    for invert in (mobius_closed_form, mobius_inversion):
+                        assert _bits(invert(lattice, values).partials) == _bits(chain.partials)
 
 
 def test_decompose_expected_variable_subset():
@@ -268,14 +281,14 @@ def test_mobius_four_variables():
         rng = trial_rng(47, trial)
         d = random_distribution(rng, [2, 2, 2, 2])
         for r, _ in d.support()[:4]:
-            valuation = lattice_valuation(d, lattice, r)
-            closed = mobius_closed_form(valuation)
-            recursive = mobius_recursive(valuation)
+            values = lattice_valuation(d, r)
+            closed = mobius_closed_form(lattice, values)
+            recursive = mobius_recursive(lattice, values)
             for c, x in zip(closed.partials, recursive.partials, strict=True):
                 assert abs(c - x) <= TOL
                 assert c >= -TOL
-            assert _bits(mobius_inversion(valuation).partials) == _bits(closed.partials)
-            assert abs(closed.total() - valuation.values[lattice.index(lattice.top)]) <= TOL
+            assert _bits(mobius_inversion(lattice, values).partials) == _bits(closed.partials)
+            assert abs(closed.total() - values[lattice.index(lattice.top)]) <= TOL
 
 
 def test_decompose_expected_fixtures():
@@ -302,7 +315,7 @@ def test_expected_partials_match_inverted_expected_valuation():
             d = random_distribution(trial_rng(41, trial), [2] * n)
             via_pointwise = decompose_expected(d)
             for invert in [mobius_inversion] + [mobius_recursive] * (n <= 4):
-                via_valuation = invert(expected_valuation(d))
+                via_valuation = invert(enumerate_antichains(n), expected_valuation(d))
                 for x, y in zip(via_pointwise.partials, via_valuation.partials, strict=True):
                     assert abs(x - y) <= TOL
             assert abs(via_pointwise.total() - entropy(d, range(n))) <= TOL
@@ -438,13 +451,13 @@ def test_mi_decompose_rejects_overlap():
 def test_decomposition_rows_order_and_shape():
     d = xor3()
     lattice = enumerate_antichains(3)
-    valuation = lattice_valuation(d, lattice, (0, 0, 0))
-    partials = mobius_closed_form(valuation)
+    values = lattice_valuation(d, (0, 0, 0))
+    partials = mobius_closed_form(lattice, values)
     rows = decomposition_rows(partials, d.variables.names)
     assert len(rows) == 18
     assert rows[0][0] == "{X}{Y}{Z}"
     assert rows[-1][0] == "{X,Y,Z}"
-    assert rows[-1][1] == valuation.values[lattice.index(lattice.top)]
+    assert rows[-1][1] == values[lattice.index(lattice.top)]
     assert rows[0][1] == pytest.approx(1.0)
 
 
@@ -472,12 +485,12 @@ def test_chain_walk_matches_both_oracles():
         n = d.variables.n
         lattice = enumerate_antichains(n)
         for r, _ in d.support():
-            valuation = lattice_valuation(d, lattice, r)
+            values = lattice_valuation(d, r)
             chain = decompose_pointwise(d, r)
-            assert _bits(chain.valuation.values) == _bits(valuation.values)
-            assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
-            assert _bits(chain.partials) == _bits(mobius_inversion(valuation).partials)
-            recursive = mobius_recursive(valuation).partials
+            assert _bits(chain.values) == _bits(values)
+            assert _bits(chain.partials) == _bits(mobius_closed_form(lattice, values).partials)
+            assert _bits(chain.partials) == _bits(mobius_inversion(lattice, values).partials)
+            recursive = mobius_recursive(lattice, values).partials
             for c, x in zip(chain.partials, recursive, strict=True):
                 assert abs(c - x) <= TOL
 
@@ -488,10 +501,10 @@ def test_chain_walk_matches_closed_form_n5():
     d = random_distribution(trial_rng(67, 0), [2] * 5)
     points += [(d, r) for r, _ in d.support()[:2]]
     for d, r in points:
-        valuation = lattice_valuation(d, lattice, r)
+        values = lattice_valuation(d, r)
         chain = decompose_pointwise(d, r)
-        assert _bits(chain.valuation.values) == _bits(valuation.values)
-        assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
+        assert _bits(chain.values) == _bits(values)
+        assert _bits(chain.partials) == _bits(mobius_closed_form(lattice, values).partials)
         assert sum(1 for v in chain.partials if v != 0.0) <= 31
 
 
@@ -504,23 +517,23 @@ def test_inversion_matches_closed_form_on_conditioned_valuations():
             continue
         lattice = enumerate_antichains(n - 1)
         for r, _ in d.support():
-            valuation = lattice_valuation(d, lattice, r, variables=range(n - 1), given=[n - 1])
-            assert _bits(mobius_inversion(valuation).partials) == _bits(
-                mobius_closed_form(valuation).partials)
+            values = lattice_valuation(d, r, variables=range(n - 1), given=[n - 1])
+            assert _bits(mobius_inversion(lattice, values).partials) == _bits(
+                mobius_closed_form(lattice, values).partials)
 
 
 def test_inversion_matches_closed_form_n5():
     lattice = enumerate_antichains(5)
     inputs = [*tie_heavy_distributions(5), random_distribution(trial_rng(67, 1), [2] * 5)]
     for d in inputs:
-        valuation = lattice_valuation(d, lattice, d.support()[0][0])
-        assert _bits(mobius_inversion(valuation).partials) == _bits(
-            mobius_closed_form(valuation).partials)
+        values = lattice_valuation(d, d.support()[0][0])
+        assert _bits(mobius_inversion(lattice, values).partials) == _bits(
+            mobius_closed_form(lattice, values).partials)
 
 
 def _random_valuation(lattice, rng):
     """Arbitrary node values, neither monotone nor of any realization."""
-    return LatticeValuation(lattice, [rng.uniform(-4.0, 4.0) for _ in range(len(lattice))])
+    return [rng.uniform(-4.0, 4.0) for _ in range(len(lattice))]
 
 
 def _down_set_sums(partials, nodes):
@@ -534,21 +547,21 @@ def _down_set_sums(partials, nodes):
 def test_inversion_of_any_valuation_matches_the_recursive_one(n):
     lattice, rng = enumerate_antichains(n), random.Random(n)
     for _ in range(3):
-        valuation = _random_valuation(lattice, rng)
-        inverted = mobius_inversion(valuation)
-        recursive = mobius_recursive(valuation)
+        values = _random_valuation(lattice, rng)
+        inverted = mobius_inversion(lattice, values)
+        recursive = mobius_recursive(lattice, values)
         assert all(abs(x - y) <= TOL for x, y in zip(inverted.partials, recursive.partials,
                                                      strict=True))
         sums = _down_set_sums(inverted, range(len(lattice)))
-        assert all(abs(x - v) <= TOL for x, v in zip(sums, valuation.values, strict=True))
+        assert all(abs(x - v) <= TOL for x, v in zip(sums, values, strict=True))
 
 
 def test_inversion_of_any_valuation_n5_sums_back_to_it():
     lattice, rng = enumerate_antichains(5), random.Random(5)
-    valuation = _random_valuation(lattice, rng)
+    values = _random_valuation(lattice, rng)
     nodes = rng.sample(range(len(lattice)), 20)
-    sums = _down_set_sums(mobius_inversion(valuation), nodes)
-    assert all(abs(x - valuation.values[i]) <= TOL for x, i in zip(sums, nodes, strict=True))
+    sums = _down_set_sums(mobius_inversion(lattice, values), nodes)
+    assert all(abs(x - values[i]) <= TOL for x, i in zip(sums, nodes, strict=True))
 
 
 @pytest.mark.xfail(strict=True, reason="float marginals split an exact tie by one ulp "
@@ -611,11 +624,11 @@ def test_drawn_tie_heavy_distributions_match_every_oracle(d):
     lattice, everything = enumerate_antichains(n), range(n)
     for r, _ in d.support():
         chain = decompose_pointwise(d, r)
-        valuation = lattice_valuation(d, lattice, r)
-        assert _bits(chain.partials) == _bits(mobius_closed_form(valuation).partials)
-        assert _bits(chain.partials) == _bits(mobius_inversion(valuation).partials)
+        values = lattice_valuation(d, r)
+        assert _bits(chain.partials) == _bits(mobius_closed_form(lattice, values).partials)
+        assert _bits(chain.partials) == _bits(mobius_inversion(lattice, values).partials)
         if n <= 3:  # the recursive oracle is quadratic in the 166 nodes of n = 4
-            recursive = mobius_recursive(valuation).partials
+            recursive = mobius_recursive(lattice, values).partials
             assert all(abs(c - x) <= TOL for c, x in zip(chain.partials, recursive, strict=True))
         assert min(chain.partials) >= 0.0
         assert abs(chain.total() - surprisal(d, everything, r)) <= TOL
@@ -645,4 +658,4 @@ def test_n5_values_are_the_sums_of_their_down_sets():
             below = [j for j, m in enumerate(upsets) if m & u == u]
             for result in results:
                 total = math.fsum(map(result.partials.__getitem__, below))
-                assert abs(result.valuation.values[i] - total) <= TOL
+                assert abs(result.values[i] - total) <= TOL

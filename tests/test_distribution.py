@@ -201,6 +201,20 @@ def test_load_file_rejects_text_that_is_not_utf8(tmp_path):
         load_file(path)
 
 
+@pytest.mark.parametrize("suffix, text", [(".csv", "X,Y,p\n0,0,0.5\n1,1,0.5\n"),
+                                          (".json", XOR3_JSON)], ids=["csv", "json"])
+def test_load_file_skips_a_byte_order_mark(tmp_path, capsys, suffix, text):
+    # spreadsheet exports may start with the UTF-8 mark; it is not data
+    from infoshare.cli import main
+    plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_file(plain), load_file(marked)
+    assert (got.variables, got.support()) == (want.variables, want.support())
+    assert main(["validate", str(marked)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_variable_set_invariants():
     with pytest.raises(InvalidDistribution):
         VariableSet(("X", "X"), (2, 2))

@@ -281,7 +281,7 @@ def test_a_mass_read_above_one_has_surprisal_plus_zero(tmp_path, capsys):
               *surprisal_table(d, [[2], [0, 2]])(r), *surprisal_table(d, [[2]], given=[0])(r)):
         assert h >= 0.0 and math.copysign(1.0, h) == 1.0
     partials = decompose_pointwise(d, r)
-    assert min(partials.valuation.values) >= 0.0 and min(partials.partials) >= 0.0
+    assert min(partials.values) >= 0.0 and min(partials.partials) >= 0.0
     for argv in (["decompose", str(path), "--mode", "pointwise", "--realization", "0,0,1"],
                  ["pointwise", str(path), "--realization", "0,0,1", "--sources", "z", "x"]):
         assert main(argv) == 0

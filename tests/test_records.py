@@ -6,7 +6,6 @@ import pytest
 
 from infoshare import (
     Antichain,
-    LatticeValuation,
     LemmaResult,
     MutualDecomposition,
     OpNode,
@@ -32,12 +31,8 @@ RECORDS = [
       "lines": (CheckLine(**_LINE),)},
      "CheckReport(suite='props', seed=3, trials=10, tolerance=1e-09, "
      "lines=(CheckLine(name='law', max_residual=1e-12, passed=True),))"),
-    (LatticeValuation, {"lattice": "L", "values": [1.0, 0.5]},
-     "LatticeValuation(lattice='L', values=[1.0, 0.5])"),
-    (PartialValuation,
-     {"lattice": "L", "partials": [0.5, 0.5], "valuation": LatticeValuation("L", [1.0])},
-     "PartialValuation(lattice='L', partials=[0.5, 0.5], "
-     "valuation=LatticeValuation(lattice='L', values=[1.0]))"),
+    (PartialValuation, {"lattice": "L", "values": [1.0, 0.5], "partials": [0.5, 0.5]},
+     "PartialValuation(lattice='L', values=[1.0, 0.5], partials=[0.5, 0.5])"),
     (MutualDecomposition,
      {"union": 1.0, "unique_first": 0.25, "unique_second": 0.0, "intersection": 0.5,
       "synergy": -0.125, "joint": 0.625, "coinformation": 0.625},
@@ -48,8 +43,8 @@ RECORDS = [
     (Antichain, {"sources": ((0,), (1, 2))}, "Antichain(sources=((0,), (1, 2)))"),
 ]
 
-# their list fields reach the hash, which therefore raises
-_UNHASHABLE = (LatticeValuation, PartialValuation)
+# its list fields reach the hash, which therefore raises
+_UNHASHABLE = (PartialValuation,)
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])

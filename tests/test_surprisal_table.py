@@ -413,8 +413,8 @@ def _assert_expected_equals_the_weighted_pointwise_sum(d):
             assert getattr(whole, field) == weighted([getattr(x, field) for x in points])
     whole = decompose_expected(d)
     points = [decompose_pointwise(d, r) for r, _ in support]
-    values = [x.valuation.values for x in points]
-    assert whole.valuation.values == list(map(weighted, zip(*values)))
+    values = [x.values for x in points]
+    assert whole.values == list(map(weighted, zip(*values)))
     assert whole.partials == list(map(weighted, zip(*(x.partials for x in points))))
 
 
