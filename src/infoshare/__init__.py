@@ -51,7 +51,6 @@ from .lattice import (
     enumerate_sources,
     eval_sharing,
     join,
-    max_via_min_expansion,
     meet,
     precedes,
     sharing_join,

@@ -1,9 +1,11 @@
 """Randomized verification suites behind the `check` CLI subcommand.
 
-Each suite runs seeded trials, tracks a worst-case residual per law, and
-reports pass/fail against the configured tolerance.  Per-trial seeds are
-derived from the master seed by index, so results never depend on
-execution order.
+Each suite runs seeded trials on the library's own numbers, tracks a
+worst-case residual per law, and reports pass/fail against the configured
+tolerance.  `mobius` checks the inversions against each other and the
+chain walk's partials inside the n circles against the Venn union.
+Per-trial seeds are derived from the master seed by index, so results
+never depend on execution order.
 
 A suite is data in `SUITES`: its law names and a setup that builds what
 its trials share and returns the work-item count and the trial to run on
@@ -42,7 +44,6 @@ from .lattice import (
     enumerate_antichains,
     enumerate_sources,
     eval_sharing,
-    max_via_min_expansion,
     sharing_join,
     sharing_meet,
 )
@@ -238,16 +239,8 @@ def _props_setup(seed: int, trials: int) -> tuple[int, Trial]:
     return trials, partial(_props_trial, seed, tables)
 
 
-def _pie_trial(seed: int, t: int, bump: Bump) -> None:
-    """Maximum equals the alternating sum of subset minima."""
-    rng = trial_rng(seed, t)
-    n = rng.randint(2, 5)
-    values = [rng.uniform(0.0, 4.0) for _ in range(n)]
-    bump("max_min_identity", abs(max(values) - max_via_min_expansion(values)))
-
-
 def _mobius_point(d, r, bump: Bump) -> list[float]:
-    """Every inversion law at one support point; returns the point's node values."""
+    """Every per-point law at one support point; returns the point's node values."""
     lattice = enumerate_antichains(d.variables.n)
     values = lattice_valuation(d, r)
     closed = mobius_closed_form(lattice, values)
@@ -257,8 +250,15 @@ def _mobius_point(d, r, bump: Bump) -> list[float]:
     bump("partials_nonnegative", -min(closed.partials))
     top = values[lattice._topo[-1]]  # the top node comes last bottom-up
     bump("partials_sum_to_top", abs(closed.total() - top))
-    for c, x in zip(decompose_pointwise(d, r).partials, closed.partials):
+    walk = decompose_pointwise(d, r).partials
+    for c, x in zip(walk, closed.partials):
         bump("chain_equals_closed", abs(c - x))
+    # the Venn union: circle {i} holds the nodes with member {i}; members are sorted
+    # and the singletons are sources 0..n-1, so a node is inside when ids[0] < n
+    n, members = lattice.n, lattice.members
+    inside = math.fsum(x for x, ids in zip(walk, members) if ids[0] < n)
+    union = max(v for v, ids in zip(values, members) if len(ids) == 1 and ids[0] < n)
+    bump("circles_sum_to_union", abs(inside - union))
     return values
 
 
@@ -307,8 +307,8 @@ SUITES = {
     "lemmas": (tuple(f"L{i}" for i in range(1, 10)),
                lambda seed, trials: (trials, partial(_lemmas_trial, seed))),
     "mobius": (("closed_equals_inversion", "partials_nonnegative", "partials_sum_to_top",
-                "chain_equals_closed", "expected_equals_inversion"), _mobius_setup),
-    "pie": (("max_min_identity",), lambda seed, trials: (trials, partial(_pie_trial, seed))),
+                "chain_equals_closed", "circles_sum_to_union", "expected_equals_inversion"),
+               _mobius_setup),
 }
 
 

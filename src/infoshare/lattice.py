@@ -12,7 +12,6 @@ single-variable surprisals (`eval_sharing`, `sharing_join`, `sharing_meet`).
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
@@ -313,19 +312,6 @@ def enumerate_antichains(n: int, /) -> RedundancyLattice:
 def eval_sharing(alpha: Antichain, values: Sequence[float]) -> float:
     """Max over the antichain's sources of the min of the member values."""
     return max([min(map(values.__getitem__, src)) for src in alpha.sources])
-
-
-def max_via_min_expansion(values: Sequence[float]) -> float:
-    """Alternating inclusion-exclusion sum of subset minima; equals the max."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("at least one value is required")
-    terms = []
-    for k in range(1, n + 1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for subset in combinations(range(n), k):
-            terms.append(sign * min(values[i] for i in subset))
-    return math.fsum(terms)
 
 
 def to_dot(

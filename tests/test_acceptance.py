@@ -176,9 +176,15 @@ def test_criterion_05_lattice_laws_and_max_min():
             for node in lattice.nodes:
                 if eval_sharing(node, h) not in values:
                     connex_ok = False
-    ok = report.passed and worst <= TOL and connex_ok
+    # the max-min (inclusion-exclusion) identity, as the Venn union of the chain
+    # walk's partials inside the n circles
+    mobius = run_suite("mobius", seed=SWEEP_SEED, trials=1000, tolerance=TOL)
+    union = next(line.max_residual for line in mobius.lines
+                 if line.name == "circles_sum_to_union")
+    ok = report.passed and worst <= TOL and connex_ok and union <= TOL
     _line(5, "lattice laws and max-min identity", ok,
-          f"suite max residual {worst:.3e}, every node value is a surprisal: {connex_ok}")
+          f"suite max residual {worst:.3e}, every node value is a surprisal: {connex_ok}, "
+          f"circles sum to the union within {union:.3e}")
     assert ok
 
 

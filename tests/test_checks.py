@@ -26,7 +26,7 @@ from infoshare.distribution import VariableSet
 from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
-TRIALS = {"props": 40, "lemmas": 12, "mobius": 10, "pie": 60}
+TRIALS = {"props": 40, "lemmas": 12, "mobius": 10}
 # mobius adds one work item per support point of its tie-heavy families
 TIE_HEAVY_POINTS = [(d, r) for n in (2, 3, 4) for d in tie_heavy_distributions(n)
                     for r, _ in d.support()]
@@ -86,7 +86,7 @@ def test_reports_do_not_depend_on_the_block_count(monkeypatch, forks, suite, see
 def test_an_unknown_suite_is_refused_before_any_trial(forks):
     with pytest.raises(ValueError) as err:
         checks.run_suite("nope", 0, 10, 1e-9)
-    assert str(err.value) == "unknown suite 'nope'; choose from props, lemmas, mobius, pie"
+    assert str(err.value) == "unknown suite 'nope'; choose from props, lemmas, mobius"
     assert not forks
 
 
@@ -126,7 +126,7 @@ def test_mobius_runs_every_law_on_the_tie_heavy_points(monkeypatch):
     bumps = _law_bumps(monkeypatch)
     report = checks.run_suite("mobius", 0, 0, 1e-9)
     per_point = {"closed_equals_inversion", "partials_nonnegative", "partials_sum_to_top",
-                 "chain_equals_closed"}
+                 "chain_equals_closed", "circles_sum_to_union"}
     assert set(bumps) == per_point
     assert {line.name for line in report.lines} == per_point | {"expected_equals_inversion"}
     assert report.passed
@@ -158,6 +158,28 @@ def test_mobius_fails_when_the_walk_drops_its_weights(monkeypatch, capsys):
     assert capsys.readouterr().out == report.to_text()
 
 
+def test_mobius_fails_when_the_walk_moves_a_partial_out_of_the_circles(monkeypatch, capsys):
+    # a mutant walk that moves the bottom node's increment, inside every circle,
+    # onto the top node, inside none: the partials still sum to the top's value
+    real = checks.decompose_pointwise
+
+    def moved(d, r):
+        walk = real(d, r)
+        partials, topo = list(walk.partials), walk.lattice._topo
+        partials[topo[-1]] += partials[topo[0]]
+        partials[topo[0]] = 0.0
+        return PartialValuation(walk.lattice, walk.values, partials)
+
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(checks, "decompose_pointwise", moved)
+    report = checks.run_suite("mobius", 0, 40, 1e-9)
+    # partials_sum_to_top passes; the walk no longer matches the closed form node by node
+    assert [line.name for line in report.lines if not line.passed] == [
+        "chain_equals_closed", "circles_sum_to_union"]
+    assert main(["--trials", "40", "check", "--suite", "mobius"]) == 1
+    assert capsys.readouterr().out == report.to_text()
+
+
 # sha256 of `check` output at 40 trials, by (suite, seed, format); the benchmark's
 # reference digests pin only the `props` text output, and only at 2,000 trials
 CHECK_DIGESTS = {
@@ -167,22 +189,18 @@ CHECK_DIGESTS = {
     ("props", 7, "text"): "e6f6ecf5a943e1a43f1c3ff7f593bbc0540e7d0a53b3573c9c780ef55cef48aa",
     ("props", 7, "structured"):
         "c89554a0352d9b083870b7663a38183cd9981a238e306e6581ff369a680dcc3f",
-    ("mobius", 0, "text"): "3b2a3124ca17a3adee30220b7219545a4542949d40bac5759750914f618fd511",
+    ("mobius", 0, "text"): "6d4999d72133b9286db4f2582435d25fbdecc72a69332d7dff5a283ee8579c84",
     ("mobius", 0, "structured"):
-        "6c99c01e4829a0d9e2705647e2ed77be83eb2113bebc6846eaf1e1e6856826f4",
-    ("mobius", 7, "text"): "44426cee929d5ef70f0c2587e093800178a17f4619975446bbc9823027292dc6",
+        "3723892d89175c3bc102e08c97e968a385342dd324c0f1443fc1251615056d5f",
+    ("mobius", 7, "text"): "a4dfac12a970af4bfdf9320d3942eec1a401cafa11c3515fb878331842ad9338",
     ("mobius", 7, "structured"):
-        "63787b05d50075210d7d7f0aae821f4cc6c1cf1bf06d26bc14cf8fab26beb9e7",
+        "47569bd4983f2bfdad4fde56434a78ba6cd8b374a8648ec85212b02ddf7082c0",
     ("lemmas", 0, "text"): "42cfd1432cc3aa8434d52883dea2748132cf4a6f035760526b849f6766e2abc2",
     ("lemmas", 0, "structured"):
         "b678ea326437eeac3bd7db64ae86aaca96c1b477c5fd9288be234b8036d9db74",
     ("lemmas", 7, "text"): "3fb23d9bd51eeadabab2e86c5c934defc9bbf8fe173d20cdd825cc58d353301b",
     ("lemmas", 7, "structured"):
         "326bd10a8e7faaa35848294b31a459fb932336e6289f981c4f9ab31d97bc54b6",
-    ("pie", 0, "text"): "0ba583178e89916603de03c9d24cfd027c3995e97686263f4866caaf0c2b3ea7",
-    ("pie", 0, "structured"): "f76eb50771fae448b36db4106a0a625c6290bb51c7342462f809a1dd9326764b",
-    ("pie", 7, "text"): "3834ed086ebe8d8ffb9785b4c84a58a28ec53edd3b27db3e16b26e9f93575311",
-    ("pie", 7, "structured"): "f285d0114a95f6bfa3efbf2b23370b7d35bc67d91fbb706f66814416a2200496",
 }
 
 
@@ -253,13 +271,13 @@ def test_a_child_that_dies_has_its_block_rerun(monkeypatch):
 
 
 def test_a_fork_that_fails_runs_the_block_here(monkeypatch):
-    expected = _reports(monkeypatch, 1, "pie", 3, 10)
+    expected = _reports(monkeypatch, 1, "lemmas", 3, 10)
 
     def no_fork():
         raise OSError("no process")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _reports(monkeypatch, 3, "pie", 3, 10) == expected
+    assert _reports(monkeypatch, 3, "lemmas", 3, 10) == expected
 
 
 def _two_pass_antichain(mask: int, n: int) -> tuple:

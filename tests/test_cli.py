@@ -547,7 +547,7 @@ def test_eval_nesting_depth(xor3_file, capsys):
 
 
 def test_check_suites_pass(capsys):
-    for suite in ("props", "lemmas", "mobius", "pie"):
+    for suite in ("props", "lemmas", "mobius"):
         assert main(["--trials", "50", "--seed", "3", "check", "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert "overall: PASS" in out
@@ -622,11 +622,11 @@ def test_n5_eval_needs_no_override(tmp_path, capsys):
 
 def test_check_structured(capsys):
     assert main([
-        "--trials", "25", "--format", "structured", "check", "--suite", "pie",
+        "--trials", "25", "--format", "structured", "check", "--suite", "lemmas",
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
-    assert doc["suite"] == "pie"
+    assert doc["suite"] == "lemmas"
 
 
 def test_check_determinism(capsys):
@@ -853,7 +853,7 @@ def test_footer_tolerance_gate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9"])
-@pytest.mark.parametrize("argv", [["decompose", "x.json"], ["check", "--suite", "pie"]])
+@pytest.mark.parametrize("argv", [["decompose", "x.json"], ["check", "--suite", "lemmas"]])
 def test_tolerance_must_be_positive_and_finite(capsys, tol, argv):
     # an infinite tolerance would pass every footer and every check law
     assert main([f"--tol={tol}", *argv]) == 2
@@ -863,7 +863,7 @@ def test_tolerance_must_be_positive_and_finite(capsys, tol, argv):
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
-@pytest.mark.parametrize("argv", [["decompose", "x.json"], ["check", "--suite", "pie"]])
+@pytest.mark.parametrize("argv", [["decompose", "x.json"], ["check", "--suite", "lemmas"]])
 def test_trial_count_must_be_at_least_one(capsys, trials, argv):
     # checked before any command runs: the missing file is never opened
     assert main(["--trials", trials, *argv]) == 2
@@ -1058,7 +1058,8 @@ def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
     assert install < script
     lines = runs[script].splitlines()
     assert lines == ["infoshare --seed 0 --trials 40 check --suite props",
-                     "infoshare --seed 0 --trials 40 check --suite mobius", "infoshare lattice --n 3",
+                     "infoshare --seed 0 --trials 40 check --suite mobius",
+                     "infoshare --seed 0 --trials 40 check --suite lemmas", "infoshare lattice --n 3",
                      r"printf 'X,Y,p\n0,0,0.5\n1,1,0.5\n' > copy.csv",
                      "infoshare --base e --format structured decompose copy.csv"]
     # in order, in one directory: the shell line through bash, and each `infoshare`

@@ -508,6 +508,28 @@ def test_chain_walk_matches_closed_form_n5():
         assert sum(1 for v in chain.partials if v != 0.0) <= 31
 
 
+def test_partials_inside_the_circles_sum_to_the_union():
+    # The Venn union: the circle {i} holds the nodes with {i} as a source, and
+    # the partials inside the n circles sum to max_i h(x_i) at a point, and to
+    # its support-weighted sum in expectation.
+    for n, circled in zip((2, 3, 4, 5), (3, 10, 53, 686)):
+        nodes = enumerate_antichains(n).nodes
+        inside = [i for i, node in enumerate(nodes) if any(len(s) == 1 for s in node.sources)]
+        assert len(inside) == circled
+        inputs = [*tie_heavy_distributions(n),
+                  *(random_distribution(trial_rng(73, k), [2] * n) for k in range(3))]
+        for d in inputs:
+            support = d.support()
+            union = [max(surprisal(d, [i], r) for i in range(n)) for r, _ in support]
+            # every support point up to n = 4, the first two at n = 5
+            for (r, _), u in list(zip(support, union))[:2 if n == 5 else None]:
+                partials = decompose_pointwise(d, r).partials
+                assert abs(math.fsum(partials[i] for i in inside) - u) <= TOL, (n, r)
+            partials = decompose_expected(d).partials
+            expected_union = math.fsum(p * u for (_, p), u in zip(support, union))
+            assert abs(math.fsum(partials[i] for i in inside) - expected_union) <= TOL, n
+
+
 def test_inversion_matches_closed_form_on_conditioned_valuations():
     # The last variable given: conditioned surprisals keep their order as a
     # source grows, so the closed form holds and the inversion matches it.

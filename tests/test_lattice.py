@@ -13,7 +13,6 @@ from infoshare import (
     enumerate_sources,
     eval_sharing,
     join,
-    max_via_min_expansion,
     meet,
     precedes,
     sharing_join,
@@ -292,18 +291,6 @@ def test_eval_sharing_takes_one_of_the_values():
         assert values == set(h)
     assert eval_sharing(lattice.bottom, (0.2, 0.9, 0.5)) == 0.9
     assert eval_sharing(lattice.top, (0.2, 0.9, 0.5)) == 0.2
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
-        min_size=1,
-        max_size=5,
-    )
-)
-def test_max_min_identity(values):
-    assert abs(max(values) - max_via_min_expansion(values)) <= 1e-9
 
 
 @pytest.mark.parametrize("names", [[], ["a"], ["a", "b", "c"]], ids=["none", "fewer", "more"])
