@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from pathlib import Path
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import checks
 from .algebra import ExpressionError, compile_expression, parse_expression
@@ -30,10 +31,14 @@ from .decomposition import (
 )
 from .distribution import (InvalidDistribution, JointDistribution, ZeroMass, _ascii_number,
                            load_file)
-from .lattice import enumerate_antichains, to_dot
+from .lattice import dot_lines, enumerate_antichains
 from .measures import pair_contents, surprisal_table
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
+# lines per `write` of a text report: one write per line costs more at n = 5
+_CHUNK_LINES = 1024
+# the exit status when the reader closes stdout early, as a shell reports SIGPIPE
+_BROKEN_PIPE = 141
 # a `decompose` row: the label padded to a width, then value and partial, each `_fmt(x).rjust(12)`
 _DECOMPOSE_ROW = "%-*s  %12.9f  %12.9f"
 
@@ -83,12 +88,24 @@ def _source_label(d: JointDistribution, source) -> str:
     return "{" + ",".join(names[i] for i in sorted(source)) + "}"
 
 
-def _emit(args, text_lines: list[str], structured: Callable[[], dict]) -> None:
+def _write_lines(out: TextIO, lines: Iterable[str]) -> None:
+    """Write the lines, each ended by a newline, as they come: `_CHUNK_LINES`
+    of them at a time, one `write` per chunk."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        chunk.append("")  # the last line's newline
+        out.write("\n".join(chunk))
+
+
+def _emit(args, text_lines: Iterable[str], structured: Callable[[], dict]) -> None:
+    """Print a report: the structured document as one JSON text, or the text
+    lines, read once and written in chunks as they are formatted, so a long
+    report is never held whole."""
     if args.fmt == "structured":
         import json
         print(json.dumps(structured(), indent=2))
     else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        _write_lines(sys.stdout, text_lines)
 
 
 def _table(args, header: str, rows: list[tuple[str, float]],
@@ -222,34 +239,39 @@ def cmd_decompose(args) -> int:
         partials = decompose_expected(d, variables=variables)
         header = "expected decomposition"
 
-    rows = decomposition_rows(partials, names)
+    lattice, values, increments = partials.lattice, partials.values, partials.partials
     scale = args.scale
-    top_bits, total_bits = rows[-1][1], partials.total()  # the top node comes last
+    top_bits, total_bits = values[lattice._topo[-1]], partials.total()  # the top node comes last
     total, top_value = total_bits * scale, top_bits * scale
     residual = abs(total_bits - top_bits) * scale
 
-    label_width = max(len("sum of partials"), *(len(label) for label, _, _ in rows))
-    lines = [header, f"{'node'.ljust(label_width)}  {'value'.rjust(12)}  {'partial'.rjust(12)}"]
-    lines += [_DECOMPOSE_ROW % (label_width, label, value * scale, partial * scale)
-              for label, value, partial in rows]
-    lines.append(f"{'sum of partials'.ljust(label_width)}  {_fmt(total).rjust(12)}")
-    lines.append(f"{'joint value'.ljust(label_width)}  {_fmt(top_value).rjust(12)}")
-    lines.append(f"{'residual'.ljust(label_width)}  {_fmt_res(residual)}")
-    _emit(args, lines, lambda: {
+    def text() -> Iterator[str]:
+        labels = lattice.labels(names)
+        width = max(len("sum of partials"), max(map(len, labels)))
+        yield header
+        yield f"{'node'.ljust(width)}  {'value'.rjust(12)}  {'partial'.rjust(12)}"
+        for i in lattice._topo:  # bottom-up
+            yield _DECOMPOSE_ROW % (width, labels[i], values[i] * scale, increments[i] * scale)
+        yield f"{'sum of partials'.ljust(width)}  {_fmt(total).rjust(12)}"
+        yield f"{'joint value'.ljust(width)}  {_fmt(top_value).rjust(12)}"
+        yield f"{'residual'.ljust(width)}  {_fmt_res(residual)}"
+
+    _emit(args, text(), lambda: {
         "mode": args.mode,
         "rows": [{"node": label, "value": value * scale, "partial": partial * scale}
-                 for label, value, partial in rows],
+                 for label, value, partial in decomposition_rows(partials, names)],
         "sum_of_partials": total, "joint_value": top_value, "residual": residual})
     return 0 if residual <= args.tol else 1
 
 
 def cmd_lattice(args) -> int:
     lattice = enumerate_antichains(args.n)
-    dot = to_dot(lattice, kind=args.kind)
+    lines = dot_lines(lattice, kind=args.kind)
     if args.out == "-":
-        sys.stdout.write(dot)
+        _write_lines(sys.stdout, lines)
     else:
-        Path(args.out).write_text(dot, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            _write_lines(out, lines)
         _emit(args,
               [f"wrote {args.kind} lattice for n={args.n} ({len(lattice)} nodes) to {args.out}"],
               lambda: {"kind": args.kind, "n": args.n, "nodes": len(lattice), "out": args.out})
@@ -369,7 +391,15 @@ def main(argv=None) -> int:
             raise ValueError("trial count must be at least 1")
         # bits to the `--base` unit: each figure is `bits * scale`, `bits` itself at base 2
         args.scale = 1.0 / math.log2(_BASES[args.base])
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit
+        return status
+    except BrokenPipeError:
+        # the reader has stopped: send what is still buffered, at exit too, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _BROKEN_PIPE
     except (InvalidDistribution, ZeroMass, ExpressionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,8 +111,8 @@ def _node_values(lattice: RedundancyLattice, h: Sequence[float]) -> list[float]:
     """The least `h` among each node's members, in node order: the lesser of
     its parent's value and its last member's, as `min` picks it."""
     values: list[float] = []
-    for parent, ids in zip(lattice.parents, lattice.members):
-        x = h[ids[-1]]
+    for parent, k in zip(lattice.parents, lattice.last_members):
+        x = h[k]
         values.append(x if parent < 0 or x < values[parent] else values[parent])
     return values
 
@@ -124,8 +124,10 @@ def _walk(
 ) -> PartialValuation:
     """Weighted sums, over points given as their rows of source surprisals and
     their weights, of the node values and of the chain increments."""
-    # One array of weighted node values per point: a list of float objects
-    # per node raises the peak memory of an n = 5 run.
+    # One array of weighted node values per point, not a list of float
+    # objects per node: 7,579 small lists would raise the peak memory of an
+    # n = 5 run.  The text report reads the two sums below in place as it
+    # writes its lines, and keeps no row of its own.
     values: list[array] = []
     increments: dict[int, list[float]] = defaultdict(list)
     for h, p in zip(rows, weights):

@@ -170,37 +170,39 @@ def antichain_of(mask: int, n: int) -> Antichain:
     return Antichain(tuple([sources[k] for k in _bit_ids(mask) if not down[k] & mask]))
 
 
-def _all_antichains(n: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Every antichain as its member indices, its up-set mask and its parent.
+def _all_antichains(n: int) -> tuple[bytes, list[int], list[int]]:
+    """Every antichain as its last member, its up-set mask and its parent.
 
     Sources are tried in canonical order, and one is taken only when no
     member already taken is comparable to it: the depth-first walk runs
     over the bits still free, those past the last member and comparable
-    to none.  So every member tuple is already normalized, and the walk
-    visits nodes in `sort_key` order.  A node's parent is the node with
-    the same members but the last (-1 for one member), so it comes first.
-    Bit k of a mask stands for source k.
+    to none.  So every node's members, read up its parents, are already
+    normalized, and the walk visits nodes in `sort_key` order.  A node's
+    parent is the node with the same members but the last (-1 for one
+    member), so it comes first.  Bit k of a mask stands for source k, and
+    a last member fits in a byte while there are fewer than 256 sources
+    (n <= 8).
     """
     _, _, up, down = _source_table(n)
     # comparable[k]: the sources containing source k and those contained in it
     comparable = [u | d for u, d in zip(up, down)]
-    members: list[tuple[int, ...]] = []
+    last = bytearray()
     upsets: list[int] = []
     parents: list[int] = []
 
-    def extend(free: int, ids: tuple, upset: int, parent: int) -> None:
+    def extend(free: int, upset: int, parent: int) -> None:
         while free:
             low = free & -free
             free ^= low
             k = low.bit_length() - 1
-            node = len(members)
-            members.append(ids + (k,))
+            node = len(upsets)
+            last.append(k)
             upsets.append(upset | up[k])
             parents.append(parent)
-            extend(free & ~comparable[k], members[node], upsets[node], node)
+            extend(free & ~comparable[k], upsets[node], node)
 
-    extend((1 << len(up)) - 1, (), 0, -1)
-    return members, upsets, parents
+    extend((1 << len(up)) - 1, 0, -1)
+    return bytes(last), upsets, parents
 
 
 class RedundancyLattice:
@@ -210,23 +212,27 @@ class RedundancyLattice:
     corresponding Dedekind numbers, which additionally count the empty
     antichain and the antichain of the empty set).
 
-    Nodes are held by index, in `sort_key` order: `members` gives each
-    node's sources as indices into `sources`, and `upsets` the up-set of
-    sources it generates as a bitmask (bit k stands for `sources[k]`).
-    Results over the lattice are lists in the same order; `index` finds a
-    node's position, and `nodes` holds the `Antichain`s, built on first
-    access.  The node order is reversed inclusion of up-sets, and covering
-    pairs differ by exactly one source.  That keeps the cover relation
-    cheap for every supported n (1..5, as `enumerate_sources` allows); it
-    is built on first use.
+    Nodes are held by index, in `sort_key` order: `upsets` gives the
+    up-set of sources each node generates as a bitmask (bit k stands for
+    `sources[k]`), `parents` the node with the same members but the last,
+    and `last_members` the index into `sources` of that last member, one
+    byte per node.  A node's members are its parent's followed by its
+    last member; `members` spells them out as tuples of indices into
+    `sources`, and `nodes` as `Antichain`s, each built on first use, which
+    the walk and the reports never make.  Results over the lattice are
+    lists in the same order; `index` finds a node's position.  The node
+    order is reversed inclusion of up-sets, and covering pairs differ by
+    exactly one source.  That keeps the cover relation cheap for every
+    supported n (1..5, as `enumerate_sources` allows); it is built on
+    first use.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.sources: tuple[tuple[int, ...], ...] = _source_table(n)[0]
-        members, upsets, parents = _all_antichains(n)
-        # indices into `sources` of each node's members, in node order
-        self.members: tuple[tuple[int, ...], ...] = tuple(members)
+        last_members, upsets, parents = _all_antichains(n)
+        # index into `sources` of each node's last member, in node order
+        self.last_members: bytes = last_members
         # up-set mask of each node, in node order
         self.upsets: tuple[int, ...] = tuple(upsets)
         # the node with the same members but the last, -1 for one member
@@ -241,6 +247,15 @@ class RedundancyLattice:
         for i, m in enumerate(upsets):
             by_size[m.bit_count()].append(i)
         self._topo = tuple(chain.from_iterable(reversed(by_size)))
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """Indices into `sources` of every node's members, in node order: its
+        parent's (which come first) followed by its last member."""
+        members: list[tuple[int, ...]] = []
+        for parent, k in zip(self.parents, self.last_members):
+            members.append((members[parent] if parent >= 0 else ()) + (k,))
+        return tuple(members)
 
     @cached_property
     def nodes(self) -> tuple[Antichain, ...]:
@@ -280,8 +295,8 @@ class RedundancyLattice:
             raise ValueError(f"expected {self.n} variable names, got {len(names)}")
         source_labels = ["{" + ",".join(map(names.__getitem__, src)) + "}" for src in self.sources]
         labels: list[str] = []
-        for parent, ids in zip(self.parents, self.members):
-            labels.append((labels[parent] if parent >= 0 else "") + source_labels[ids[-1]])
+        for parent, k in zip(self.parents, self.last_members):
+            labels.append((labels[parent] if parent >= 0 else "") + source_labels[k])
         return labels
 
     def _cover_ids(self) -> list[tuple[int, ...]]:
@@ -314,6 +329,33 @@ def eval_sharing(alpha: Antichain, values: Sequence[float]) -> float:
     return max([min(map(values.__getitem__, src)) for src in alpha.sources])
 
 
+def dot_lines(
+    lattice: RedundancyLattice,
+    kind: str = "redundancy",
+    names: Sequence[str] | None = None,
+) -> Iterator[str]:
+    """The lines of `to_dot`, without their newlines, made as they are read.
+
+    The kind and the names are checked, and the labels and covers built,
+    before the first line.
+    """
+    if kind not in ("redundancy", "sharing"):
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    if names is None:
+        names = default_names(lattice.n)
+    topo, covers, labels = lattice._topo, lattice._cover_ids(), lattice.labels(names)
+    if kind == "redundancy":
+        edges = (f"  n{j} -> n{i};" for i in topo for j in covers[i])
+    else:
+        edges = (f"  n{i} -> n{j};" for i in topo for j in covers[i])
+    return chain(
+        (f"digraph {kind}_lattice {{", "  rankdir=BT;", "  node [shape=box, fontsize=11];"),
+        (f'  n{i} [label="{labels[i]}"];' for i in topo),
+        edges,
+        ("}",),
+    )
+
+
 def to_dot(
     lattice: RedundancyLattice,
     kind: str = "redundancy",
@@ -324,23 +366,4 @@ def to_dot(
     Both kinds share the node set; `sharing` flips the edge directions so
     that the all-singletons node sits on top under the dual order.
     """
-    if kind not in ("redundancy", "sharing"):
-        raise ValueError(f"unknown lattice kind {kind!r}")
-    if names is None:
-        names = default_names(lattice.n)
-    lines = [
-        f"digraph {kind}_lattice {{",
-        "  rankdir=BT;",
-        "  node [shape=box, fontsize=11];",
-    ]
-    topo, covers, labels = lattice._topo, lattice._cover_ids(), lattice.labels(names)
-    for i in topo:
-        lines.append(f'  n{i} [label="{labels[i]}"];')
-    for i in topo:
-        for j in covers[i]:
-            if kind == "redundancy":
-                lines.append(f"  n{j} -> n{i};")
-            else:
-                lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(dot_lines(lattice, kind, names)) + "\n"

@@ -1005,11 +1005,10 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=" ".join)
-def test_report_matches_its_recorded_digest(argv, tmp_path, monkeypatch, capsys):
+def _report_argv(argv, tmp_path) -> list[str]:
+    """A `REPORT_DIGESTS` command line with its input files written to `tmp_path`."""
     from test_bench_reference import WORKLOADS
 
-    monkeypatch.chdir(tmp_path)  # `lattice --out` confirms a relative path
     (tmp_path / "xor.json").write_text(XOR3_JSON)
     paths = {
         "f": _dist_file(tmp_path, random_distribution(trial_rng(2024, 0), [2, 3, 2],
@@ -1017,9 +1016,81 @@ def test_report_matches_its_recorded_digest(argv, tmp_path, monkeypatch, capsys)
         "xor": tmp_path / "xor.json",
         "n5": WORKLOADS.make("n5-expected", 0, tmp_path).argv[2],
     }
-    assert main([arg.format(**paths) for arg in argv]) == 0
+    return [arg.format(**paths) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=" ".join)
+def test_report_matches_its_recorded_digest(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # `lattice --out` confirms a relative path
+    assert main(_report_argv(argv, tmp_path)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[argv]
+
+
+class _RecordingStdout:
+    """A stdout that keeps each `write` apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("argv", [argv for argv in REPORT_DIGESTS if "structured" not in argv
+                                  and ("{n5}" in argv or argv == ("lattice", "--n", "5"))],
+                         ids=" ".join)
+def test_an_n5_text_report_is_written_in_chunks(argv, tmp_path, monkeypatch):
+    # 7,584 `decompose` lines or 43,093 DOT lines, never held whole: at most
+    # 1,024 lines per write, and the writes together are the pinned report
+    out = _RecordingStdout()
+    argv_run = _report_argv(argv, tmp_path)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv_run) == 0
+    assert len(out.writes) > 1
+    assert all(text.count("\n") <= 1024 for text in out.writes)
+    joined = "".join(out.writes)
+    assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == REPORT_DIGESTS[argv]
+
+
+def test_the_n5_report_peaks_under_4_mib_of_traced_memory(tmp_path, monkeypatch):
+    # the lattice build counted, and the report going to a file as it is formatted
+    import tracemalloc
+
+    argv = _report_argv(("decompose", "{n5}", "--mode", "expected"), tmp_path)
+    with open(tmp_path / "report.txt", "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        enumerate_antichains.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "report.txt").read_text().splitlines()) == 7579 + 5
+    assert peak < 4 * 2**20
+
+
+def test_a_reader_that_stops_early_gets_status_141(tmp_path):
+    # the shell's status for SIGPIPE, and no message, whenever the pipe closes
+    argv = _report_argv(("decompose", "{n5}"), tmp_path)
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with open(tmp_path / "stderr", "wb") as err:
+        child = subprocess.Popen([sys.executable, "-m", "infoshare.cli", *argv],
+                                 stdout=subprocess.PIPE, stderr=err, env=env)
+        try:
+            assert child.stdout.readline() == b"expected decomposition\n"
+            child.stdout.close()  # the rest of the report is far more than a pipe holds
+            assert child.wait(timeout=60) == 141
+        finally:
+            child.kill()
+            child.wait()
+    assert (tmp_path / "stderr").read_bytes() == b""
 
 
 @pytest.mark.parametrize("x", [-0.0, -1.25, 0.0, 2.5e-10, 1e6, -123456789.125, math.inf,
@@ -1060,20 +1131,30 @@ def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
     assert lines == ["infoshare --seed 0 --trials 40 check --suite props",
                      "infoshare --seed 0 --trials 40 check --suite mobius",
                      "infoshare --seed 0 --trials 40 check --suite lemmas", "infoshare lattice --n 3",
+                     r"printf 'A,B,C,D,E,p\n0,0,0,0,0,0.5\n1,1,1,1,1,0.5\n' > five.csv",
+                     "infoshare decompose five.csv | tail -n 3",
+                     'status=0; infoshare decompose five.csv | head -n 2 || status=$?; '
+                     'test "$status" -eq 141',
                      r"printf 'X,Y,p\n0,0,0.5\n1,1,0.5\n' > copy.csv",
                      "infoshare --base e --format structured decompose copy.csv"]
-    # in order, in one directory: the shell line through bash, and each `infoshare`
-    # argv through the module the console script names
+    assert workflow["jobs"]["test"]["steps"][script]["shell"] == "bash"
+    # in order, in one directory, each line as `shell: bash` runs it (with
+    # pipefail), `infoshare` standing for the module the console script names
     assert 'infoshare = "infoshare.cli:main"' in (root / "pyproject.toml").read_text()
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHON": sys.executable}
+    script_shell = 'infoshare() { "$PYTHON" -m infoshare.cli "$@"; }\n'
     for line in lines:
-        if line.startswith("infoshare "):
-            argv = [sys.executable, "-m", "infoshare.cli", *shlex.split(line)[1:]]
-        else:
-            argv = ["bash", "-c", line]
-        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=60)
+        done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c",
+                               script_shell + line], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (line, done.stderr)
-        assert done.stdout or argv[0] == "bash", line
+        assert done.stderr == "", line
+        assert done.stdout or line.startswith("printf"), line
+        if "head -n 2" in line:
+            head = done.stdout.splitlines()
+            assert head[0] == "expected decomposition" and head[1].split() == [
+                "node", "value", "partial"]
+        elif "tail -n 3" in line:
+            assert done.stdout.splitlines()[-1].startswith("residual")
     # the decompose report, in nats: COPY's joint surprisal is ln 2 at either point
     assert json.loads(done.stdout)["joint_value"] == math.log(2)

@@ -97,6 +97,19 @@ def test_one_lattice_per_n():
     assert enumerate_antichains.cache_info().currsize == 2
 
 
+def test_a_decompose_builds_no_member_tuples(tmp_path, capsys):
+    # The walk and the report read each node's last member; the member
+    # tuples are built only when asked for.
+    five = tmp_path / "five.csv"
+    five.write_text("A,B,C,D,E,p\n0,0,0,0,0,0.25\n0,1,0,1,1,0.25\n1,1,0,0,1,0.5\n")
+    enumerate_antichains.cache_clear()
+    assert main(["decompose", str(five)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7579 + 5
+    lattice = enumerate_antichains(5)
+    assert "members" not in vars(lattice)
+    assert len(lattice.members) == 7579 and "members" in vars(lattice)
+
+
 def test_precedes_examples():
     assert precedes(A([(0,)]), A([(0, 1)]))
     assert precedes(A([(0,), (1,)]), A([(0,)]))
@@ -351,6 +364,7 @@ def test_mask_built_nodes_are_normalized_with_their_upsets(n):
     for i, node in enumerate(lattice.nodes):
         assert node == A(node.sources)
         assert tuple(lattice.sources[k] for k in lattice.members[i]) == node.sources
+        assert lattice.last_members[i] == lattice.members[i][-1]
         # the parent drops the last member and comes earlier in node order
         parent = lattice.parents[i]
         assert parent < i
