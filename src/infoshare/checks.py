@@ -15,11 +15,13 @@ block in a forked child, whose worst residuals are merged by maximum.  The
 report does not depend on the CPU count; a system without `fork` runs one
 block.
 
-`props` builds its join and meet tables of node indices, and resolves its
-single-variable sources, once per command, before the blocks fork.  Each
-trial reads its support point's surprisals through one surprisal reader,
-checking neither sources nor realization again, values every node once
-and measures connexity only for a value that is not one of the surprisals.
+`props` builds its join and meet tables of node indices once per command,
+before the blocks fork.  Each trial sums its support point's n
+single-variable masses straight from its fresh support, building no
+marginal table and checking neither sources nor realization again, values
+every node once and measures connexity only for a value that is not one of
+the surprisals.  The marginal tables stay for every other caller: they read
+many points of one distribution, where a support scan per read would not pay.
 """
 
 from __future__ import annotations
@@ -191,24 +193,41 @@ def _node_tables(n: int) -> tuple[RedundancyLattice, list[list[int]], list[list[
     return lattice, table(sharing_join), table(sharing_meet)
 
 
+def _point_surprisals(d, r: tuple[int, ...]) -> tuple[float, ...]:
+    """The surprisal of each single variable i at support point r: the masses
+    of the support points that agree with r on i, added one by one in support
+    order from 0.0, as `JointDistribution._table` adds them (builtin `sum` is
+    compensated from Python 3.12, and `math.fsum` always is: either can move
+    the surprisal by ulps), then `0.0 - log2`, +0.0 at mass 1 or above."""
+    log2 = math.log2
+    h = []
+    for i, x in enumerate(r):
+        p = 0.0
+        for s, m in d._pmf.items():
+            if s[i] == x:
+                p += m
+        h.append(0.0 - log2(p) if p <= 1.0 else 0.0)
+    return tuple(h)
+
+
 def _props_draws(seed: int, tables: dict, t: int) -> tuple:
     """Trial t's draws: n = 2 or 3, the surprisals of the n single variables
-    at a random support point of a random distribution, read through one
-    surprisal reader, and three node indices a, b, c."""
+    at a random support point of a random distribution, summed straight from
+    its support, and three node indices a, b, c."""
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
     d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
     points = _points(d)[0]
     r = points[rng.randrange(len(points))]
-    lattice, _, _, groups = tables[n]
-    h = next(_surprisal_reader(d, groups)([r]))
+    h = _point_surprisals(d, r)
+    lattice = tables[n][0]
     a, b, c = (rng.randrange(len(lattice)) for _ in range(3))
     return n, h, a, b, c
 
 
 def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
     n, h, a, b, c = _props_draws(seed, tables, t)
-    lattice, join_t, meet_t, _ = tables[n]
+    lattice, join_t, meet_t = tables[n]
     v = [eval_sharing(node, h) for node in lattice.nodes]
 
     # each law for sharing_join against sharing_meet, then the other way round
@@ -228,14 +247,13 @@ def _props_setup(seed: int, trials: int) -> tuple[int, Trial]:
     """Lattice laws of the max-of-mins evaluation on random operands.
 
     `sharing_join` and `sharing_meet` run once on every pair of nodes for
-    n = 2 and 3, into tables of node indices, and the n single-variable
-    sources are resolved once next to them.  Each trial then reads its
-    support point's surprisals in one pass, values every node once and
+    n = 2 and 3, into tables of node indices.  Each trial then sums its
+    support point's n single-variable masses straight from its fresh
+    support (`_point_surprisals`; a marginal table per variable would be
+    built and logged whole to read one entry), values every node once and
     reads each law from those values.
     """
-    # and the surprisal reader's one group: each single variable, unconditioned
-    tables = {n: (*_node_tables(n), [([frozenset((i,)) for i in range(n)], frozenset())])
-              for n in (2, 3)}
+    tables = {n: _node_tables(n) for n in (2, 3)}
     return trials, partial(_props_trial, seed, tables)
 
 

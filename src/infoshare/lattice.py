@@ -325,8 +325,26 @@ def enumerate_antichains(n: int, /) -> RedundancyLattice:
 
 
 def eval_sharing(alpha: Antichain, values: Sequence[float]) -> float:
-    """Max over the antichain's sources of the min of the member values."""
-    return max([min(map(values.__getitem__, src)) for src in alpha.sources])
+    """Max over the antichain's sources of the min of the member values.
+
+    Two plain loops, `<` for the min and `>` for the max, keep the first
+    value seen on a tie, as `min` and `max` do; an antichain with no source,
+    or a source with no member, is refused as those would refuse it.
+    """
+    top = None
+    for src in alpha.sources:
+        if not src:
+            raise ValueError("a source must contain at least one variable")
+        low = values[src[0]]
+        for i in src:
+            v = values[i]
+            if v < low:
+                low = v
+        if top is None or low > top:
+            top = low
+    if top is None:
+        raise ValueError("an antichain needs at least one source")
+    return top
 
 
 def dot_lines(

@@ -17,14 +17,18 @@ Each content measure reads one `surprisal_table` over the sources it
 needs, which validates and resolves each source once and then pays, per
 realization, one check and one lookup per set.  The per-call `surprisal`
 and `cond_surprisal` are kept as the tests' oracles for the table.
-`_surprisal_reader` is the one reader from realizations to surprisals: it
-turns each set's marginal table into log2 masses once, then reads a list
-of checked realizations column by column, one row each, with 0.0 for
-the empty conditioner, the log of mass 1.  The table reads one
+`_surprisal_reader` is the reader from realizations to surprisals for
+every caller that reads many points of a distribution or re-reads its
+cached tables: it turns each set's marginal table into log2 masses once,
+then reads a list of checked realizations column by column, one row each,
+with 0.0 for the empty conditioner, the log of mass 1.  The table reads one
 realization through it; the figures read the points `_points` gives
 through it in one pass, the whole support without checking any point
 again; `eval --about` and the target decomposition read their plain and
-conditioned surprisals from it in one row.
+conditioned surprisals from it in one row.  Only a `check --suite props`
+trial, which reads one point of a fresh distribution, sums that point's
+single-variable masses straight from the support instead
+(`checks._point_surprisals`), to the same bits.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and

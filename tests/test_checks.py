@@ -22,7 +22,7 @@ from infoshare.lattice import (
     sharing_join,
     sharing_meet,
 )
-from infoshare.distribution import VariableSet
+from infoshare.distribution import JointDistribution, VariableSet
 from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
@@ -435,6 +435,36 @@ def test_props_trials_value_each_node_once_and_check_nothing_again(monkeypatch):
         assert all(values is h for _, values in valued[seen:seen + len(nodes)])
         seen += len(nodes)
     assert seen == len(valued)
+
+
+def test_props_trials_build_no_marginal_table(monkeypatch):
+    inside = _inside(monkeypatch, "_props_trial")
+    called = []  # per call: the reader's name, and whether a props trial made it
+
+    def counted(real, name):
+        def wrapper(*args):
+            called.append((name, bool(inside)))
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(JointDistribution, "_table",
+                        counted(JointDistribution._table, "_table"))
+    monkeypatch.setattr(checks, "_surprisal_reader",
+                        counted(checks._surprisal_reader, "_surprisal_reader"))
+    checks.run_suite("props", 0, 60, 1e-9)
+    assert not any(in_trial for _, in_trial in called)
+    checks.run_suite("lemmas", 0, 1, 1e-9)  # the wrappers are where the readers are looked up
+    assert {name for name, _ in called} == {"_table", "_surprisal_reader"}
+
+
+def test_point_surprisals_add_the_masses_in_support_order():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 one by one, but 0.6 from `math.fsum`
+    # and from the compensated builtin `sum` of Python 3.12 on: two ulps apart
+    d = JointDistribution(VariableSet(["X", "Y"], [2, 3]),
+                          {(0, 0): 0.1, (0, 1): 0.2, (0, 2): 0.3, (1, 0): 0.4})
+    h = checks._point_surprisals(d, (0, 1))
+    assert h[0].hex() == surprisal_table(d, [(0,)])((0, 1))[0].hex() == "0x1.79538dea712f3p-1"
+    assert [x.hex() for x in h] == [x.hex() for x in surprisal_table(d, [(0,), (1,)])((0, 1))]
 
 
 @pytest.mark.parametrize("suite, trial, trials", [

@@ -306,6 +306,28 @@ def test_eval_sharing_takes_one_of_the_values():
     assert eval_sharing(lattice.top, (0.2, 0.9, 0.5)) == 0.2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eval_sharing_matches_the_builtin_max_of_mins_bit_for_bit(n):
+    # on ties `min` and `max` keep the first value seen, which hex tells
+    # apart for 0.0 against -0.0
+    rng = random.Random(n)
+    vectors = [tuple(rng.random() * 4 for _ in range(n)) for _ in range(20)]
+    vectors += [(1.5,) * n, (0.0,) * n, tuple((0.0, -0.0)[i % 2] for i in range(n)),
+                tuple((-0.0, 0.0)[i % 2] for i in range(n)),
+                tuple(float(i // 2) for i in range(n)), tuple(float(n - i // 2) for i in range(n))]
+    for values in vectors:
+        for alpha in enumerate_antichains(n).nodes:
+            oracle = max(min(values[i] for i in src) for src in alpha.sources)
+            assert eval_sharing(alpha, values).hex() == oracle.hex(), (alpha, values)
+
+
+@pytest.mark.parametrize("alpha", [Antichain(()), Antichain(((),)), Antichain(((0,), ()))],
+                         ids=["no source", "empty source", "empty later source"])
+def test_eval_sharing_refuses_an_empty_antichain_or_source(alpha):
+    with pytest.raises(ValueError):
+        eval_sharing(alpha, (0.5, 1.0))
+
+
 @pytest.mark.parametrize("names", [[], ["a"], ["a", "b", "c"]], ids=["none", "fewer", "more"])
 def test_labels_need_one_name_per_variable(names):
     two = enumerate_antichains(2)
