@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import defaultdict
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .distribution import JointDistribution, ZeroMass, _key_of, variable_indices
@@ -123,11 +124,17 @@ def _walk(
     weights: Iterable[float],
 ) -> PartialValuation:
     """Weighted sums, over points given as their rows of source surprisals and
-    their weights, of the node values and of the chain increments."""
+    their weights, of the node values and of the chain increments.
+
+    A chain whose up-set mask is no node of the lattice (the surprisals
+    fall as a source grows) is refused with `ValueError`.
+    """
     # One array of weighted node values per point, not a list of float
     # objects per node: 7,579 small lists would raise the peak memory of an
-    # n = 5 run.  The text report reads the two sums below in place as it
-    # writes its lines, and keeps no row of its own.
+    # n = 5 run.  The increments are keyed by up-set mask and placed in one
+    # pass over `lattice.upsets`, so the walk builds no mask-to-node index.
+    # The text report reads the two sums below in place as it writes its
+    # lines, and keeps no row of its own.
     values: list[array] = []
     increments: dict[int, list[float]] = defaultdict(list)
     for h, p in zip(rows, weights):
@@ -135,12 +142,13 @@ def _walk(
         # surprisal is p times the least one, bit for bit
         values.append(array("d", _node_values(lattice, [p * x for x in h])))
         for mask, increment in chain_levels(h):
-            increments[lattice._by_upset[mask]].append(p * increment)
+            increments[mask].append(p * increment)
     # The 0.0 increments off the chain are left out; fsum is exact, so
     # each sum is the one over every point.
-    partials = [0.0] * len(lattice)
-    for i, weighted in increments.items():
-        partials[i] = math.fsum(weighted)
+    sums = {mask: math.fsum(weighted) for mask, weighted in increments.items()}
+    partials = list(map(sums.pop, lattice.upsets, repeat(0.0)))
+    if sums:
+        raise ValueError(f"chain masks {', '.join(map(hex, sorted(sums)))} are no up-sets of nodes")
     return PartialValuation(lattice, list(map(math.fsum, zip(*values))), partials)
 
 
@@ -148,7 +156,7 @@ def mobius_closed_form(lattice: RedundancyLattice, values: Sequence[float]) -> P
     """Closed-form inversion: node value minus the max over covered nodes, valid
     at one realization, whose node values inherit the total order of the
     surprisals; `mobius_inversion` inverts expected valuations."""
-    covers = lattice._cover_ids()
+    covers = lattice._cover_ids
     partials = [0.0] * len(lattice)
     for i in lattice._topo:
         covered = covers[i]
@@ -162,7 +170,7 @@ def mobius_inversion(lattice: RedundancyLattice, values: Sequence[float]) -> Par
     at the union of their up-sets and its own; at one realization, the closed
     form rounded once."""
     upsets, by_upset, partials = lattice.upsets, lattice._by_upset, []
-    for upset, covered in zip(upsets, lattice._cover_ids()):
+    for upset, covered in zip(upsets, lattice._cover_ids):
         terms = [(1.0, upset)]  # (sign, up-set) of each union so far
         for j in covered:  # each cover adds one source: the unions are distinct
             terms += [(-sign, union | upsets[j]) for sign, union in terms]

@@ -1057,7 +1057,7 @@ def test_an_n5_text_report_is_written_in_chunks(argv, tmp_path, monkeypatch):
     assert hashlib.sha256(joined.encode("utf-8")).hexdigest() == REPORT_DIGESTS[argv]
 
 
-def test_the_n5_report_peaks_under_4_mib_of_traced_memory(tmp_path, monkeypatch):
+def test_the_n5_report_peaks_under_2_5_mib_of_traced_memory(tmp_path, monkeypatch):
     # the lattice build counted, and the report going to a file as it is formatted
     import tracemalloc
 
@@ -1072,7 +1072,7 @@ def test_the_n5_report_peaks_under_4_mib_of_traced_memory(tmp_path, monkeypatch)
         finally:
             tracemalloc.stop()
     assert len((tmp_path / "report.txt").read_text().splitlines()) == 7579 + 5
-    assert peak < 4 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def test_a_reader_that_stops_early_gets_status_141(tmp_path):

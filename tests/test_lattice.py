@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,10 @@ from infoshare import (
     to_dot,
     upset_of,
 )
+from infoshare import decomposition
 from infoshare.cli import main
+from infoshare.lattice import RedundancyLattice
+from infoshare.sampling import random_distribution, trial_rng
 
 A = Antichain.normalize
 
@@ -171,8 +175,8 @@ def test_down_set_and_covers():
     bottom, top = two.index(two.bottom), two.index(two.top)
     assert _down_set(two, bottom) == [bottom]
     assert len(_down_set(two, top)) == len(two)
-    assert {two.nodes[j] for j in two._cover_ids()[top]} == {A([(0,)]), A([(1,)])}
-    assert two._cover_ids()[bottom] == ()
+    assert {two.nodes[j] for j in two._cover_ids[top]} == {A([(0,)]), A([(1,)])}
+    assert two._cover_ids[bottom] == ()
     three = enumerate_antichains(3)
     assert len(_down_set(three, three.index(three.top))) == 18
     with pytest.raises(ValueError, match="not a node"):
@@ -183,7 +187,7 @@ def test_covers_match_maximal_strict_predecessors():
     # The one-source-at-a-time cover construction against brute force.
     for n in (2, 3, 4):
         lattice = enumerate_antichains(n)
-        for a, covers in zip(lattice.nodes, lattice._cover_ids()):
+        for a, covers in zip(lattice.nodes, lattice._cover_ids):
             strict = [b for b in lattice.nodes if b != a and precedes(b, a)]
             maximal = {
                 b
@@ -491,3 +495,42 @@ def test_index_rejects_non_canonical_and_oversized_antichains():
     assert "not an antichain" not in three
     for i, node in enumerate(three.nodes):
         assert node in three and three.index(node) == i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_upsets_and_bottom_up_order_are_flat_arrays(n):
+    # the oracle: nodes bucketed by up-set size, largest first, node order within a bucket
+    lattice = enumerate_antichains(n)
+    assert isinstance(lattice.upsets, array) and lattice.upsets.typecode == "Q"
+    assert isinstance(lattice._topo, array) and lattice._topo.typecode == "i"
+    by_size = [[] for _ in range(len(lattice.sources) + 1)]
+    for i, m in enumerate(lattice.upsets):
+        by_size[bin(m).count("1")].append(i)
+    assert list(lattice._topo) == [i for bucket in reversed(by_size) for i in bucket]
+
+
+def test_the_walk_builds_no_upset_index():
+    # a fresh n = 5 lattice, so no earlier caller has built a table on it
+    d = random_distribution(trial_rng(34, 0), [2] * 5)
+    lattice = RedundancyLattice(5)
+    rows = [decomposition._support_row(d, range(5), r) for r, _ in d.support()]
+    walk = decomposition._walk(lattice, rows, [p for _, p in d.support()])
+    assert not {"_by_upset", "_cover_ids", "members", "nodes"} & set(vars(lattice))
+    expected = decomposition.decompose_expected(d)
+    assert [x.hex() for x in walk.partials] == [x.hex() for x in expected.partials]
+    assert [x.hex() for x in walk.values] == [x.hex() for x in expected.values]
+    assert lattice.index(lattice.top) == len(lattice) - 1
+    assert "_by_upset" in vars(lattice)
+    assert len(lattice._by_upset) == len(lattice)
+    for i, (node, m) in enumerate(zip(lattice.nodes, lattice.upsets)):
+        assert lattice._by_upset[m] == i
+        assert lattice.index(node) == i
+
+
+def test_the_walk_refuses_a_chain_mask_that_is_no_node():
+    # sources {x}, {y}, {x,y}: {x} is the most surprising, so the first level's
+    # mask holds {x} without {x,y}, which is no up-set; its increment is not dropped
+    lattice = RedundancyLattice(2)
+    assert decomposition.chain_levels([2.0, 0.0, 1.0])[0] == (0b001, 1.0)
+    with pytest.raises(ValueError, match="masks 0x1 are no up-sets"):
+        decomposition._walk(lattice, [(2.0, 0.0, 1.0)], [1.0])
