@@ -16,12 +16,14 @@ report does not depend on the CPU count; a system without `fork` runs one
 block.
 
 `props` builds its join and meet tables of node indices once per command,
-before the blocks fork.  Each trial sums its support point's n
-single-variable masses straight from its fresh support, building no
-marginal table and checking neither sources nor realization again, values
-every node once and measures connexity only for a value that is not one of
-the surprisals.  The marginal tables stay for every other caller: they read
-many points of one distribution, where a support scan per read would not pay.
+before the blocks fork.  Each trial takes its masses from the sampler's draw
+(`sampling._masses`) and builds no `JointDistribution` around them: it sums
+its support point's n single-variable masses straight from the draw,
+building no marginal table and checking neither sources nor realization,
+values every node once and measures connexity only for a value that is not
+one of the surprisals.  The marginal tables stay for every other caller:
+they read many points of one distribution, where a support scan per read
+would not pay.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .lattice import (
 )
 from .measures import _points, _surprisal_reader
 from .record import Record
-from .sampling import random_distribution, tie_heavy_distributions, trial_rng
+from .sampling import _masses, _shape, random_distribution, tie_heavy_distributions, trial_rng
 
 Bump = Callable[[str, float], None]  # keeps a law's worst residual
 Trial = Callable[[int, Bump], None]  # runs one trial by index
@@ -193,17 +195,18 @@ def _node_tables(n: int) -> tuple[RedundancyLattice, list[list[int]], list[list[
     return lattice, table(sharing_join), table(sharing_meet)
 
 
-def _point_surprisals(d, r: tuple[int, ...]) -> tuple[float, ...]:
-    """The surprisal of each single variable i at support point r: the masses
-    of the support points that agree with r on i, added one by one in support
-    order from 0.0, as `JointDistribution._table` adds them (builtin `sum` is
-    compensated from Python 3.12, and `math.fsum` always is: either can move
-    the surprisal by ulps), then `0.0 - log2`, +0.0 at mass 1 or above."""
+def _point_surprisals(pmf: dict[tuple[int, ...], float], r: tuple[int, ...]) -> tuple[float, ...]:
+    """The surprisal of each single variable i at support point r of the
+    masses `pmf`, in sorted support order: the masses of the points that
+    agree with r on i, added one by one in that order from 0.0, as
+    `JointDistribution._table` adds them (builtin `sum` is compensated from
+    Python 3.12, and `math.fsum` always is: either can move the surprisal by
+    ulps), then `0.0 - log2`, +0.0 at mass 1 or above."""
     log2 = math.log2
     h = []
     for i, x in enumerate(r):
         p = 0.0
-        for s, m in d._pmf.items():
+        for s, m in pmf.items():
             if s[i] == x:
                 p += m
         h.append(0.0 - log2(p) if p <= 1.0 else 0.0)
@@ -212,14 +215,16 @@ def _point_surprisals(d, r: tuple[int, ...]) -> tuple[float, ...]:
 
 def _props_draws(seed: int, tables: dict, t: int) -> tuple:
     """Trial t's draws: n = 2 or 3, the surprisals of the n single variables
-    at a random support point of a random distribution, summed straight from
-    its support, and three node indices a, b, c."""
+    at a random support point of the sampler's random masses, summed straight
+    from them, and three node indices a, b, c.  The draws are those of
+    `random_distribution` and a point of its support, in the same order."""
     rng = trial_rng(seed, t)
     n = rng.choice((2, 3))
-    d = random_distribution(rng, [2] * n if n == 3 else [rng.randint(2, 4)] * 2)
-    points = _points(d)[0]
+    _, grid = _shape((2,) * n if n == 3 else (rng.randint(2, 4),) * 2)
+    pmf = _masses(rng, grid)
+    points = list(pmf)
     r = points[rng.randrange(len(points))]
-    h = _point_surprisals(d, r)
+    h = _point_surprisals(pmf, r)
     lattice = tables[n][0]
     a, b, c = (rng.randrange(len(lattice)) for _ in range(3))
     return n, h, a, b, c
@@ -247,11 +252,12 @@ def _props_setup(seed: int, trials: int) -> tuple[int, Trial]:
     """Lattice laws of the max-of-mins evaluation on random operands.
 
     `sharing_join` and `sharing_meet` run once on every pair of nodes for
-    n = 2 and 3, into tables of node indices.  Each trial then sums its
-    support point's n single-variable masses straight from its fresh
-    support (`_point_surprisals`; a marginal table per variable would be
-    built and logged whole to read one entry), values every node once and
-    reads each law from those values.
+    n = 2 and 3, into tables of node indices.  Each trial then draws its
+    masses with the sampler and sums its support point's n single-variable
+    masses straight from them (`_point_surprisals`): no `JointDistribution`
+    is built, sorted or summed, and no marginal table is built and logged
+    whole to read one entry.  It values every node once and reads each law
+    from those values.
     """
     tables = {n: _node_tables(n) for n in (2, 3)}
     return trials, partial(_props_trial, seed, tables)

@@ -35,8 +35,9 @@ from .lattice import dot_lines, enumerate_antichains
 from .measures import pair_contents, surprisal_table
 
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
-# lines per `write` of a text report: one write per line costs more at n = 5
-_CHUNK_LINES = 1024
+# lines per `write` of a text report: one write per line costs more at n = 5,
+# and a larger chunk holds more formatted rows, and their join, at once
+_CHUNK_LINES = 128
 # the exit status when the reader closes stdout early, as a shell reports SIGPIPE
 _BROKEN_PIPE = 141
 # a `decompose` row: the label padded to a width, then value and partial, each `_fmt(x).rjust(12)`

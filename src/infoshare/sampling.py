@@ -1,9 +1,12 @@
-"""Seeded random and fixed tie-heavy joint distributions for the suites.
+"""Seeded random masses and distributions, and fixed tie-heavy
+distributions, for the suites.
 
-`random_distribution` builds the `VariableSet` and the outcome grid of a
-cardinality shape once per process, keyed on the cardinalities as exact
-integers, so a suite that draws thousands of small distributions
-validates each shape once.
+`_masses` is the one draw: random positive masses over an outcome grid.
+`random_distribution` wraps them in a `JointDistribution`; a `props`
+trial, which reads one point, sums them as they are.  `_shape` builds the
+`VariableSet` and the outcome grid of a cardinality shape once per
+process, keyed on the cardinalities as exact integers, so a suite that
+draws thousands of small distributions validates each shape once.
 """
 
 from __future__ import annotations
@@ -36,27 +39,40 @@ def random_distribution(
     cardinalities: Sequence[int],
     sparsity: float = 0.5,
 ) -> JointDistribution:
-    """Uniform-simplex masses over a randomly masked outcome grid, on the
-    default variable names.
-
-    Each grid cell is kept with probability 1 - sparsity (redrawn until at
-    least one cell survives); kept cells get independent exponential
-    weights, normalized to sum to one.  Covers both dense and degenerate
-    supports.  Non-integer cardinalities and a sparsity outside [0, 1),
-    where no cell could survive, are refused before any draw.
+    """`_masses` over the grid of `cardinalities`, on the default variable
+    names.  Non-integer cardinalities and a sparsity outside [0, 1), where
+    no cell could survive, are refused before any draw.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must lie in [0, 1), got {sparsity!r}")
     # exact integers for the key: 3.0 must not find the grid of 3
     variables, grid = _shape(_cardinalities(cardinalities))
+    # cells of the grid and finite positive masses: nothing for the constructor to check
+    return JointDistribution._of_checked(variables, _masses(rng, grid, sparsity))
+
+
+def _masses(
+    rng: random.Random,
+    grid: Sequence[tuple[int, ...]],
+    sparsity: float = 0.5,
+) -> dict[tuple[int, ...], float]:
+    """Uniform-simplex masses over a randomly masked outcome grid.
+
+    Each cell is kept with probability 1 - sparsity (redrawn until at least
+    one cell survives); kept cells get independent exponential weights,
+    normalized to sum to one.  Covers both dense and degenerate supports.
+    The positive masses come in grid order, which for `_shape`'s grid is the
+    sorted order a `JointDistribution` keeps; a mass that normalizes to zero
+    is dropped, as `JointDistribution` drops it.
+    """
     chosen: list[tuple[int, ...]] = []
     while not chosen:
         chosen = [cell for cell in grid if rng.random() >= sparsity]
-    weights = [rng.expovariate(1.0) for _ in chosen]
+    # `rng.expovariate(1.0)`'s own formula, without its call per cell
+    log, uniform = math.log, rng.random
+    weights = [-log(1.0 - uniform()) for _ in chosen]
     total = math.fsum(weights)
-    # cells of the grid and finite non-negative masses: nothing for the constructor to check
-    return JointDistribution._of_checked(
-        variables, {cell: w / total for cell, w in zip(chosen, weights)})
+    return {cell: p for cell, w in zip(chosen, weights) if (p := w / total) > 0.0}
 
 
 @lru_cache(maxsize=64)

@@ -1,10 +1,12 @@
 """The `check` trial driver: block invariance, failures and child cleanup;
 the points and laws of the mobius suite; recorded digests of every suite's
 report; the props suite's node-index tables, its draws and the work each of
-its trials does; and one sampler shape per process."""
+its trials does; the sampler's masses against an expovariate oracle; and
+one sampler shape per process."""
 
 import hashlib
 import json
+import math
 import os
 import random
 from collections import Counter
@@ -360,6 +362,8 @@ def test_props_rejects_a_result_that_is_no_node(monkeypatch, capsys):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_props_trials_draw_what_the_public_path_draws(monkeypatch, seed):
+    # seed 0 at 2,000 trials is the benchmark's check-props command
+    trials = {0: 2000, 7: 300}[seed]
     drawn = []
     real = checks._props_draws
 
@@ -369,8 +373,8 @@ def test_props_trials_draw_what_the_public_path_draws(monkeypatch, seed):
 
     monkeypatch.setattr(checks, "_props_draws", recorded)
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    checks.run_suite("props", seed, 300, 1e-9)
-    assert len(drawn) == 300
+    checks.run_suite("props", seed, trials, 1e-9)
+    assert len(drawn) == trials
     for t, (n, h, a, b, c) in enumerate(drawn):
         rng = trial_rng(seed, t)
         m = rng.choice((2, 3))
@@ -457,12 +461,76 @@ def test_props_trials_build_no_marginal_table(monkeypatch):
     assert {name for name, _ in called} == {"_table", "_surprisal_reader"}
 
 
+def test_props_trials_build_no_distribution(monkeypatch):
+    inside = _inside(monkeypatch, "_props_trial")
+    adopted = []  # per construction: whether a props trial made it
+    real_adopt = JointDistribution._adopt
+
+    def adopt(self, *args):
+        adopted.append(bool(inside))
+        return real_adopt(self, *args)
+
+    monkeypatch.setattr(JointDistribution, "_adopt", adopt)
+    checks.run_suite("props", 0, 60, 1e-9)
+    assert not any(adopted)
+    checks.run_suite("lemmas", 0, 1, 1e-9)  # the wrapper is where every construction goes
+    assert adopted
+
+
+def _oracle_masses(rng, grid, sparsity=0.5):
+    """The draw as written with `expovariate`: the kept cells, then their
+    normalized weights, a zero mass dropped as `JointDistribution` drops it."""
+    chosen = []
+    while not chosen:
+        chosen = [cell for cell in grid if rng.random() >= sparsity]
+    weights = [rng.expovariate(1.0) for _ in chosen]
+    total = math.fsum(weights)
+    return [(cell, (w / total).hex()) for cell, w in zip(chosen, weights) if w / total > 0.0]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (2, 2, 2), (2, 3)])
+def test_masses_are_the_expovariate_draw_bit_for_bit(shape):
+    grid = sampling._shape(shape)[1]
+    for t in range(500):
+        rng, oracle, public = trial_rng(0, t), trial_rng(0, t), trial_rng(0, t)
+        masses = sampling._masses(rng, grid)
+        expected = _oracle_masses(oracle, grid)
+        assert [(cell, p.hex()) for cell, p in masses.items()] == expected, t
+        pmf = random_distribution(public, list(shape))._pmf
+        assert [(cell, p.hex()) for cell, p in pmf.items()] == expected, t
+        # as many draws on every path: the next draw is the same
+        assert rng.getstate() == oracle.getstate() == public.getstate(), t
+
+
+class _Scripted(random.Random):
+    """An rng whose `random()` returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_a_zero_weight_drops_its_cell_on_every_path():
+    # cells (0, 0), (0, 1) and (1, 1) are kept; (0, 1) draws 0.0, whose weight is -0.0
+    draws = [0.9, 0.9, 0.1, 0.9, 0.3, 0.0, 0.7]
+    grid = sampling._shape((2, 2))[1]
+    expected = _oracle_masses(_Scripted(draws), grid)
+    assert [cell for cell, _ in expected] == [(0, 0), (1, 1)]
+    masses = sampling._masses(_Scripted(draws), grid)
+    assert [(cell, p.hex()) for cell, p in masses.items()] == expected
+    pmf = random_distribution(_Scripted(draws), [2, 2])._pmf
+    assert [(cell, p.hex()) for cell, p in pmf.items()] == expected
+
+
 def test_point_surprisals_add_the_masses_in_support_order():
     # 0.1 + 0.2 + 0.3 is 0.6000000000000001 one by one, but 0.6 from `math.fsum`
     # and from the compensated builtin `sum` of Python 3.12 on: two ulps apart
     d = JointDistribution(VariableSet(["X", "Y"], [2, 3]),
                           {(0, 0): 0.1, (0, 1): 0.2, (0, 2): 0.3, (1, 0): 0.4})
-    h = checks._point_surprisals(d, (0, 1))
+    h = checks._point_surprisals(d._pmf, (0, 1))
     assert h[0].hex() == surprisal_table(d, [(0,)])((0, 1))[0].hex() == "0x1.79538dea712f3p-1"
     assert [x.hex() for x in h] == [x.hex() for x in surprisal_table(d, [(0,), (1,)])((0, 1))]
 
