@@ -1,11 +1,16 @@
-"""Randomized verification suites behind the `check` CLI subcommand.
+"""Verification suites behind the `check` CLI subcommand.
 
-Each suite runs seeded trials on the library's own numbers, tracks a
-worst-case residual per law, and reports pass/fail against the configured
-tolerance.  `mobius` checks the inversions against each other and the
-chain walk's partials inside the n circles against the Venn union.
-Per-trial seeds are derived from the master seed by index, so results
-never depend on execution order.
+Each suite tracks a worst-case residual per law and reports pass/fail
+against the configured tolerance.  `lemmas` and `mobius` run seeded random
+trials on the library's own numbers; `mobius` checks the inversions
+against each other and the chain walk's partials inside the n circles
+against the Venn union.  Per-trial seeds are derived from the master seed
+by index, so results never depend on execution order.
+
+`props` samples nothing: it checks the lattice laws of the max-of-mins
+evaluation on every weak order of n = 2 and 3 surprisals, which covers
+every real input, so its law lines depend on neither the seed nor the
+trial count (the report's header still echoes both).
 
 A suite is data in `SUITES`: its law names and a setup that builds what
 its trials share and returns the work-item count and the trial to run on
@@ -13,17 +18,7 @@ each.  One runner, `run_suite`, runs every suite's items in contiguous
 blocks, one per usable CPU: the first block in this process and each other
 block in a forked child, whose worst residuals are merged by maximum.  The
 report does not depend on the CPU count; a system without `fork` runs one
-block.
-
-`props` builds its join and meet tables of node indices once per command,
-before the blocks fork.  Each trial takes its masses from the sampler's draw
-(`sampling._masses`) and builds no `JointDistribution` around them: it sums
-its support point's n single-variable masses straight from the draw,
-building no marginal table and checking neither sources nor realization,
-values every node once and measures connexity only for a value that is not
-one of the surprisals.  The marginal tables stay for every other caller:
-they read many points of one distribution, where a support scan per read
-would not pay.
+block, and `props`, one work item, always does.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ import marshal
 import math
 import os
 from functools import partial
+from itertools import product
 from typing import Callable, Sequence
 
 from .algebra import _lemma_results
@@ -53,7 +49,7 @@ from .lattice import (
 )
 from .measures import _points, _surprisal_reader
 from .record import Record
-from .sampling import _masses, _shape, random_distribution, tie_heavy_distributions, trial_rng
+from .sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 Bump = Callable[[str, float], None]  # keeps a law's worst residual
 Trial = Callable[[int, Bump], None]  # runs one trial by index
@@ -195,72 +191,52 @@ def _node_tables(n: int) -> tuple[RedundancyLattice, list[list[int]], list[list[
     return lattice, table(sharing_join), table(sharing_meet)
 
 
-def _point_surprisals(pmf: dict[tuple[int, ...], float], r: tuple[int, ...]) -> tuple[float, ...]:
-    """The surprisal of each single variable i at support point r of the
-    masses `pmf`, in sorted support order: the masses of the points that
-    agree with r on i, added one by one in that order from 0.0, as
-    `JointDistribution._table` adds them (builtin `sum` is compensated from
-    Python 3.12, and `math.fsum` always is: either can move the surprisal by
-    ulps), then `0.0 - log2`, +0.0 at mass 1 or above."""
-    log2 = math.log2
-    h = []
-    for i, x in enumerate(r):
-        p = 0.0
-        for s, m in pmf.items():
-            if s[i] == x:
-                p += m
-        h.append(0.0 - log2(p) if p <= 1.0 else 0.0)
-    return tuple(h)
+def _index_laws(op: list[list[int]], dual: list[list[int]], nodes: range):
+    """Each index law's (law, lhs, rhs) node indices for every a, b and c."""
+    for a in nodes:
+        yield "idempotence", op[a][a], a
+        for b in nodes:
+            yield "commutativity", op[a][b], op[b][a]
+            yield "absorption", op[a][dual[a][b]], a
+            for c in nodes:
+                yield "associativity", op[op[a][b]][c], op[a][op[b][c]]
+                yield "distributivity", op[a][dual[b][c]], dual[op[a][b]][op[a][c]]
 
 
-def _props_draws(seed: int, tables: dict, t: int) -> tuple:
-    """Trial t's draws: n = 2 or 3, the surprisals of the n single variables
-    at a random support point of the sampler's random masses, summed straight
-    from them, and three node indices a, b, c.  The draws are those of
-    `random_distribution` and a point of its support, in the same order."""
-    rng = trial_rng(seed, t)
-    n = rng.choice((2, 3))
-    _, grid = _shape((2,) * n if n == 3 else (rng.randint(2, 4),) * 2)
-    pmf = _masses(rng, grid)
-    points = list(pmf)
-    r = points[rng.randrange(len(points))]
-    h = _point_surprisals(pmf, r)
-    lattice = tables[n][0]
-    a, b, c = (rng.randrange(len(lattice)) for _ in range(3))
-    return n, h, a, b, c
+def _weak_orders(n: int):
+    """Every weak order of n surprisals, as ranks 0.0 .. k-1 (3 at n = 2, 13 at n = 3)."""
+    for ranks in product(range(n), repeat=n):
+        if set(ranks) == set(range(max(ranks) + 1)):
+            yield tuple(map(float, ranks))
 
 
-def _props_trial(seed: int, tables: dict, t: int, bump: Bump) -> None:
-    n, h, a, b, c = _props_draws(seed, tables, t)
-    lattice, join_t, meet_t = tables[n]
-    v = [eval_sharing(node, h) for node in lattice.nodes]
+def _props_sweep(_: int, bump: Bump) -> None:
+    """Lattice laws of the max-of-mins evaluation on every weak order.
 
-    # each law for sharing_join against sharing_meet, then the other way round
-    for op, dual in ((join_t, meet_t), (meet_t, join_t)):
-        bump("idempotence", abs(v[op[a][a]] - v[a]))
-        bump("commutativity", abs(v[op[a][b]] - v[op[b][a]]))
-        bump("associativity", abs(v[op[op[a][b]][c]] - v[op[a][op[b][c]]]))
-        bump("absorption", abs(v[op[a][dual[a][b]]] - v[a]))
-        bump("distributivity",
-             abs(v[op[a][dual[b][c]]] - v[dual[op[a][b]][op[a][c]]]))
-    for value in v:
-        if value not in h:  # a surprisal's own distance is 0.0, which bumps nothing
-            bump("connexity", min(abs(value - hi) for hi in h))
-
-
-def _props_setup(seed: int, trials: int) -> tuple[int, Trial]:
-    """Lattice laws of the max-of-mins evaluation on random operands.
-
-    `sharing_join` and `sharing_meet` run once on every pair of nodes for
-    n = 2 and 3, into tables of node indices.  Each trial then draws its
-    masses with the sampler and sums its support point's n single-variable
-    masses straight from them (`_point_surprisals`): no `JointDistribution`
-    is built, sorted or summed, and no marginal table is built and logged
-    whole to read one entry.  It values every node once and reads each law
-    from those values.
+    For n = 2 and 3, each index law keeps the (lhs, rhs) node pairs of the
+    join and meet tables, over all a, b, c, that are not the same node:
+    none, for a lattice.  A max of mins is one of its inputs, so a residual
+    depends only on the weak order of the surprisals; two distinct
+    antichains differ on some 0/1 vector, which is a weak order, so a law
+    that fails on some real input fails on one of these.  Every node is
+    valued once per weak order.
     """
-    tables = {n: _node_tables(n) for n in (2, 3)}
-    return trials, partial(_props_trial, seed, tables)
+    for n in (2, 3):
+        lattice, join_t, meet_t = _node_tables(n)
+        differ: dict[str, set[tuple[int, int]]] = {}
+        # each law for sharing_join against sharing_meet, then the other way round
+        for op, dual in ((join_t, meet_t), (meet_t, join_t)):
+            for law, x, y in _index_laws(op, dual, range(len(lattice))):
+                if x != y:
+                    differ.setdefault(law, set()).add((x, y))
+        for h in _weak_orders(n):
+            v = [eval_sharing(node, h) for node in lattice.nodes]
+            for law, pairs in differ.items():
+                for x, y in pairs:
+                    bump(law, abs(v[x] - v[y]))
+            for value in v:
+                if value not in h:  # a surprisal's own distance is 0.0, which bumps nothing
+                    bump("connexity", min(abs(value - hi) for hi in h))
 
 
 def _mobius_point(d, r, bump: Bump) -> list[float]:
@@ -327,7 +303,7 @@ def _lemmas_trial(seed: int, t: int, bump: Bump) -> None:
 # trial block shares before the blocks fork.
 SUITES = {
     "props": (("idempotence", "commutativity", "associativity", "absorption",
-               "distributivity", "connexity"), _props_setup),
+               "distributivity", "connexity"), lambda seed, trials: (1, _props_sweep)),
     "lemmas": (tuple(f"L{i}" for i in range(1, 10)),
                lambda seed, trials: (trials, partial(_lemmas_trial, seed))),
     "mobius": (("closed_equals_inversion", "partials_nonnegative", "partials_sum_to_top",

@@ -317,7 +317,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, defaults: bool) -> None:
     parser.add_argument("--seed", type=_flag_number(int), default=default(0),
                         help="master RNG seed")
     parser.add_argument("--trials", type=_flag_number(int), default=default(1000),
-                        help="trial count for randomized suites")
+                        help="trial count for the sampled suites (lemmas, mobius); "
+                             "props checks every weak order whatever the count")
     parser.add_argument("--allow-n5", action="store_true", default=default(False),
                         help="no effect: every command takes 1 to 5 variables")
     parser.add_argument("--format", choices=("text", "structured"), default=default("text"),
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--about", help="target source for a mutual-information reading")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check", parents=[common], help="run a randomized verification suite")
+    p = sub.add_parser("check", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=checks.SUITES, required=True)
     p.set_defaults(func=cmd_check)
 

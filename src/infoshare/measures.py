@@ -25,11 +25,7 @@ with 0.0 for the empty conditioner, the log of mass 1.  The table reads one
 realization through it; the figures read the points `_points` gives
 through it in one pass, the whole support without checking any point
 again; `eval --about` and the target decomposition read their plain and
-conditioned surprisals from it in one row.  Only a `check --suite props`
-trial, which reads one point of the sampler's freshly drawn masses and
-builds no distribution around them, sums that point's single-variable
-masses straight from the draw instead (`checks._point_surprisals`), to
-the same bits.
+conditioned surprisals from it in one row.
 
 `pair_contents` writes the two-source measures once, as functions of
 h(a), h(b) and h(a u b): `pointwise` reads them from its one table, and

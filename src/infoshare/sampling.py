@@ -1,12 +1,9 @@
-"""Seeded random masses and distributions, and fixed tie-heavy
-distributions, for the suites.
+"""Seeded random distributions and fixed tie-heavy distributions, for the
+`lemmas` and `mobius` suites and the tests.
 
-`_masses` is the one draw: random positive masses over an outcome grid.
-`random_distribution` wraps them in a `JointDistribution`; a `props`
-trial, which reads one point, sums them as they are.  `_shape` builds the
-`VariableSet` and the outcome grid of a cardinality shape once per
-process, keyed on the cardinalities as exact integers, so a suite that
-draws thousands of small distributions validates each shape once.
+`_shape` builds the `VariableSet` and the outcome grid of a cardinality
+shape once per process, keyed on the cardinalities as exact integers, so a
+suite that draws many small distributions validates each shape once.
 """
 
 from __future__ import annotations
@@ -39,32 +36,19 @@ def random_distribution(
     cardinalities: Sequence[int],
     sparsity: float = 0.5,
 ) -> JointDistribution:
-    """`_masses` over the grid of `cardinalities`, on the default variable
-    names.  Non-integer cardinalities and a sparsity outside [0, 1), where
-    no cell could survive, are refused before any draw.
+    """Uniform-simplex masses over a randomly masked outcome grid of
+    `cardinalities`, on the default variable names.
+
+    Each cell is kept with probability 1 - sparsity (redrawn until at least
+    one cell survives); kept cells get independent exponential weights,
+    normalized to sum to one.  Covers both dense and degenerate supports.
+    Non-integer cardinalities and a sparsity outside [0, 1), where no cell
+    could survive, are refused before any draw.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must lie in [0, 1), got {sparsity!r}")
     # exact integers for the key: 3.0 must not find the grid of 3
     variables, grid = _shape(_cardinalities(cardinalities))
-    # cells of the grid and finite positive masses: nothing for the constructor to check
-    return JointDistribution._of_checked(variables, _masses(rng, grid, sparsity))
-
-
-def _masses(
-    rng: random.Random,
-    grid: Sequence[tuple[int, ...]],
-    sparsity: float = 0.5,
-) -> dict[tuple[int, ...], float]:
-    """Uniform-simplex masses over a randomly masked outcome grid.
-
-    Each cell is kept with probability 1 - sparsity (redrawn until at least
-    one cell survives); kept cells get independent exponential weights,
-    normalized to sum to one.  Covers both dense and degenerate supports.
-    The positive masses come in grid order, which for `_shape`'s grid is the
-    sorted order a `JointDistribution` keeps; a mass that normalizes to zero
-    is dropped, as `JointDistribution` drops it.
-    """
     chosen: list[tuple[int, ...]] = []
     while not chosen:
         chosen = [cell for cell in grid if rng.random() >= sparsity]
@@ -72,7 +56,11 @@ def _masses(
     log, uniform = math.log, rng.random
     weights = [-log(1.0 - uniform()) for _ in chosen]
     total = math.fsum(weights)
-    return {cell: p for cell, w in zip(chosen, weights) if (p := w / total) > 0.0}
+    # the cells come in `_shape`'s grid order, the sorted order a distribution
+    # keeps, and a mass that normalizes to zero is dropped, as the constructor
+    # drops it: nothing for the constructor to check
+    masses = {cell: p for cell, w in zip(chosen, weights) if (p := w / total) > 0.0}
+    return JointDistribution._of_checked(variables, masses)
 
 
 @lru_cache(maxsize=64)

@@ -1,8 +1,8 @@
 """The `check` trial driver: block invariance, failures and child cleanup;
 the points and laws of the mobius suite; recorded digests of every suite's
-report; the props suite's node-index tables, its draws and the work each of
-its trials does; the sampler's masses against an expovariate oracle; and
-one sampler shape per process."""
+report; the props suite's node-index tables, its sweep of every weak order
+and the mutants it catches; the sampler's masses against an expovariate
+oracle; and one sampler shape per process."""
 
 import hashlib
 import json
@@ -25,7 +25,6 @@ from infoshare.lattice import (
     sharing_meet,
 )
 from infoshare.distribution import JointDistribution, VariableSet
-from infoshare.measures import surprisal_table
 from infoshare.sampling import random_distribution, tie_heavy_distributions, trial_rng
 
 TRIALS = {"props": 40, "lemmas": 12, "mobius": 10}
@@ -35,7 +34,14 @@ TIE_HEAVY_POINTS = [(d, r) for n in (2, 3, 4) for d in tie_heavy_distributions(n
 
 
 def _items(suite: str, trials: int) -> int:
+    if suite == "props":  # one sweep, whatever the trial count
+        return 1
     return trials + (len(TIE_HEAVY_POINTS) if suite == "mobius" else 0)
+
+
+def _children(suite: str, trials: int, cpus=(2, 3)) -> int:
+    """The forked children of one run per CPU count: one per block after the first."""
+    return sum(min(c, _items(suite, trials)) - 1 for c in cpus)
 
 
 def _reports(monkeypatch, cpus: int, suite: str, seed: int, trials: int) -> tuple[str, str]:
@@ -71,17 +77,18 @@ def test_reports_do_not_depend_on_the_block_count(monkeypatch, forks, suite, see
     assert not forks
     for cpus in (2, 3):
         assert _reports(monkeypatch, cpus, suite, seed, trials) == one, cpus
-    assert len(forks) == 1 + 2
+    # props is one work item, so it never forks
+    assert len(forks) == _children(suite, trials) == (0 if suite == "props" else 1 + 2)
     # more CPUs than work items: one block per item
     forks.clear()
     assert _reports(monkeypatch, 4, suite, seed, 2) == _reports(monkeypatch, 1, suite, seed, 2)
-    assert len(forks) == min(4, _items(suite, 2)) - 1
+    assert len(forks) == _children(suite, 2, cpus=(4,))
     # one trial: only mobius has more than one item, its tie-heavy points
     forks.clear()
     single = _reports(monkeypatch, 1, suite, seed, 1)
     for cpus in (2, 3):
         assert _reports(monkeypatch, cpus, suite, seed, 1) == single, cpus
-    assert len(forks) == (1 + 2 if suite == "mobius" else 0)
+    assert len(forks) == _children(suite, 1) == (1 + 2 if suite == "mobius" else 0)
     _assert_no_child_left()
 
 
@@ -219,14 +226,14 @@ def test_cli_output_does_not_depend_on_the_block_count(monkeypatch, capsys):
         outputs = []
         for cpus in (1, 3):
             monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
-            argv = ["--seed", "7", "--trials", "30", "--format", fmt, "check", "--suite", "props"]
+            argv = ["--seed", "7", "--trials", "30", "--format", fmt, "check", "--suite", "lemmas"]
             assert main(argv) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1], fmt
 
 
 def test_no_trials_start_no_child(monkeypatch, forks):
-    text, _ = _reports(monkeypatch, 4, "props", 0, 0)
+    text, _ = _reports(monkeypatch, 4, "lemmas", 0, 0)
     assert not forks
     assert "max residual 0.000000000e+00" in text
 
@@ -246,7 +253,7 @@ def _raise():
     raise RuntimeError("trial broke")
 
 
-@pytest.mark.parametrize("suite", checks.SUITES)
+@pytest.mark.parametrize("suite", ["lemmas", "mobius"])  # the suites that draw trials
 @pytest.mark.parametrize("index", [7, 1])  # in a child's block, then in this process's
 def test_a_failing_trial_raises_the_one_block_error(monkeypatch, suite, index):
     _break_trial(monkeypatch, index, _raise)
@@ -261,14 +268,14 @@ def test_a_failing_trial_raises_the_one_block_error(monkeypatch, suite, index):
 
 def test_a_child_that_dies_has_its_block_rerun(monkeypatch):
     parent = os.getpid()
-    expected = _reports(monkeypatch, 1, "props", 3, 10)
+    expected = _reports(monkeypatch, 1, "lemmas", 3, 10)
 
     def die_in_a_child():
         if os.getpid() != parent:
             os._exit(9)
 
     _break_trial(monkeypatch, 8, die_in_a_child)
-    assert _reports(monkeypatch, 2, "props", 3, 10) == expected
+    assert _reports(monkeypatch, 2, "lemmas", 3, 10) == expected
     _assert_no_child_left()
 
 
@@ -336,18 +343,35 @@ def test_props_runs_the_sharing_ops_once_per_pair_per_command(monkeypatch, cpus,
     assert calls.count(sharing_join) == calls.count(sharing_meet) == 4 ** 2 + 18 ** 2
 
 
-@pytest.mark.parametrize("op, mutant", [
-    ("sharing_meet", lambda a, b: a),  # meet keeps its first operand
-    ("sharing_meet", sharing_join),  # join in place of meet
-    ("sharing_join", sharing_meet),  # meet in place of join
+@pytest.mark.parametrize("op, mutant, law", [
+    # meet keeps its first operand
+    pytest.param("sharing_meet", lambda a, b: a, "commutativity", id="sharing_meet-<lambda>"),
+    # join in place of meet, then meet in place of join
+    pytest.param("sharing_meet", sharing_join, "absorption", id="sharing_meet-meet"),
+    pytest.param("sharing_join", sharing_meet, "absorption", id="sharing_join-join"),
 ])
-def test_props_fails_on_a_wrong_node_algebra(monkeypatch, capsys, op, mutant):
-    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    assert checks.run_suite("props", 0, 200, 1e-9).passed
+def test_props_fails_on_a_wrong_node_algebra(monkeypatch, capsys, op, mutant, law):
+    assert checks.run_suite("props", 0, 1, 1e-9).passed
     monkeypatch.setattr(checks, op, mutant)
-    report = checks.run_suite("props", 0, 200, 1e-9)
-    assert not report.passed
-    assert main(["--trials", "200", "check", "--suite", "props"]) == 1
+    report = checks.run_suite("props", 0, 1, 1e-9)
+    # ranks 0, 1 and 2 at n = 3: the two sides two ranks apart
+    assert [(line.name, line.max_residual) for line in report.lines if not line.passed] == [
+        (law, 2.0)]
+    assert main(["--trials", "1", "check", "--suite", "props"]) == 1
+    assert capsys.readouterr().out == report.to_text()
+
+
+def test_props_fails_on_a_value_that_is_no_surprisal(monkeypatch, capsys):
+    # a mutant valuation: the largest mean of a source, where the max of mins takes the min
+    def mean_of_a_source(node, h):
+        return max(math.fsum(h[i] for i in source) / len(source) for source in node.sources)
+
+    monkeypatch.setattr(checks, "eval_sharing", mean_of_a_source)
+    report = checks.run_suite("props", 0, 1, 1e-9)
+    # ranks 0 and 1 at n = 2: a mean of both lies 0.5 from each
+    assert [(line.name, line.max_residual) for line in report.lines if not line.passed] == [
+        ("connexity", 0.5)]
+    assert main(["--trials", "1", "check", "--suite", "props"]) == 1
     assert capsys.readouterr().out == report.to_text()
 
 
@@ -360,32 +384,103 @@ def test_props_rejects_a_result_that_is_no_node(monkeypatch, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_props_trials_draw_what_the_public_path_draws(monkeypatch, seed):
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_props_law_lines_do_not_depend_on_the_seed_or_the_trials(capsys, fmt):
     # seed 0 at 2,000 trials is the benchmark's check-props command
-    trials = {0: 2000, 7: 300}[seed]
-    drawn = []
-    real = checks._props_draws
+    laws = set()
+    for seed in (0, 7):
+        for trials in (1, 2000):
+            argv = ["--seed", str(seed), "--trials", str(trials), "--format", fmt,
+                    "check", "--suite", "props"]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            if fmt == "text":
+                header, *lines = out.splitlines()
+                assert header.startswith(f"suite: props  seed: {seed}  trials: {trials}  ")
+                laws.add(tuple(lines))
+            else:
+                doc = json.loads(out)
+                assert (doc.pop("seed"), doc.pop("trials")) == (seed, trials)
+                laws.add(json.dumps(doc))
+    assert len(laws) == 1
 
-    def recorded(*args):
-        drawn.append(real(*args))
-        return drawn[-1]
 
-    monkeypatch.setattr(checks, "_props_draws", recorded)
-    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
-    checks.run_suite("props", seed, trials, 1e-9)
-    assert len(drawn) == trials
-    for t, (n, h, a, b, c) in enumerate(drawn):
-        rng = trial_rng(seed, t)
-        m = rng.choice((2, 3))
-        d = random_distribution(rng, [2] * m if m == 3 else [rng.randint(2, 4)] * 2)
-        support = d.support()
-        r, _ = support[rng.randrange(len(support))]
-        public = surprisal_table(d, [(i,) for i in range(m)])(r)
-        size = len(enumerate_antichains(m))
-        # bit for bit: hex tells -0.0 from 0.0
-        assert (n, [x.hex() for x in h], a, b, c) == (
-            m, [x.hex() for x in public], *(rng.randrange(size) for _ in range(3))), t
+def test_props_values_every_node_once_per_weak_order(monkeypatch):
+    valued = []  # per eval_sharing call: the node and the surprisals it read
+    real_eval = checks.eval_sharing
+
+    def eval_sharing(node, values):
+        valued.append((node, values))
+        return real_eval(node, values)
+
+    monkeypatch.setattr(checks, "eval_sharing", eval_sharing)
+    checks.run_suite("props", 0, 2000, 1e-9)
+    # 3 weak orders of 2 surprisals on 4 nodes, then 13 of 3 on 18
+    assert len(valued) == 3 * 4 + 13 * 18
+    orders, seen = [], 0
+    while seen < len(valued):
+        h = valued[seen][1]
+        nodes = enumerate_antichains(len(h)).nodes
+        # every node of the lattice over len(h) variables, once, in order
+        assert [node for node, _ in valued[seen:seen + len(nodes)]] == list(nodes)
+        assert all(values is h for _, values in valued[seen:seen + len(nodes)])
+        orders.append(h)
+        seen += len(nodes)
+    # each weak order once, as ranks 0.0 .. k-1
+    for n, count in ((2, 3), (3, 13)):
+        ranks = [h for h in orders if len(h) == n]
+        assert len(set(ranks)) == len(ranks) == count
+        assert all(sorted(set(h)) == list(map(float, range(len(set(h))))) for h in ranks)
+
+
+def test_props_draws_nothing_and_forks_no_child(monkeypatch, forks):
+    drawn = []  # per draw or construction: what made it
+    real_adopt = JointDistribution._adopt
+
+    def adopt(self, *args):
+        drawn.append("distribution")
+        return real_adopt(self, *args)
+
+    monkeypatch.setattr(JointDistribution, "_adopt", adopt)
+    monkeypatch.setattr(checks, "trial_rng", lambda seed, t: drawn.append("trial_rng"))
+    _reports(monkeypatch, 4, "props", 0, 2000)
+    assert not drawn and not forks
+
+
+def test_props_trials_build_no_marginal_table(monkeypatch):
+    inside = _inside(monkeypatch, "_props_sweep")  # props's one work item
+    called = []  # per call: the reader's name, and whether the props sweep made it
+
+    def counted(real, name):
+        def wrapper(*args):
+            called.append((name, bool(inside)))
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(JointDistribution, "_table",
+                        counted(JointDistribution._table, "_table"))
+    monkeypatch.setattr(checks, "_surprisal_reader",
+                        counted(checks._surprisal_reader, "_surprisal_reader"))
+    checks.run_suite("props", 0, 60, 1e-9)
+    assert not any(in_sweep for _, in_sweep in called)
+    checks.run_suite("lemmas", 0, 1, 1e-9)  # the wrappers are where the readers are looked up
+    assert {name for name, _ in called} == {"_table", "_surprisal_reader"}
+
+
+def test_props_trials_build_no_distribution(monkeypatch):
+    inside = _inside(monkeypatch, "_props_sweep")  # props's one work item
+    adopted = []  # per construction: whether the props sweep made it
+    real_adopt = JointDistribution._adopt
+
+    def adopt(self, *args):
+        adopted.append(bool(inside))
+        return real_adopt(self, *args)
+
+    monkeypatch.setattr(JointDistribution, "_adopt", adopt)
+    checks.run_suite("props", 0, 60, 1e-9)
+    assert not any(adopted)
+    checks.run_suite("lemmas", 0, 1, 1e-9)  # the wrapper is where every construction goes
+    assert adopted
 
 
 def _inside(monkeypatch, name: str) -> list:
@@ -406,77 +501,6 @@ def _inside(monkeypatch, name: str) -> list:
     return inside
 
 
-def test_props_trials_value_each_node_once_and_check_nothing_again(monkeypatch):
-    inside = _inside(monkeypatch, "_props_trial")
-    valued = []  # per eval_sharing call: the node and the surprisals it read
-    checked = []
-
-    def eval_sharing(node, values):
-        assert inside
-        valued.append((node, values))
-        return real_eval(node, values)
-
-    def counted(method):
-        def wrapper(self, *args):
-            if inside:
-                checked.append(method.__name__)
-            return method(self, *args)
-        return wrapper
-
-    real_eval = checks.eval_sharing
-    monkeypatch.setattr(checks, "eval_sharing", eval_sharing)
-    for name in ("check_realization", "check_source"):
-        monkeypatch.setattr(VariableSet, name, counted(getattr(VariableSet, name)))
-    trials = 60
-    checks.run_suite("props", 0, trials, 1e-9)
-    assert not checked
-    # trial by trial: every node of the lattice over len(h) variables, once, in order
-    seen = 0
-    for _ in range(trials):
-        h = valued[seen][1]
-        nodes = enumerate_antichains(len(h)).nodes
-        assert [node for node, _ in valued[seen:seen + len(nodes)]] == list(nodes)
-        assert all(values is h for _, values in valued[seen:seen + len(nodes)])
-        seen += len(nodes)
-    assert seen == len(valued)
-
-
-def test_props_trials_build_no_marginal_table(monkeypatch):
-    inside = _inside(monkeypatch, "_props_trial")
-    called = []  # per call: the reader's name, and whether a props trial made it
-
-    def counted(real, name):
-        def wrapper(*args):
-            called.append((name, bool(inside)))
-            return real(*args)
-        return wrapper
-
-    monkeypatch.setattr(JointDistribution, "_table",
-                        counted(JointDistribution._table, "_table"))
-    monkeypatch.setattr(checks, "_surprisal_reader",
-                        counted(checks._surprisal_reader, "_surprisal_reader"))
-    checks.run_suite("props", 0, 60, 1e-9)
-    assert not any(in_trial for _, in_trial in called)
-    checks.run_suite("lemmas", 0, 1, 1e-9)  # the wrappers are where the readers are looked up
-    assert {name for name, _ in called} == {"_table", "_surprisal_reader"}
-
-
-def test_props_trials_build_no_distribution(monkeypatch):
-    inside = _inside(monkeypatch, "_props_trial")
-    adopted = []  # per construction: whether a props trial made it
-    real_adopt = JointDistribution._adopt
-
-    def adopt(self, *args):
-        adopted.append(bool(inside))
-        return real_adopt(self, *args)
-
-    monkeypatch.setattr(JointDistribution, "_adopt", adopt)
-    checks.run_suite("props", 0, 60, 1e-9)
-    assert not any(adopted)
-    checks.run_suite("lemmas", 0, 1, 1e-9)  # the wrapper is where every construction goes
-    assert adopted
-
-
 def _oracle_masses(rng, grid, sparsity=0.5):
     """The draw as written with `expovariate`: the kept cells, then their
     normalized weights, a zero mass dropped as `JointDistribution` drops it."""
@@ -492,14 +516,12 @@ def _oracle_masses(rng, grid, sparsity=0.5):
 def test_masses_are_the_expovariate_draw_bit_for_bit(shape):
     grid = sampling._shape(shape)[1]
     for t in range(500):
-        rng, oracle, public = trial_rng(0, t), trial_rng(0, t), trial_rng(0, t)
-        masses = sampling._masses(rng, grid)
+        oracle, public = trial_rng(0, t), trial_rng(0, t)
         expected = _oracle_masses(oracle, grid)
-        assert [(cell, p.hex()) for cell, p in masses.items()] == expected, t
         pmf = random_distribution(public, list(shape))._pmf
         assert [(cell, p.hex()) for cell, p in pmf.items()] == expected, t
-        # as many draws on every path: the next draw is the same
-        assert rng.getstate() == oracle.getstate() == public.getstate(), t
+        # as many draws on both paths: the next draw is the same
+        assert oracle.getstate() == public.getstate(), t
 
 
 class _Scripted(random.Random):
@@ -519,24 +541,12 @@ def test_a_zero_weight_drops_its_cell_on_every_path():
     grid = sampling._shape((2, 2))[1]
     expected = _oracle_masses(_Scripted(draws), grid)
     assert [cell for cell, _ in expected] == [(0, 0), (1, 1)]
-    masses = sampling._masses(_Scripted(draws), grid)
-    assert [(cell, p.hex()) for cell, p in masses.items()] == expected
     pmf = random_distribution(_Scripted(draws), [2, 2])._pmf
     assert [(cell, p.hex()) for cell, p in pmf.items()] == expected
 
 
-def test_point_surprisals_add_the_masses_in_support_order():
-    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 one by one, but 0.6 from `math.fsum`
-    # and from the compensated builtin `sum` of Python 3.12 on: two ulps apart
-    d = JointDistribution(VariableSet(["X", "Y"], [2, 3]),
-                          {(0, 0): 0.1, (0, 1): 0.2, (0, 2): 0.3, (1, 0): 0.4})
-    h = checks._point_surprisals(d._pmf, (0, 1))
-    assert h[0].hex() == surprisal_table(d, [(0,)])((0, 1))[0].hex() == "0x1.79538dea712f3p-1"
-    assert [x.hex() for x in h] == [x.hex() for x in surprisal_table(d, [(0,), (1,)])((0, 1))]
-
-
 @pytest.mark.parametrize("suite, trial, trials", [
-    ("props", "_props_trial", 60), ("lemmas", "_lemmas_trial", 12), ("mobius", "_mobius_item", 6),
+    ("lemmas", "_lemmas_trial", 12), ("mobius", "_mobius_item", 6),
 ])
 def test_trials_build_one_variable_set_per_shape(monkeypatch, suite, trial, trials):
     inside = _inside(monkeypatch, trial)

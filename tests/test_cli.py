@@ -19,7 +19,6 @@ from infoshare import (
     lower,
     mobius_closed_form,
     parse_expression,
-    checks,
     to_dot,
     trivariate_report,
 )
@@ -666,8 +665,6 @@ def test_production_paths_never_normalize(tmp_path, monkeypatch, capsys):
         raise AssertionError("Antichain.normalize called")
 
     monkeypatch.setattr(Antichain, "normalize", staticmethod(refuse))
-    # two trial blocks, so `check` runs half its trials in a forked child
-    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
     x3 = tmp_path / "x3.json"
     x3.write_text(XOR3_JSON)
     d = random_distribution(trial_rng(73, 0), [2] * 5, sparsity=0.75)
@@ -1128,7 +1125,9 @@ def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
     script = next(i for i, run in enumerate(runs) if run.startswith("infoshare "))
     assert install < script
     lines = runs[script].splitlines()
-    assert lines == ["infoshare --seed 0 --trials 40 check --suite props",
+    assert lines == ["infoshare --seed 0 --trials 40 check --suite props | tee props.out",
+                     "infoshare --seed 9 --trials 1 check --suite props | tee props-9.out",
+                     "diff <(tail -n +2 props.out) <(tail -n +2 props-9.out)",
                      "infoshare --seed 0 --trials 40 check --suite mobius",
                      "infoshare --seed 0 --trials 40 check --suite lemmas", "infoshare lattice --n 3",
                      r"printf 'A,B,C,D,E,p\n0,0,0,0,0,0.5\n1,1,1,1,1,0.5\n' > five.csv",
@@ -1152,7 +1151,8 @@ def test_the_workflow_runs_the_installed_script_after_the_install(tmp_path):
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (line, done.stderr)
         assert done.stderr == "", line
-        assert done.stdout or line.startswith("printf"), line
+        # `printf` writes to a file, and `diff` prints nothing when the two agree
+        assert done.stdout or line.startswith(("printf", "diff")), line
         if "head -n 2" in line:
             head = done.stdout.splitlines()
             assert head[0] == "expected decomposition" and head[1].split() == [
